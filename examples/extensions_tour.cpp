@@ -5,11 +5,12 @@
 //
 //   $ ./build/examples/extensions_tour
 #include <cstdio>
+#include <deque>
 
 #include "src/analysis/stats.h"
+#include "src/capture/capture_tap.h"
 #include "src/detect/backoff_monitor.h"
 #include "src/detect/nav_validator.h"
-#include "src/mac/frame_tracer.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
 
@@ -51,14 +52,18 @@ void fragmentation_tour() {
   Node& rx = sim.add_node(l.receivers[0]);
   Node& bystander = sim.add_node({5, 5});
   tx.mac().set_fragmentation_threshold(400);
-  FrameTracer tracer(8);
-  tracer.attach(bystander.mac());
+  // Keep the burst's last 8 frames, like a ring-buffered tcpdump.
+  std::deque<CapturedFrame> tail;
+  tap_frames(bystander.mac(), [&tail](const CapturedFrame& r) {
+    tail.push_back(r);
+    if (tail.size() > 8) tail.pop_front();
+  });
   auto f = sim.add_udp_flow(tx, rx, 0.5);
   sim.run();
   int shown = 0;
-  for (const auto& r : tracer.records()) {
+  for (const auto& r : tail) {
     if (shown++ >= 6) break;
-    std::printf("   %s\n", r.to_string().c_str());
+    std::printf("   %s\n", trace_line(r).c_str());
   }
   std::printf("   Nonzero ACK NAVs above are honest: they chain the burst.\n\n");
   (void)f;

@@ -13,8 +13,8 @@
 #include <string>
 
 #include "src/analysis/stats.h"
+#include "src/capture/capture_tap.h"
 #include "src/detect/grc.h"
-#include "src/mac/frame_tracer.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
 
@@ -198,13 +198,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  FrameTracer tracer(static_cast<std::size_t>(o.trace > 0 ? o.trace : 1));
   int printed = 0;
   if (o.trace > 0) {
-    tracer.attach(receivers[0]->mac());
-    tracer.on_record = [&](const TraceRecord& r) {
-      if (printed++ < o.trace) std::printf("%s\n", r.to_string().c_str());
-    };
+    // Frames the observer hears; its own CTS/ACKs are not printed.
+    tap_frames(receivers[0]->mac(), [&](const CapturedFrame& r) {
+      if (!r.tx && printed++ < o.trace) {
+        std::printf("%s\n", trace_line(r).c_str());
+      }
+    });
   }
 
   sim.run();

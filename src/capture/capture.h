@@ -21,10 +21,12 @@
 //    nothing but the file) and a footer carrying the capture horizon.
 //    This is the format the offline replay pipeline (replay.h) consumes.
 //
-// CaptureWriter streams both; CaptureReader parses either back into the
-// same CapturedFrame structs. Round-trip guarantee: serialising a parsed
-// capture again reproduces the input byte-for-byte (each format is a pure,
-// idempotent function of the fields it preserves).
+// CapturedFrame is the one record of a frame seen at a station: the MAC
+// tap (capture_tap.h) produces it, CaptureWriter streams it to both files,
+// the capture reader (capture_stream.h, capture_reader.h) parses either
+// file back into it, and the detectors replay it. Round-trip guarantee:
+// serialising a parsed capture again reproduces the input byte-for-byte
+// (each format is a pure, idempotent function of the fields it preserves).
 #pragma once
 
 #include <cstdint>

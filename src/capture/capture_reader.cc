@@ -1,145 +1,48 @@
 #include "src/capture/capture_reader.h"
 
-#include <cstdio>
-#include <stdexcept>
-#include <string>
-
-#include "src/capture/format_detail.h"
+#include "src/capture/capture_stream.h"
 
 namespace g80211 {
 
 namespace {
 
-using capture_detail::ByteCursor;
-using capture_detail::fail;
-
-std::vector<std::uint8_t> slurp_bytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) fail("cannot open " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return bytes;
+// One-shot read: the stream reader's framing run to the end of the input,
+// then the completeness checks a finished stream must pass.
+Capture read_whole(CaptureStreamReader&& reader) {
+  Capture cap;
+  reader.poll(cap.frames);
+  reader.check_complete();
+  cap.owner = reader.owner();
+  cap.params = reader.params();
+  cap.has_params = reader.has_params();
+  cap.end_time = reader.end_time();
+  cap.skipped_unknown = reader.skipped_unknown();
+  cap.first_skipped_offset = reader.first_skipped_offset();
+  return cap;
 }
 
 }  // namespace
 
-// --- pcap --------------------------------------------------------------------
-
 Capture parse_pcap(const std::vector<std::uint8_t>& bytes) {
-  ByteCursor c{&bytes};
-  if (!capture_detail::parse_pcap_file_header(c)) {
-    // Short file: re-run the checked field reads so the error names the
-    // exact field the bytes ran out in (or the bad value before that).
-    if (c.u32("pcap magic") != kPcapMagicNs) {
-      fail("bad pcap magic (expected nanosecond-resolution little-endian pcap)");
-    }
-    const std::uint16_t vmaj = c.u16("pcap version");
-    const std::uint16_t vmin = c.u16("pcap version");
-    if (vmaj != kPcapVersionMajor || vmin != kPcapVersionMinor) {
-      fail("unsupported pcap version");
-    }
-    c.u32("pcap header");
-    c.u32("pcap header");
-    c.u32("pcap header");
-    c.u32("pcap linktype");
-  }
-
-  Capture cap;
-  while (c.remaining() > 0) {
-    capture_detail::PcapRecordHeader h;
-    if (!capture_detail::read_pcap_record(c, h)) {
-      // One-shot parse: an incomplete trailing record is a truncated file.
-      if (c.remaining() < 16) fail("truncated pcap record header");
-      fail("truncated pcap record data");
-    }
-    const std::size_t record_offset = c.pos - 16;
-    CapturedFrame f;
-    if (capture_detail::parse_pcap_record_body(c, h, f)) {
-      if (f.end > cap.end_time) cap.end_time = f.end;
-      cap.frames.push_back(f);
-    } else {
-      if (cap.skipped_unknown == 0) {
-        cap.first_skipped_offset = static_cast<std::int64_t>(record_offset);
-      }
-      ++cap.skipped_unknown;
-    }
-  }
-  return cap;
+  return read_whole(CaptureStreamReader(bytes, CaptureFormat::kPcap));
 }
-
-// --- jsonl -------------------------------------------------------------------
 
 Capture parse_jsonl(const std::string& text) {
-  Capture cap;
-  cap.has_params = true;
-  bool saw_header = false;
-  bool saw_footer = false;
-  Time last_event = 0;
-
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    if (saw_footer) fail("JSONL: content after footer");
-
-    if (!saw_header) {
-      capture_detail::parse_jsonl_header(line, cap);
-      saw_header = true;
-      continue;
-    }
-
-    CapturedFrame f;
-    Time end_time = 0;
-    if (capture_detail::parse_jsonl_record(line, f, end_time) ==
-        capture_detail::JsonlLine::kFooter) {
-      cap.end_time = end_time;
-      saw_footer = true;
-      continue;
-    }
-    // Records are journalled in MAC event order (tx at start, rx at end);
-    // a regression means the file was corrupted or hand-reordered.
-    if (f.event_time() < last_event) fail("JSONL: records out of order");
-    last_event = f.event_time();
-    cap.frames.push_back(f);
-  }
-  if (!saw_header) fail("JSONL: empty capture file");
-  if (!saw_footer) fail("JSONL: truncated capture (missing footer)");
-  return cap;
+  return read_whole(CaptureStreamReader(
+      std::vector<std::uint8_t>(text.begin(), text.end()),
+      CaptureFormat::kJsonl));
 }
 
-// --- file entry points --------------------------------------------------------
-
-Capture read_pcap(const std::string& path) { return parse_pcap(slurp_bytes(path)); }
+Capture read_pcap(const std::string& path) {
+  return read_whole(CaptureStreamReader(path, CaptureFormat::kPcap));
+}
 
 Capture read_jsonl(const std::string& path) {
-  const std::vector<std::uint8_t> bytes = slurp_bytes(path);
-  return parse_jsonl(
-      std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+  return read_whole(CaptureStreamReader(path, CaptureFormat::kJsonl));
 }
 
 Capture read_capture(const std::string& path) {
-  const std::vector<std::uint8_t> bytes = slurp_bytes(path);
-  if (bytes.size() >= 4) {
-    const std::uint32_t magic =
-        static_cast<std::uint32_t>(bytes[0]) |
-        (static_cast<std::uint32_t>(bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(bytes[3]) << 24);
-    if (magic == kPcapMagicNs) return parse_pcap(bytes);
-  }
-  if (!bytes.empty() && bytes[0] == '{') {
-    return parse_jsonl(
-        std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-  }
-  fail("unrecognised capture file " + path);
+  return read_whole(CaptureStreamReader(path));
 }
 
 }  // namespace g80211

@@ -1,12 +1,17 @@
 // Capture parsing — the inverse of capture_writer.h.
 //
+// Each entry point runs the capture reader (capture_stream.h) to the end
+// of its input and then requires the capture to be complete, so these
+// accept exactly what a tailed file that has stopped growing would.
+//
 // Strict by design: a malformed file (bad magic, truncated record, missing
-// JSONL footer, foreign MAC address, out-of-order records) throws
-// std::runtime_error with a message naming the defect. The one tolerated
-// irregularity is an unrecognised pcap record (unknown radiotap layout or
-// 802.11 type/subtype — e.g. a beacon from a real capture): such records
-// are skipped and counted in Capture::skipped_unknown, so a reader can
-// distinguish "clean" from "partially understood".
+// JSONL footer, foreign MAC address, out-of-order records, an integer out
+// of its field's range) throws std::runtime_error with a message naming
+// the defect. The one tolerated irregularity is an unrecognised pcap
+// record (unknown radiotap layout or 802.11 type/subtype — e.g. a beacon
+// from a real capture): such records are skipped and counted in
+// Capture::skipped_unknown, so a reader can distinguish "clean" from
+// "partially understood".
 #pragma once
 
 #include <cstdint>
@@ -17,8 +22,8 @@
 
 namespace g80211 {
 
-// Parse a pcap byte stream / JSONL text (in-memory; the file readers and
-// the round-trip tests share these).
+// Parse a pcap byte stream / JSONL text held in memory (the round-trip
+// tests use these).
 Capture parse_pcap(const std::vector<std::uint8_t>& bytes);
 Capture parse_jsonl(const std::string& text);
 

@@ -1,5 +1,8 @@
 #include "src/capture/capture_stream.h"
 
+#include <string>
+#include <utility>
+
 #include "src/capture/format_detail.h"
 
 namespace g80211 {
@@ -7,28 +10,30 @@ namespace g80211 {
 using capture_detail::ByteCursor;
 using capture_detail::fail;
 
-CaptureStreamReader::CaptureStreamReader(const std::string& path)
-    : path_(path) {
+CaptureStreamReader::CaptureStreamReader(const std::string& path,
+                                         CaptureFormat format)
+    : path_(path), format_(format) {
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) fail("cannot open " + path);
 }
+
+CaptureStreamReader::CaptureStreamReader(std::vector<std::uint8_t> bytes,
+                                         CaptureFormat format)
+    : buf_(std::move(bytes)), format_(format) {}
 
 CaptureStreamReader::~CaptureStreamReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-std::size_t CaptureStreamReader::read_appended() {
+void CaptureStreamReader::read_appended() {
   // A previous read hit EOF; the file may have grown since. Clearing the
   // EOF flag makes stdio look again.
   std::clearerr(file_);
-  std::size_t total = 0;
   std::uint8_t chunk[65536];
   std::size_t n;
   while ((n = std::fread(chunk, 1, sizeof(chunk), file_)) > 0) {
     buf_.insert(buf_.end(), chunk, chunk + n);
-    total += n;
   }
-  return total;
 }
 
 void CaptureStreamReader::compact(std::size_t consumed) {
@@ -38,12 +43,11 @@ void CaptureStreamReader::compact(std::size_t consumed) {
 }
 
 std::size_t CaptureStreamReader::poll(std::vector<CapturedFrame>& out) {
-  read_appended();
-  if (format_ == Format::kUndetected) {
+  if (file_ != nullptr) read_appended();
+  if (format_ == CaptureFormat::kAny) {
     if (buf_.empty()) return 0;
     if (buf_[0] == '{') {
-      format_ = Format::kJsonl;
-      has_params_ = true;
+      format_ = CaptureFormat::kJsonl;
     } else {
       if (buf_.size() < 4) return 0;  // could still be a pcap magic prefix
       const std::uint32_t magic = static_cast<std::uint32_t>(buf_[0]) |
@@ -51,10 +55,25 @@ std::size_t CaptureStreamReader::poll(std::vector<CapturedFrame>& out) {
                                   (static_cast<std::uint32_t>(buf_[2]) << 16) |
                                   (static_cast<std::uint32_t>(buf_[3]) << 24);
       if (magic != kPcapMagicNs) fail("unrecognised capture file " + path_);
-      format_ = Format::kPcap;
+      format_ = CaptureFormat::kPcap;
     }
   }
-  return format_ == Format::kPcap ? drain_pcap(out) : drain_jsonl(out);
+  return format_ == CaptureFormat::kPcap ? drain_pcap(out) : drain_jsonl(out);
+}
+
+void CaptureStreamReader::check_complete() const {
+  const std::string where = path_.empty() ? "" : path_ + ": ";
+  if (!header_ready_) {
+    fail(where + (buf_.empty() ? "empty capture file"
+                               : "truncated capture header"));
+  }
+  if (format_ == CaptureFormat::kJsonl && !finished_) {
+    fail(where + "JSONL: truncated capture (missing footer)");
+  }
+  if (!buf_.empty()) {
+    fail(where + "truncated capture: " + std::to_string(buf_.size()) +
+         " bytes after the last complete record");
+  }
 }
 
 std::size_t CaptureStreamReader::drain_pcap(std::vector<CapturedFrame>& out) {
@@ -102,10 +121,7 @@ std::size_t CaptureStreamReader::drain_jsonl(std::vector<CapturedFrame>& out) {
     if (finished_) fail("JSONL: content after footer");
 
     if (!header_ready_) {
-      Capture header;
-      capture_detail::parse_jsonl_header(line, header);
-      owner_ = header.owner;
-      params_ = header.params;
+      capture_detail::parse_jsonl_header(line, owner_, params_);
       header_ready_ = true;
       continue;
     }

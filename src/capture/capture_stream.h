@@ -1,19 +1,22 @@
-// Incremental capture reader: the tail(1) counterpart of capture_reader.
+// The capture reader: every pcap or JSONL capture is framed here.
 //
-// Opens a pcap or JSONL capture file and parses it record-by-record as the
-// bytes arrive, tolerating a file that is still being written (a live
-// CaptureWriter journal). Each poll() reads whatever has been appended
-// since the last call and emits every *complete* record; a record split by
-// the current end of file stays buffered until a later poll completes it.
-// Records are therefore delivered exactly once, in journal order, with the
-// same parsing code — and the same validation and error messages — as the
-// one-shot readers (src/capture/format_detail.h is shared by both).
+// Parses a capture record-by-record as its bytes arrive, tolerating a file
+// that is still being written (a live CaptureWriter journal). Each poll()
+// reads whatever has been appended since the last call and emits every
+// *complete* record; a record split by the current end of file stays
+// buffered until a later poll completes it. Records are therefore
+// delivered exactly once, in journal order. The one-shot readers
+// (capture_reader.h) are this reader run to the end of the input followed
+// by check_complete(), so a file read whole and a file tailed live pass
+// the same header, footer, order and skip rules and fail with the same
+// errors.
 //
-// Format is sniffed from the first bytes (pcap magic vs. '{'). For JSONL
-// the stream knows when it is complete (the footer line); pcap has no
-// footer, so finished() stays false and the caller decides when to stop
-// polling. pending_bytes() exposes whether the buffer holds a partial
-// record — nonzero after the producer has finished means a truncated file.
+// Format is sniffed from the first bytes (pcap magic vs. '{') unless the
+// caller pins it. For JSONL the stream knows when it is complete (the
+// footer line); pcap has no footer, so finished() stays false and the
+// caller decides when to stop polling. pending_bytes() exposes whether the
+// buffer holds a partial record — nonzero after the producer has finished
+// means a truncated file.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +28,17 @@
 
 namespace g80211 {
 
+// The formats a reader accepts: kAny sniffs the first bytes.
+enum class CaptureFormat { kAny, kPcap, kJsonl };
+
 class CaptureStreamReader {
  public:
   // Opens the file; throws std::runtime_error when it cannot be opened.
   // The file may be empty or partially written at this point.
-  explicit CaptureStreamReader(const std::string& path);
+  explicit CaptureStreamReader(const std::string& path,
+                               CaptureFormat format = CaptureFormat::kAny);
+  // A capture held whole in memory: nothing is ever appended to `bytes`.
+  CaptureStreamReader(std::vector<std::uint8_t> bytes, CaptureFormat format);
   ~CaptureStreamReader();
   CaptureStreamReader(const CaptureStreamReader&) = delete;
   CaptureStreamReader& operator=(const CaptureStreamReader&) = delete;
@@ -44,11 +53,11 @@ class CaptureStreamReader {
   // that only accept JSONL journals (the monitor, whose detectors need the
   // exact ticks and ground truth pcap drops) use this to fail fast instead
   // of tailing a file that can never produce a record for them.
-  bool pcap_detected() const { return format_ == Format::kPcap; }
+  bool pcap_detected() const { return format_ == CaptureFormat::kPcap; }
 
   // File-level metadata, valid once header_ready().
   bool header_ready() const { return header_ready_; }
-  bool has_params() const { return has_params_; }       // JSONL only
+  bool has_params() const { return format_ == CaptureFormat::kJsonl; }
   const WifiParams& params() const { return params_; }
   int owner() const { return owner_; }                  // kNoAddr for pcap
 
@@ -67,12 +76,15 @@ class CaptureStreamReader {
   // has stopped writing means the file ends mid-record (truncated).
   std::size_t pending_bytes() const { return buf_.size(); }
 
-  const std::string& path() const { return path_; }
+  // For a capture whose producer has finished: throws unless the header
+  // was read, a JSONL journal reached its footer, and no bytes are left
+  // over mid-record.
+  void check_complete() const;
+
+  const std::string& path() const { return path_; }  // "" when in memory
 
  private:
-  enum class Format { kUndetected, kPcap, kJsonl };
-
-  std::size_t read_appended();
+  void read_appended();
   std::size_t drain_pcap(std::vector<CapturedFrame>& out);
   std::size_t drain_jsonl(std::vector<CapturedFrame>& out);
   void compact(std::size_t consumed);
@@ -83,14 +95,13 @@ class CaptureStreamReader {
   std::vector<std::uint8_t> buf_;   // unparsed bytes
   std::int64_t buf_offset_ = 0;     // absolute file offset of buf_[0]
 
-  Format format_ = Format::kUndetected;
+  CaptureFormat format_;            // kAny until sniffed
   bool header_ready_ = false;
-  bool has_params_ = false;
   WifiParams params_;
   int owner_ = kNoAddr;
   bool finished_ = false;
   Time end_time_ = 0;
-  Time last_event_ = 0;  // journal-order enforcement, as the one-shot reader
+  Time last_event_ = 0;  // journal-order enforcement
   std::int64_t skipped_unknown_ = 0;
   std::int64_t first_skipped_offset_ = -1;
 };

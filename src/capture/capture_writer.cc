@@ -4,9 +4,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
-#include <utility>
 
-#include "src/mac/durations.h"
+#include "src/capture/capture_tap.h"
 #include "src/runner/metric_sink.h"
 
 namespace g80211 {
@@ -253,83 +252,9 @@ void JsonlWriter::close(Time end_time) {
 // --- CaptureWriter -----------------------------------------------------------
 
 void CaptureWriter::attach(Mac& mac) {
-  const WifiParams params = mac.params();
   pcap_.open(pcap_path());
-  jsonl_.open(jsonl_path(), mac.id(), params);
-
-  // Receive side: everything the radio decoded, corrupted frames included.
-  auto prev_rx = std::move(mac.sniffer);
-  mac.sniffer = [this, params, prev = std::move(prev_rx)](const Frame& f,
-                                                          const RxInfo& i) {
-    if (prev) prev(f, i);
-    CapturedFrame r;
-    r.start = i.start;
-    r.end = i.end;
-    r.type = f.type;
-    r.ta = f.ta;
-    r.ra = f.ra;
-    r.true_tx = f.true_tx;
-    r.duration = f.duration;
-    r.seq = f.seq;
-    r.frag = f.frag_index;
-    r.more_frags = f.more_frags;
-    r.retry = f.retry;
-    r.corrupted = i.corrupted;
-    r.collided = i.collided;
-    r.rssi_dbm = i.rssi_dbm;
-    r.bytes = on_air_bytes(params, f);
-    r.rate_mbps = f.type == FrameType::kData
-                      ? (f.rate_mbps > 0 ? f.rate_mbps : params.data_rate_mbps)
-                      : params.basic_rate_mbps;
-    if (f.type == FrameType::kData && f.packet) {
-      r.flow_id = f.packet->flow_id;
-      r.pkt_seq = f.packet->seq;
-      r.pkt_uid = f.packet->uid;
-      r.src_node = f.packet->src_node;
-      r.dst_node = f.packet->dst_node;
-      r.pkt_created = f.packet->created;
-      r.probe = f.packet->is_probe;
-      r.probe_reply = f.packet->probe_reply;
-    }
-    record(r);
-  };
-
-  // Transmit side: everything this station keys onto the air. `true_tx` is
-  // the station itself; there is no received signal, so RSSI stays 0.
-  auto prev_tx = std::move(mac.tx_sniffer);
-  const int self = mac.id();
-  mac.tx_sniffer = [this, params, self, prev = std::move(prev_tx)](
-                       const Frame& f, Time start, Time end) {
-    if (prev) prev(f, start, end);
-    CapturedFrame r;
-    r.start = start;
-    r.end = end;
-    r.type = f.type;
-    r.ta = f.ta;
-    r.ra = f.ra;
-    r.true_tx = self;
-    r.duration = f.duration;
-    r.seq = f.seq;
-    r.frag = f.frag_index;
-    r.more_frags = f.more_frags;
-    r.retry = f.retry;
-    r.tx = true;
-    r.bytes = on_air_bytes(params, f);
-    r.rate_mbps = f.type == FrameType::kData
-                      ? (f.rate_mbps > 0 ? f.rate_mbps : params.data_rate_mbps)
-                      : params.basic_rate_mbps;
-    if (f.type == FrameType::kData && f.packet) {
-      r.flow_id = f.packet->flow_id;
-      r.pkt_seq = f.packet->seq;
-      r.pkt_uid = f.packet->uid;
-      r.src_node = f.packet->src_node;
-      r.dst_node = f.packet->dst_node;
-      r.pkt_created = f.packet->created;
-      r.probe = f.packet->is_probe;
-      r.probe_reply = f.packet->probe_reply;
-    }
-    record(r);
-  };
+  jsonl_.open(jsonl_path(), mac.id(), mac.params());
+  tap_frames(mac, [this](const CapturedFrame& f) { record(f); });
 }
 
 void CaptureWriter::record(const CapturedFrame& f) {

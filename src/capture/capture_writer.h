@@ -1,8 +1,8 @@
 // Streaming capture writers — see capture.h for the format contract.
 //
 // PcapWriter and JsonlWriter are pure serialisers over CapturedFrame;
-// CaptureWriter is the live front end that taps a station's MAC (rx
-// sniffer + tx sniffer) and streams every frame to both files as it
+// CaptureWriter is the live front end: it taps a station's MAC
+// (tap_frames, capture_tap.h) and streams every frame to both files as it
 // happens, so a crashed run still leaves a usable capture up to the last
 // frame.
 #pragma once
@@ -74,8 +74,8 @@ class JsonlWriter {
 // Records `<stem>.pcap` and `<stem>.jsonl` from one vantage station.
 // attach() must be called exactly once, before the run; close() (or
 // destruction) finalises both files at the scheduler's current time.
-// Attaching chains onto the MAC's rx/tx sniffers and draws no randomness,
-// so enabling a capture never perturbs the simulated run.
+// Attaching taps the MAC's rx/tx sniffers and draws no randomness, so
+// enabling a capture never perturbs the simulated run.
 class CaptureWriter {
  public:
   CaptureWriter(Scheduler& sched, std::string stem)

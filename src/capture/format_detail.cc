@@ -1,8 +1,10 @@
 #include "src/capture/format_detail.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -155,13 +157,20 @@ const JsonField& json_get(const JsonObject& obj, const char* key) {
   return it->second;
 }
 
-std::int64_t json_i64(const JsonObject& obj, const char* key) {
+// Integer value of `key`; throws unless it lies in [lo, hi].
+std::int64_t json_i64(const JsonObject& obj, const char* key,
+                      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+                      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
   const JsonField& f = json_get(obj, key);
   if (f.is_string) fail(std::string("JSONL: key \"") + key + "\" not a number");
   char* endp = nullptr;
+  errno = 0;
   const long long v = std::strtoll(f.raw.c_str(), &endp, 10);
   if (endp == f.raw.c_str() || *endp != '\0') {
     fail(std::string("JSONL: key \"") + key + "\" not an integer");
+  }
+  if (errno == ERANGE || v < lo || v > hi) {
+    fail(std::string("JSONL: key \"") + key + "\" out of range: " + f.raw);
   }
   return v;
 }
@@ -169,10 +178,18 @@ std::int64_t json_i64(const JsonObject& obj, const char* key) {
 std::uint64_t json_u64(const JsonObject& obj, const char* key) {
   const JsonField& f = json_get(obj, key);
   if (f.is_string) fail(std::string("JSONL: key \"") + key + "\" not a number");
+  // strtoull would wrap a leading '-' into a huge value.
+  if (f.raw[0] == '-') {
+    fail(std::string("JSONL: key \"") + key + "\" must not be negative");
+  }
   char* endp = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(f.raw.c_str(), &endp, 10);
   if (endp == f.raw.c_str() || *endp != '\0') {
     fail(std::string("JSONL: key \"") + key + "\" not an integer");
+  }
+  if (errno == ERANGE) {
+    fail(std::string("JSONL: key \"") + key + "\" out of range: " + f.raw);
   }
   return v;
 }
@@ -189,7 +206,12 @@ double json_dbl(const JsonObject& obj, const char* key) {
 }
 
 int json_int(const JsonObject& obj, const char* key) {
-  return static_cast<int>(json_i64(obj, key));
+  return static_cast<int>(json_i64(obj, key, std::numeric_limits<int>::min(),
+                                   std::numeric_limits<int>::max()));
+}
+
+bool json_flag(const JsonObject& obj, const char* key) {
+  return json_i64(obj, key, 0, 1) != 0;
 }
 
 FrameType frame_type_from_name(const std::string& name) {
@@ -304,7 +326,7 @@ bool parse_pcap_record_body(ByteCursor& c, const PcapRecordHeader& h,
 
 // --- jsonl -------------------------------------------------------------------
 
-void parse_jsonl_header(const std::string& line, Capture& cap) {
+void parse_jsonl_header(const std::string& line, int& owner, WifiParams& p) {
   const JsonObject obj = parse_json_object(line);
   if (obj.find(kJsonlHeaderKey) == obj.end()) {
     fail("JSONL: not a g80211 capture (missing header line)");
@@ -312,8 +334,7 @@ void parse_jsonl_header(const std::string& line, Capture& cap) {
   if (json_i64(obj, kJsonlHeaderKey) != kJsonlFormatVersion) {
     fail("JSONL: unsupported capture format version");
   }
-  cap.owner = json_int(obj, "owner");
-  WifiParams& p = cap.params;
+  owner = json_int(obj, "owner");
   const int standard = json_int(obj, "standard");
   if (standard < 0 || standard > 2) fail("JSONL: bad standard");
   p.standard = static_cast<Standard>(standard);
@@ -351,11 +372,11 @@ JsonlLine parse_jsonl_record(const std::string& line, CapturedFrame& f,
   f.true_tx = json_int(obj, "tt");
   f.seq = json_int(obj, "sq");
   f.frag = json_int(obj, "fg");
-  f.more_frags = json_i64(obj, "mf") != 0;
-  f.retry = json_i64(obj, "r") != 0;
-  f.corrupted = json_i64(obj, "c") != 0;
-  f.collided = json_i64(obj, "cl") != 0;
-  f.tx = json_i64(obj, "tx") != 0;
+  f.more_frags = json_flag(obj, "mf");
+  f.retry = json_flag(obj, "r");
+  f.corrupted = json_flag(obj, "c");
+  f.collided = json_flag(obj, "cl");
+  f.tx = json_flag(obj, "tx");
   f.rssi_dbm = json_dbl(obj, "rssi");
   f.bytes = json_int(obj, "len");
   f.rate_mbps = json_dbl(obj, "rate");

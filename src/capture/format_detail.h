@@ -1,18 +1,16 @@
-// Record-level parsing internals shared by the one-shot readers
-// (capture_reader.cc) and the incremental tail reader (capture_stream.cc).
+// Record-level parsing internals of the capture reader (capture_stream.cc),
+// which frames records out of the byte stream and hands each one here.
 //
 // Not part of the public capture API: everything here lives in
-// g80211::capture_detail and may change shape freely. The split exists so
-// the two front-ends parse a record through literally the same code — the
-// byte-exact round-trip guarantee and the monitor's tail mode cannot
-// drift apart.
+// g80211::capture_detail and may change shape freely.
 //
 // The incremental contract: header/record readers return false when the
 // buffered bytes end before the record does ("wait for more input"), and
 // throw std::runtime_error only for bytes that can never become valid
-// (bad magic, bad radiotap version, foreign MAC address, malformed JSON).
-// A one-shot parser turns a trailing false into a "truncated" error; a
-// tail reader turns it into a poll-again.
+// (bad magic, bad radiotap version, foreign MAC address, malformed JSON,
+// an integer outside its field's range). The reader turns a trailing false
+// into a poll-again, and a finished input with bytes still pending into a
+// "truncated" error.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +64,9 @@ bool parse_pcap_record_body(ByteCursor& c, const PcapRecordHeader& h,
 
 // --- jsonl -------------------------------------------------------------------
 
-// Header line: validates the format marker/version and fills
-// cap.owner/cap.params. Throws when the line is not a capture header.
-void parse_jsonl_header(const std::string& line, Capture& cap);
+// Header line: validates the format marker/version and fills the capture
+// owner and params. Throws when the line is not a capture header.
+void parse_jsonl_header(const std::string& line, int& owner, WifiParams& p);
 
 enum class JsonlLine { kFrame, kFooter };
 

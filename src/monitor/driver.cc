@@ -20,8 +20,7 @@ MonitorDriver::MonitorDriver(MonitorOptions opts,
 
 void MonitorDriver::pump(Stream& s) {
   s.batch.clear();
-  std::vector<CapturedFrame> polled;
-  s.reader.poll(polled);
+  s.reader.poll(s.batch.frames);
   // Reject pcap on the magic bytes, before a full file header exists:
   // a tailed pcap would otherwise never produce a monitor record (and
   // never finish), so follow mode would poll it silently forever.
@@ -36,7 +35,6 @@ void MonitorDriver::pump(Stream& s) {
     s.monitor = std::make_unique<StreamMonitor>(
         s.reader.params(), s.reader.owner(), opts_.config);
   }
-  for (const CapturedFrame& f : polled) s.batch.push(f);
   if (s.monitor != nullptr) s.monitor->process(s.batch);
   s.consumed_last_pass = s.batch.size();
 }
@@ -71,16 +69,7 @@ void MonitorDriver::drain() {
 
 void MonitorDriver::finalize() {
   if (finalized_) return;
-  for (const auto& s : streams_) {
-    if (!s->reader.finished()) {
-      throw std::runtime_error("monitor: " + s->reader.path() +
-                               ": truncated capture (missing footer)");
-    }
-    if (s->reader.pending_bytes() > 0) {
-      throw std::runtime_error("monitor: " + s->reader.path() +
-                               ": trailing bytes after the last record");
-    }
-  }
+  for (const auto& s : streams_) s->reader.check_complete();
   finalized_ = true;
   for (const auto& s : streams_) {
     if (s->monitor != nullptr) s->monitor->finalize(s->reader.end_time());

@@ -43,7 +43,7 @@ void StreamMonitor::step(const CapturedFrame& r) {
 }
 
 void StreamMonitor::process(const FrameBatch& batch) {
-  for (std::size_t i = 0; i < batch.size(); ++i) step(batch.row(i));
+  for (const CapturedFrame& f : batch.frames) step(f);
 }
 
 void StreamMonitor::finalize(Time end_time) {

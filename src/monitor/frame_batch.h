@@ -1,128 +1,27 @@
-// Flat structure-of-arrays ingest buffer for the streaming monitor.
+// Ingest buffer for the streaming monitor: one poll's worth of capture
+// records, held contiguously as the CapturedFrames the reader produced.
 //
-// One poll's worth of capture records, stored as parallel field arrays
-// instead of a vector of CapturedFrame structs. Two properties matter for
-// the steady-state ingest path:
-//
-//  * No per-frame heap traffic: clear() keeps every array's capacity, so
-//    after the first few batches a push() is a handful of appends into
-//    already-reserved storage and the poll -> process loop allocates
-//    nothing.
-//  * The window-rolling scan touches only the three arrays it needs
-//    (tx flag + start/end for event times) instead of striding over
-//    ~130-byte records, which is what keeps batch ingest memory-bound on
-//    the fields actually read.
-//
-// row(i) materialises a CapturedFrame on the caller's stack for the
-// detector engine, which takes frames one at a time (ReplayEngine::step).
-// The eight per-frame booleans are bit-packed into one byte.
+// The driver polls the capture reader straight into `frames` and
+// StreamMonitor::process steps the detectors over them in place, so a
+// frame is never copied or repacked between reader and detector. clear()
+// keeps the capacity, so after the first few batches the poll -> process
+// loop allocates nothing per frame.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "src/capture/capture.h"
 
 namespace g80211 {
 
-class FrameBatch {
- public:
-  std::size_t size() const { return start_.size(); }
-  bool empty() const { return start_.empty(); }
+struct FrameBatch {
+  std::vector<CapturedFrame> frames;
 
-  // Drop all rows, retaining capacity.
-  void clear() {
-    start_.clear(); end_.clear(); duration_.clear(); pkt_created_.clear();
-    type_.clear(); ta_.clear(); ra_.clear(); true_tx_.clear();
-    seq_.clear(); frag_.clear(); bytes_.clear(); flow_id_.clear();
-    src_node_.clear(); dst_node_.clear(); pkt_seq_.clear(); pkt_uid_.clear();
-    rssi_dbm_.clear(); rate_mbps_.clear(); flags_.clear();
-  }
-
-  void push(const CapturedFrame& f) {
-    start_.push_back(f.start);
-    end_.push_back(f.end);
-    duration_.push_back(f.duration);
-    pkt_created_.push_back(f.pkt_created);
-    type_.push_back(f.type);
-    ta_.push_back(f.ta);
-    ra_.push_back(f.ra);
-    true_tx_.push_back(f.true_tx);
-    seq_.push_back(f.seq);
-    frag_.push_back(f.frag);
-    bytes_.push_back(f.bytes);
-    flow_id_.push_back(f.flow_id);
-    src_node_.push_back(f.src_node);
-    dst_node_.push_back(f.dst_node);
-    pkt_seq_.push_back(f.pkt_seq);
-    pkt_uid_.push_back(f.pkt_uid);
-    rssi_dbm_.push_back(f.rssi_dbm);
-    rate_mbps_.push_back(f.rate_mbps);
-    flags_.push_back(pack_flags(f));
-  }
-
-  // Event time in journal order (tx records at start, rx at end) without
-  // materialising the row.
-  Time event_time(std::size_t i) const {
-    return (flags_[i] & kTx) != 0 ? start_[i] : end_[i];
-  }
-
-  CapturedFrame row(std::size_t i) const {
-    CapturedFrame f;
-    f.start = start_[i];
-    f.end = end_[i];
-    f.type = type_[i];
-    f.ta = ta_[i];
-    f.ra = ra_[i];
-    f.true_tx = true_tx_[i];
-    f.duration = duration_[i];
-    f.seq = seq_[i];
-    f.frag = frag_[i];
-    const std::uint8_t fl = flags_[i];
-    f.more_frags = (fl & kMoreFrags) != 0;
-    f.retry = (fl & kRetry) != 0;
-    f.corrupted = (fl & kCorrupted) != 0;
-    f.collided = (fl & kCollided) != 0;
-    f.tx = (fl & kTx) != 0;
-    f.rssi_dbm = rssi_dbm_[i];
-    f.bytes = bytes_[i];
-    f.rate_mbps = rate_mbps_[i];
-    f.flow_id = flow_id_[i];
-    f.pkt_seq = pkt_seq_[i];
-    f.pkt_uid = pkt_uid_[i];
-    f.src_node = src_node_[i];
-    f.dst_node = dst_node_[i];
-    f.pkt_created = pkt_created_[i];
-    f.probe = (fl & kProbe) != 0;
-    f.probe_reply = (fl & kProbeReply) != 0;
-    return f;
-  }
-
- private:
-  static constexpr std::uint8_t kMoreFrags = 1 << 0;
-  static constexpr std::uint8_t kRetry = 1 << 1;
-  static constexpr std::uint8_t kCorrupted = 1 << 2;
-  static constexpr std::uint8_t kCollided = 1 << 3;
-  static constexpr std::uint8_t kTx = 1 << 4;
-  static constexpr std::uint8_t kProbe = 1 << 5;
-  static constexpr std::uint8_t kProbeReply = 1 << 6;
-
-  static std::uint8_t pack_flags(const CapturedFrame& f) {
-    return static_cast<std::uint8_t>(
-        (f.more_frags ? kMoreFrags : 0) | (f.retry ? kRetry : 0) |
-        (f.corrupted ? kCorrupted : 0) | (f.collided ? kCollided : 0) |
-        (f.tx ? kTx : 0) | (f.probe ? kProbe : 0) |
-        (f.probe_reply ? kProbeReply : 0));
-  }
-
-  std::vector<Time> start_, end_, duration_, pkt_created_;
-  std::vector<FrameType> type_;
-  std::vector<int> ta_, ra_, true_tx_, seq_, frag_, bytes_, flow_id_;
-  std::vector<int> src_node_, dst_node_;
-  std::vector<std::int64_t> pkt_seq_;
-  std::vector<std::uint64_t> pkt_uid_;
-  std::vector<double> rssi_dbm_, rate_mbps_;
-  std::vector<std::uint8_t> flags_;
+  std::size_t size() const { return frames.size(); }
+  bool empty() const { return frames.empty(); }
+  // Drop all frames, retaining capacity.
+  void clear() { frames.clear(); }
+  void push(const CapturedFrame& f) { frames.push_back(f); }
 };
 
 }  // namespace g80211

@@ -17,6 +17,8 @@ namespace g80211 {
 struct Position {
   double x = 0.0;
   double y = 0.0;
+
+  bool operator==(const Position&) const = default;
 };
 
 double distance(const Position& a, const Position& b);

@@ -1,6 +1,8 @@
 #include "src/scenario/spec/parser.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -95,6 +97,7 @@ class Scanner {
     const bool floaty = tok.find_first_of(".eE") != std::string::npos;
     const char* begin = tok.c_str();
     char* end = nullptr;
+    errno = 0;
     if (floaty) {
       v.kind = Value::Kind::kFloat;
       v.f = std::strtod(begin, &end);
@@ -104,6 +107,11 @@ class Scanner {
     }
     if (tok.empty() || end != begin + tok.size()) {
       fail("malformed number '" + tok + "'", at);
+    }
+    // strtoll/strtod saturate (or flush to zero) on ERANGE; a saturated
+    // seed or an infinite duration would silently become another value.
+    if (errno == ERANGE || (floaty && !std::isfinite(v.f))) {
+      fail("number '" + tok + "' out of range", at);
     }
     return v;
   }

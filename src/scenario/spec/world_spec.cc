@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
 #include "src/scenario/spec/parser.h"
 
@@ -51,6 +52,16 @@ class TableReader {
     if (v == nullptr) return def;
     if (v->kind != Value::Kind::kInt) fail(*v, key + " must be an integer");
     return v->i;
+  }
+
+  // An integer that must fit an int.
+  int int32(const std::string& key, int def) {
+    const std::int64_t v = integer(key, def);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      fail(*find(key), key + " out of range");
+    }
+    return static_cast<int>(v);
   }
 
   bool boolean(const std::string& key, bool def) {
@@ -160,44 +171,6 @@ int WorldSpec::num_aps() const {
                            : static_cast<int>(positions.size());
 }
 
-bool operator==(const TrafficSpec& a, const TrafficSpec& b) {
-  return a.cls == b.cls && a.weight == b.weight &&
-         a.rate_mbps == b.rate_mbps && a.payload_bytes == b.payload_bytes &&
-         a.burst_s == b.burst_s && a.idle_s == b.idle_s;
-}
-
-bool operator==(const WorldSpec& a, const WorldSpec& b) {
-  if (!(a.name == b.name && a.standard == b.standard &&
-        a.rts_cts == b.rts_cts && a.seed == b.seed &&
-        a.warmup_s == b.warmup_s && a.measure_s == b.measure_s &&
-        a.comm_range_m == b.comm_range_m && a.cs_range_m == b.cs_range_m &&
-        a.ber == b.ber && a.grid_cols == b.grid_cols &&
-        a.grid_rows == b.grid_rows && a.pitch_m == b.pitch_m &&
-        a.grc_coverage == b.grc_coverage && a.per_ap == b.per_ap &&
-        a.radius_m == b.radius_m && a.churn_fraction == b.churn_fraction &&
-        a.mean_on_s == b.mean_on_s && a.mean_off_s == b.mean_off_s &&
-        a.roam_fraction == b.roam_fraction && a.speed_mps == b.speed_mps &&
-        a.hysteresis_m == b.hysteresis_m &&
-        a.greedy_fraction == b.greedy_fraction && a.mix_nav == b.mix_nav &&
-        a.mix_spoof == b.mix_spoof && a.mix_fake == b.mix_fake &&
-        a.nav_inflation_ms == b.nav_inflation_ms && a.gp == b.gp &&
-        a.window_s == b.window_s && a.ring_m == b.ring_m)) {
-    return false;
-  }
-  if (a.positions.size() != b.positions.size()) return false;
-  for (std::size_t i = 0; i < a.positions.size(); ++i) {
-    if (a.positions[i].x != b.positions[i].x ||
-        a.positions[i].y != b.positions[i].y) {
-      return false;
-    }
-  }
-  if (a.traffic.size() != b.traffic.size()) return false;
-  for (std::size_t i = 0; i < a.traffic.size(); ++i) {
-    if (!(a.traffic[i] == b.traffic[i])) return false;
-  }
-  return true;
-}
-
 WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
   if (!doc.is_table()) {
     throw SpecError(source, doc.line, "spec must be a table of sections");
@@ -246,8 +219,8 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
   {
     TableReader r = section(doc, source, "aps", empty);
     const Value* positions = r.find("positions");
-    out.grid_cols = static_cast<int>(r.integer("cols", 0));
-    out.grid_rows = static_cast<int>(r.integer("rows", 0));
+    out.grid_cols = r.int32("cols", 0);
+    out.grid_rows = r.int32("rows", 0);
     out.pitch_m = r.number("pitch_m", 0.0);
     if (positions != nullptr) {
       if (out.grid_cols != 0 || out.grid_rows != 0 || out.pitch_m != 0.0) {
@@ -278,9 +251,8 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
 
   {
     TableReader r = section(doc, source, "stations", empty);
-    const std::int64_t per_ap = r.integer("per_ap", out.per_ap);
-    if (per_ap < 1) r.fail(r.raw(), "per_ap must be >= 1");
-    out.per_ap = static_cast<int>(per_ap);
+    out.per_ap = r.int32("per_ap", out.per_ap);
+    if (out.per_ap < 1) r.fail(r.raw(), "per_ap must be >= 1");
     out.radius_m = r.number("radius_m", out.radius_m);
     if (out.radius_m < 0.0) r.fail(r.raw(), "radius_m must be >= 0");
     r.finish();
@@ -331,9 +303,8 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
       }
       t.weight = r.positive("weight", t.weight);
       t.rate_mbps = r.positive("rate_mbps", t.rate_mbps);
-      const std::int64_t payload = r.integer("payload_bytes", t.payload_bytes);
-      if (payload < 1) r.fail(entry, "payload_bytes must be >= 1");
-      t.payload_bytes = static_cast<int>(payload);
+      t.payload_bytes = r.int32("payload_bytes", t.payload_bytes);
+      if (t.payload_bytes < 1) r.fail(entry, "payload_bytes must be >= 1");
       t.burst_s = r.positive("burst_s", t.burst_s);
       t.idle_s = r.positive("idle_s", t.idle_s);
       r.finish();

@@ -50,6 +50,8 @@ struct TrafficSpec {
   int payload_bytes = 1024;
   double burst_s = 1.0;  // web: mean ON burst duration
   double idle_s = 1.0;   // web: mean OFF gap duration
+
+  bool operator==(const TrafficSpec&) const = default;
 };
 
 struct WorldSpec {
@@ -104,10 +106,10 @@ struct WorldSpec {
   std::vector<Position> ap_positions() const;
   int num_aps() const;
   int num_stations() const { return num_aps() * per_ap; }
-};
 
-bool operator==(const TrafficSpec& a, const TrafficSpec& b);
-bool operator==(const WorldSpec& a, const WorldSpec& b);
+  // Every field, so parse(describe(s)) == s covers fields added later.
+  bool operator==(const WorldSpec&) const = default;
+};
 
 // Validate a parsed document against the schema. `source` names the file
 // in error messages.

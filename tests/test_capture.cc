@@ -4,9 +4,10 @@
 // the live GRC detector verdicts exactly (same flagged stations, same
 // counts) for NAV inflation, ACK spoofing, and fake-ACK misbehavior.
 //
-// All capture files are written under capture_test_artifacts/ in the test
-// working directory; CI uploads that directory when the suite fails, so a
-// red run ships the capture that broke it. Set G80211_REGEN_GOLDEN=1 to
+// All capture files are written under capture_test_artifacts/<Suite>.<Name>/
+// in the test working directory, one directory per test so tests run in
+// parallel never share a file; CI uploads capture_test_artifacts/ when the
+// suite fails, so a red run ships the capture that broke it. Set G80211_REGEN_GOLDEN=1 to
 // rewrite the committed fixtures in G80211_TEST_DATA_DIR instead of
 // comparing against them (do this only for an intended format change, and
 // say so in the commit message).
@@ -19,9 +20,11 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/capture/capture_reader.h"
+#include "src/capture/capture_tap.h"
 #include "src/capture/capture_writer.h"
 #include "src/capture/replay.h"
 #include "src/detect/backoff_monitor.h"
@@ -33,13 +36,13 @@
 #include "src/phy/error_model.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
+#include "tests/test_artifacts.h"
 
 namespace g80211 {
 namespace {
 
 std::string artifact_stem(const char* name) {
-  std::filesystem::create_directories("capture_test_artifacts");
-  return std::string("capture_test_artifacts/") + name;
+  return (test::artifact_dir("capture_test_artifacts") / name).string();
 }
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
@@ -92,9 +95,11 @@ struct NavLive {
 };
 
 // Two UDP pairs, the second receiver inflating its CTS NAV by 31 ms
-// (grc_defense scenario 1). Vantage and NAV validator: the victim sender.
+// (grc_defense scenario 1). Vantage and NAV validator: the victim sender,
+// which `extra_tap` (when set) also taps after the capture.
 NavLive run_nav_scenario(const std::string& stem, std::uint64_t seed,
-                         Time measure, bool with_validator) {
+                         Time measure, bool with_validator,
+                         FrameSink extra_tap = nullptr) {
   SimConfig cfg;
   cfg.warmup = milliseconds(10);
   cfg.measure = measure;
@@ -111,6 +116,7 @@ NavLive run_nav_scenario(const std::string& stem, std::uint64_t seed,
 
   CaptureWriter capture(sim.scheduler(), stem);
   capture.attach(ns.mac());
+  if (extra_tap) tap_frames(ns.mac(), std::move(extra_tap));
   NavValidator validator(sim.scheduler(), sim.params());
   if (with_validator) validator.attach(ns.mac());
 
@@ -213,6 +219,38 @@ TEST(CaptureReader, RejectsCorruptFiles) {
   // jsonl: file that never was a capture.
   EXPECT_THROW(parse_jsonl("{\"foo\":1}\n"), std::runtime_error);
   EXPECT_THROW(parse_jsonl(""), std::runtime_error);
+  // jsonl: the last line cut before its newline.
+  EXPECT_THROW(parse_jsonl(jsonl.substr(0, jsonl.size() - 1)),
+               std::runtime_error);
+
+  // jsonl: integers outside their field's range, rejected with an error
+  // that names the key instead of being narrowed into another value.
+  const auto with_value = [&jsonl](const std::string& key,
+                                   const std::string& value) {
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = jsonl.find(needle, jsonl.find('\n'));
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t begin = at + needle.size();
+    const std::size_t end = jsonl.find_first_of(",}", begin);
+    return jsonl.substr(0, begin) + value + jsonl.substr(end);
+  };
+  const auto expect_rejects = [](const std::string& text,
+                                 const std::string& key) {
+    try {
+      parse_jsonl(text);
+      ADD_FAILURE() << "accepted an out-of-range \"" << key << "\"";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejects(with_value("ta", "4294967296"), "ta");            // > int
+  expect_rejects(with_value("sq", "-2147483649"), "sq");           // < int
+  expect_rejects(with_value("s", "99999999999999999999"), "s");    // > int64
+  expect_rejects(with_value("pu", "-1"), "pu");                    // unsigned
+  expect_rejects(with_value("pu", "18446744073709551616"), "pu");  // > uint64
+  expect_rejects(with_value("mf", "2"), "mf");                     // 0/1 flag
 }
 
 TEST(CaptureReader, SkipsUnknownPcapRecords) {
@@ -247,6 +285,20 @@ TEST(Replay, RequiresTheJsonlJournal) {
   run_nav_scenario(stem, 24, milliseconds(50), false);
   const Capture pcap = read_pcap(stem + ".pcap");
   EXPECT_THROW(replay_capture(pcap), std::runtime_error);
+}
+
+// --- the MAC tap ----------------------------------------------------------------
+
+TEST(CaptureTap, JournalHoldsExactlyTheTappedFrames) {
+  // CaptureWriter records through the same tap any other sink gets: the
+  // journal read back is exactly the frame sequence a second tap saw.
+  std::vector<CapturedFrame> tapped;
+  const std::string stem = artifact_stem("tap");
+  run_nav_scenario(stem, 25, milliseconds(100), false,
+                   [&tapped](const CapturedFrame& f) { tapped.push_back(f); });
+  ASSERT_GT(tapped.size(), 50u);
+  EXPECT_EQ(read_jsonl(stem + ".jsonl").frames, tapped);
+  EXPECT_EQ(read_pcap(stem + ".pcap").frames.size(), tapped.size());
 }
 
 // --- live vs replay equivalence ----------------------------------------------

@@ -18,11 +18,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/greedy/nav_inflation.h"
 #include "src/scenario/scenario.h"
+#include "tests/test_artifacts.h"
 
 namespace g80211 {
 namespace {
@@ -41,8 +43,9 @@ std::uint64_t fnv1a_bits(const std::vector<double>& values) {
   return h;
 }
 
+// `capture_stem` non-empty: record a capture of the first sweep point.
 std::vector<double> fig1_metric_vector(SchedulerBackend backend,
-                                       bool record_capture) {
+                                       const std::string& capture_stem) {
   std::vector<double> metrics;
   for (const Time inflation :
        {microseconds(0), microseconds(600), milliseconds(2)}) {
@@ -54,9 +57,7 @@ std::vector<double> fig1_metric_vector(SchedulerBackend backend,
     spec.cfg.warmup = milliseconds(500);
     spec.cfg.measure = seconds(2);
     spec.cfg.scheduler_backend = backend;
-    if (inflation == 0 && record_capture) {
-      spec.capture_stem = "capture_test_artifacts/golden_fig1";
-    }
+    if (inflation == 0) spec.capture_stem = capture_stem;
     spec.customize = [inflation](Sim& sim, std::vector<Node*>&,
                                  std::vector<Node*>& rx) {
       if (inflation > 0) {
@@ -99,19 +100,18 @@ TEST(GoldenFig1, MetricVectorBitIdentical) {
   // the simulated run bit-identical. The files double as CI artifacts —
   // the workflow uploads capture_test_artifacts/ when this test (or the
   // capture suite) fails, so a red run ships its evidence.
-  std::filesystem::create_directories("capture_test_artifacts");
-  expect_golden(
-      fig1_metric_vector(kDefaultSchedulerBackend, /*record_capture=*/true));
+  const std::filesystem::path dir =
+      test::artifact_dir("capture_test_artifacts");
+  expect_golden(fig1_metric_vector(kDefaultSchedulerBackend,
+                                   (dir / "golden_fig1").string()));
 }
 
 TEST(GoldenFig1, MetricVectorBitIdenticalOnBothSchedulerBackends) {
   // The ready-queue backend is pure mechanics: heap or wheel, the engine
   // must dispatch the identical event sequence and therefore reproduce the
   // identical metric bits.
-  expect_golden(fig1_metric_vector(SchedulerBackend::kDaryHeap,
-                                   /*record_capture=*/false));
-  expect_golden(fig1_metric_vector(SchedulerBackend::kTimingWheel,
-                                   /*record_capture=*/false));
+  expect_golden(fig1_metric_vector(SchedulerBackend::kDaryHeap, ""));
+  expect_golden(fig1_metric_vector(SchedulerBackend::kTimingWheel, ""));
 }
 
 }  // namespace

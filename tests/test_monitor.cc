@@ -27,6 +27,7 @@
 #include "src/monitor/driver.h"
 #include "src/monitor/engine.h"
 #include "src/monitor/frame_batch.h"
+#include "tests/test_artifacts.h"
 
 namespace g80211 {
 namespace {
@@ -42,18 +43,14 @@ std::string golden_pcap() {
   return std::string(G80211_TEST_DATA_DIR) + "/golden_capture.pcap";
 }
 
-// Scratch files go under the system temp dir (unique per process), never
-// the working directory — running the binary from a source checkout must
-// not litter the tree.
+// Scratch files go under the system temp dir (unique per process, then per
+// test), never the working directory — running the binary from a source
+// checkout must not litter the tree.
 std::string artifact(const char* name) {
-  static const std::filesystem::path dir = [] {
-    std::filesystem::path d =
-        std::filesystem::temp_directory_path() /
-        ("g80211_monitor_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(d);
-    return d;
-  }();
-  return (dir / name).string();
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("g80211_monitor_test_" + std::to_string(::getpid()));
+  return (test::artifact_dir(root) / name).string();
 }
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
@@ -72,18 +69,6 @@ void append(const std::string& path, const std::uint8_t* data,
 }  // namespace
 
 // --- monitor vs. replay -------------------------------------------------------
-
-TEST(FrameBatch, RowRoundTripsEveryField) {
-  const Capture cap = read_capture(golden_jsonl());
-  ASSERT_GT(cap.frames.size(), 100u);
-  FrameBatch batch;
-  for (const CapturedFrame& f : cap.frames) batch.push(f);
-  ASSERT_EQ(batch.size(), cap.frames.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch.row(i), cap.frames[i]) << "row " << i;
-    EXPECT_EQ(batch.event_time(i), cap.frames[i].event_time());
-  }
-}
 
 TEST(StreamMonitor, MatchesReplayOnTheGoldenFixture) {
   const Capture cap = read_capture(golden_jsonl());

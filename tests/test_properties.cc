@@ -2,6 +2,8 @@
 // must hold across whole parameter grids, not just single points.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "src/analysis/nav_model.h"
@@ -11,11 +13,16 @@
 namespace g80211 {
 namespace {
 
+// ctest lists each case under the name gtest gives it, and for a parameter
+// struct that name is a dump of the struct's bytes. Padding bytes are
+// uninitialised and a pointer's value changes from run to run, so the structs
+// below have no padding, and the one that holds a pointer prints itself.
+
 // --- Conservation: no configuration may create goodput from nothing -------
 
 struct ConservationParam {
   Standard standard;
-  bool rts_cts;
+  std::int32_t rts_cts;  // a bool, as wide as the padding it would leave
   Time inflation;
   double ber;
   std::uint64_t seed;
@@ -27,7 +34,7 @@ TEST_P(GoodputConservation, TotalBelowPhyRateAndNonNegative) {
   const auto p = GetParam();
   SimConfig cfg;
   cfg.standard = p.standard;
-  cfg.rts_cts = p.rts_cts;
+  cfg.rts_cts = p.rts_cts != 0;
   cfg.default_ber = p.ber;
   cfg.measure = seconds(2);
   cfg.seed = p.seed;
@@ -146,6 +153,8 @@ struct DeterminismParam {
   int mode;  // 0 nav, 1 spoof, 2 fake
 };
 
+void PrintTo(const DeterminismParam& p, std::ostream* os) { *os << p.name; }
+
 class Determinism : public ::testing::TestWithParam<DeterminismParam> {};
 
 TEST_P(Determinism, SameSeedSameResult) {
@@ -209,15 +218,20 @@ INSTANTIATE_TEST_SUITE_P(Modes, Determinism,
 // --- Error model: FER is a proper probability over the whole grid ----------
 
 struct FerParam {
-  FrameType type;
-  int packet_bytes;
+  std::int32_t type;  // a FrameType, as wide as the padding it would leave
+  std::int32_t packet_bytes;
 };
+
+FerParam fer_param(FrameType type, int packet_bytes) {
+  return {static_cast<std::int32_t>(type), packet_bytes};
+}
 
 class FerGrid : public ::testing::TestWithParam<FerParam> {};
 
 TEST_P(FerGrid, MonotoneProbabilityInBer) {
   const auto p = GetParam();
-  const int len = ErrorModel::error_len(p.type, p.packet_bytes);
+  const int len =
+      ErrorModel::error_len(static_cast<FrameType>(p.type), p.packet_bytes);
   double prev = -1.0;
   for (double ber = 0.0; ber <= 2e-3; ber += 1e-4) {
     const double f = ErrorModel::fer(ber, len);
@@ -229,12 +243,12 @@ TEST_P(FerGrid, MonotoneProbabilityInBer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, FerGrid,
-                         ::testing::Values(FerParam{FrameType::kAck, 0},
-                                           FerParam{FrameType::kCts, 0},
-                                           FerParam{FrameType::kRts, 0},
-                                           FerParam{FrameType::kData, 40},
-                                           FerParam{FrameType::kData, 1064},
-                                           FerParam{FrameType::kData, 1540}));
+                         ::testing::Values(fer_param(FrameType::kAck, 0),
+                                           fer_param(FrameType::kCts, 0),
+                                           fer_param(FrameType::kRts, 0),
+                                           fer_param(FrameType::kData, 40),
+                                           fer_param(FrameType::kData, 1064),
+                                           fer_param(FrameType::kData, 1540)));
 
 // --- Spoofing never hurts the attacker across the loss sweep ---------------
 

@@ -20,9 +20,16 @@
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
 #include "src/sim/rng.h"
+#include "tests/test_artifacts.h"
 
 namespace g80211 {
 namespace {
+
+// Export directory of the running test, under the system temp dir.
+std::filesystem::path scratch_dir() {
+  return test::artifact_dir(std::filesystem::temp_directory_path() /
+                            "g80211_runner_test");
+}
 
 // A cheap deterministic "simulation": a few RNG-driven metrics that depend
 // on every bit of the seed and the per-job parameters.
@@ -198,7 +205,7 @@ TEST(MedianOverSeeds, MatchesSerialReference) {
 // Structured export: JSONL/CSV files appear under G80211_METRICS_DIR and
 // every non-timing byte is identical between 1 and 8 workers.
 TEST(MetricSink, ExportIsThreadCountInvariant) {
-  const auto dir = std::filesystem::temp_directory_path() / "g80211_metrics_test";
+  const auto dir = scratch_dir();
   std::filesystem::remove_all(dir);
   ASSERT_EQ(setenv("G80211_METRICS_DIR", dir.c_str(), 1), 0);
 
@@ -246,7 +253,7 @@ TEST(MetricSink, ExportIsThreadCountInvariant) {
 // column count intact (the header/row contract downstream tooling relies
 // on).
 TEST(MetricSink, CsvQuotingRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "g80211_csv_test";
+  const auto dir = scratch_dir();
   std::filesystem::remove_all(dir);
   ASSERT_EQ(setenv("G80211_METRICS_DIR", dir.c_str(), 1), 0);
 

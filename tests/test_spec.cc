@@ -184,6 +184,23 @@ TEST(SpecParser, RejectsMalformedDocumentsWithLineNumbers) {
     EXPECT_EQ(e.line(), 2);
     EXPECT_NE(std::string(e.what()).find("file.toml:2:"), std::string::npos);
   }
+  // Numbers beyond int64/double: rejected at their line, never saturated
+  // into another value or read as infinity.
+  const auto out_of_range = [](const std::string& text, int line) {
+    try {
+      text[0] == '{' ? parse_json(text, "t") : parse_toml(text, "t");
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const SpecError& e) {
+      EXPECT_EQ(e.line(), line) << text;
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  };
+  out_of_range("a = 1\nseed = 99999999999999999999\n", 2);
+  out_of_range("seed = -99999999999999999999\n", 1);
+  out_of_range("a = 1\nb = 2\nmeasure_s = 1e999\n", 3);
+  out_of_range("warmup_s = -1e999\n", 1);
+  out_of_range("{\"world\":\n {\"measure_s\": 1e999}}", 2);
 }
 
 // --- schema validation -----------------------------------------------------
@@ -223,6 +240,23 @@ TEST(SpecSchema, ErrorsAreLineAnchored) {
   // Missing traffic.
   expect_line("[aps]\ncols = 1\nrows = 1\npitch_m = 5.0\n",
               "needs at least one [[traffic]] class");
+  // int-typed keys reject values outside int at the value's line instead
+  // of wrapping them (4294967298 would otherwise build 2 stations per AP).
+  const std::string grid = "[aps]\ncols = 1\nrows = 1\npitch_m = 5.0\n";
+  EXPECT_EQ(expect_line(grid + "[[traffic]]\nclass = \"cbr\"\n"
+                               "[stations]\nper_ap = 4294967298\n",
+                        "per_ap out of range"),
+            8);
+  EXPECT_EQ(expect_line("[aps]\ncols = 4294967297\nrows = 1\npitch_m = 5.0\n",
+                        "cols out of range"),
+            2);
+  EXPECT_EQ(expect_line("[aps]\ncols = 1\nrows = -4294967295\npitch_m = 5.0\n",
+                        "rows out of range"),
+            3);
+  EXPECT_EQ(expect_line(grid + "[[traffic]]\nclass = \"cbr\"\n"
+                               "payload_bytes = 2147483648\n",
+                        "payload_bytes out of range"),
+            7);
 }
 
 TEST(SpecSchema, DescribeRoundTripIsLossless) {

@@ -1,11 +1,13 @@
-// Frame tracer and the fairness statistics added for the evaluation
-// tooling.
+// Frame tracing through the capture tap (src/capture/capture_tap.h) and
+// the fairness statistics added for the evaluation tooling.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "src/analysis/stats.h"
-#include "src/mac/frame_tracer.h"
+#include "src/capture/capture_tap.h"
 #include "src/net/node.h"
 #include "src/phy/channel.h"
 
@@ -29,74 +31,101 @@ class TraceTest : public ::testing::Test {
     p->dst_node = 1;
     return p;
   }
+  // Record every frame `node` sees into frames_.
+  void trace(Node& node) {
+    tap_frames(node.mac(),
+               [this](const CapturedFrame& f) { frames_.push_back(f); });
+  }
+  std::int64_t count(bool (*pred)(const CapturedFrame&)) const {
+    return std::count_if(frames_.begin(), frames_.end(), pred);
+  }
   Scheduler sched_;
   Channel channel_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<CapturedFrame> frames_;
 };
 
 TEST_F(TraceTest, CapturesFullExchange) {
   Node& tx = add_node({0, 0});
   add_node({5, 0});
   Node& observer = add_node({5, 5});
-  FrameTracer tracer;
-  tracer.attach(observer.mac());
+  trace(observer);
   tx.send_packet(packet());
   sched_.run_until(seconds(1));
 
-  ASSERT_EQ(tracer.size(), 4u);  // RTS CTS DATA ACK
-  EXPECT_EQ(tracer.records()[0].type, FrameType::kRts);
-  EXPECT_EQ(tracer.records()[0].ta, 0);
-  EXPECT_EQ(tracer.records()[3].type, FrameType::kAck);
-  EXPECT_FALSE(tracer.records()[0].corrupted);
-  EXPECT_LT(tracer.records()[0].end, tracer.records()[1].start);
-}
-
-TEST_F(TraceTest, RingBufferCapsMemory) {
-  Node& tx = add_node({0, 0});
-  add_node({5, 0});
-  Node& observer = add_node({5, 5});
-  FrameTracer tracer(6);
-  tracer.attach(observer.mac());
-  for (int i = 0; i < 5; ++i) tx.send_packet(packet());
-  sched_.run_until(seconds(1));
-  EXPECT_EQ(tracer.size(), 6u) << "capped at capacity";
-  // The oldest retained record is no longer the first RTS.
-  EXPECT_GT(tracer.records().front().start, 0);
+  ASSERT_EQ(frames_.size(), 4u);  // RTS CTS DATA ACK
+  EXPECT_EQ(frames_[0].type, FrameType::kRts);
+  EXPECT_EQ(frames_[0].ta, 0);
+  EXPECT_EQ(frames_[3].type, FrameType::kAck);
+  EXPECT_FALSE(frames_[0].corrupted);
+  EXPECT_FALSE(frames_[0].tx) << "a bystander only overhears";
+  EXPECT_LT(frames_[0].end, frames_[1].start);
 }
 
 TEST_F(TraceTest, LiveSinkAndCount) {
   Node& tx = add_node({0, 0});
   add_node({5, 0});
   Node& observer = add_node({5, 5});
-  FrameTracer tracer;
-  tracer.attach(observer.mac());
   int live = 0;
-  tracer.on_record = [&](const TraceRecord&) { ++live; };
+  tap_frames(observer.mac(), [&live](const CapturedFrame&) { ++live; });
+  trace(observer);  // a second tap chains after the first
   tx.send_packet(packet());
   tx.send_packet(packet());
   sched_.run_until(seconds(1));
   EXPECT_EQ(live, 8);
-  EXPECT_EQ(tracer.count([](const TraceRecord& r) {
-    return r.type == FrameType::kData;
-  }), 2);
+  EXPECT_EQ(count([](const CapturedFrame& f) {
+              return f.type == FrameType::kData;
+            }),
+            2);
+}
+
+TEST_F(TraceTest, TapsOwnTransmissions) {
+  Node& tx = add_node({0, 0});
+  add_node({5, 0});
+  trace(tx);
+  tx.send_packet(packet());
+  sched_.run_until(seconds(1));
+
+  // The sender keys RTS and DATA and hears CTS and ACK.
+  ASSERT_EQ(frames_.size(), 4u);
+  EXPECT_TRUE(frames_[0].tx);
+  EXPECT_EQ(frames_[0].true_tx, tx.id());
+  EXPECT_EQ(frames_[0].rssi_dbm, 0.0);
+  EXPECT_FALSE(frames_[1].tx);
+  EXPECT_TRUE(frames_[2].tx);
+  EXPECT_EQ(frames_[2].type, FrameType::kData);
+  EXPECT_EQ(frames_[2].flow_id, 1);
+  EXPECT_FALSE(frames_[3].tx);
 }
 
 TEST_F(TraceTest, DumpAndToStringContainEssentials) {
   Node& tx = add_node({0, 0});
   add_node({5, 0});
   Node& observer = add_node({5, 5});
-  FrameTracer tracer;
-  tracer.attach(observer.mac());
+  trace(observer);
   tx.send_packet(packet());
   sched_.run_until(seconds(1));
 
-  std::ostringstream os;
-  tracer.dump(os);
-  const std::string out = os.str();
+  std::string out;
+  for (const CapturedFrame& f : frames_) out += trace_line(f) + "\n";
   EXPECT_NE(out.find("RTS"), std::string::npos);
   EXPECT_NE(out.find("ACK"), std::string::npos);
   EXPECT_NE(out.find("dur="), std::string::npos);
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
+
+  // The layout is pinned for downstream greps.
+  CapturedFrame f;
+  f.start = microseconds(1500);
+  f.type = FrameType::kData;
+  f.ta = 2;
+  f.ra = 7;
+  f.duration = microseconds(314);
+  f.seq = 42;
+  f.retry = true;
+  f.more_frags = true;
+  EXPECT_EQ(trace_line(f),
+            "    0.001500s DATA ta=2   ra=7   dur=   314.0us seq=42    retry "
+            "frag+");
 }
 
 TEST_F(TraceTest, MarksCorruptedFrames) {
@@ -105,14 +134,13 @@ TEST_F(TraceTest, MarksCorruptedFrames) {
   Node& observer = add_node({5, 5});
   tx.mac().set_rts_cts(false);
   channel_.error_model().set_link_ber(0, 2, 1.0);  // corrupt at the observer
-  FrameTracer tracer;
-  tracer.attach(observer.mac());
+  trace(observer);
   tx.send_packet(packet());
   sched_.run_until(seconds(1));
-  EXPECT_GT(tracer.count([](const TraceRecord& r) { return r.corrupted; }), 0);
-  std::ostringstream os;
-  tracer.dump(os);
-  EXPECT_NE(os.str().find("CORRUPT"), std::string::npos);
+  EXPECT_GT(count([](const CapturedFrame& f) { return f.corrupted; }), 0);
+  std::string out;
+  for (const CapturedFrame& f : frames_) out += trace_line(f);
+  EXPECT_NE(out.find("CORRUPT"), std::string::npos);
 }
 
 TEST(JainFairness, KnownValues) {

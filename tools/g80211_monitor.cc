@@ -22,10 +22,10 @@
 //   --quiet           suppress the stderr summary
 //
 // Exit status: 0 on success, 1 on malformed input or a truncated journal,
-// 2 on usage errors.
+// 2 on usage errors (including a flag value that does not parse whole or
+// is out of range).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <thread>
@@ -33,10 +33,13 @@
 
 #include "src/monitor/driver.h"
 #include "src/monitor/report.h"
+#include "tools/cli_flags.h"
 
 using namespace g80211;
 
 namespace {
+
+constexpr const char* kTool = "g80211_monitor";
 
 void print_stream_output(MonitorDriver& driver) {
   for (const StreamWindow& w : driver.drain_windows()) {
@@ -92,13 +95,14 @@ int main(int argc, char** argv) {
       quiet = true;
     } else if (arg == "--window") {
       if (++i >= argc) return usage();
-      const double s = std::atof(argv[i]);
-      if (s <= 0) return usage();
-      opts.config.window = static_cast<Time>(s * 1e9);
+      if (!cli::parse_seconds(kTool, "--window", argv[i], opts.config.window)) {
+        return 2;
+      }
     } else if (arg == "--bss-shards") {
       if (++i >= argc) return usage();
-      opts.shards = std::atoi(argv[i]);
-      if (opts.shards < 1) return usage();
+      if (!cli::parse_count(kTool, "--bss-shards", argv[i], opts.shards)) {
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else {

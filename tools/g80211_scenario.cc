@@ -21,10 +21,10 @@
 //       When G80211_METRICS_DIR is set, windows are also streamed to
 //       <dir>/<name>.windows.{jsonl,csv} through MetricSink.
 //
-// Exit codes: 0 success, 1 spec/compile error, 2 usage.
+// Exit codes: 0 success, 1 spec/compile error, 2 usage (including a
+// --shards value that does not parse whole or is out of range).
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -33,6 +33,7 @@
 #include "src/scenario/sharded.h"
 #include "src/scenario/spec/world_builder.h"
 #include "src/scenario/spec/world_spec.h"
+#include "tools/cli_flags.h"
 
 using namespace g80211;
 using namespace g80211::spec;
@@ -174,8 +175,9 @@ int main(int argc, char** argv) {
       quiet = true;
     } else if (arg == "--shards") {
       if (i + 1 >= argc) return usage();
-      shards = std::atoi(argv[++i]);
-      if (shards <= 0) return usage();
+      if (!cli::parse_count("g80211_scenario", "--shards", argv[++i], shards)) {
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return usage();
