@@ -1,6 +1,8 @@
 #include "src/capture/capture_stream.h"
 
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/capture/format_detail.h"
@@ -106,17 +108,22 @@ std::size_t CaptureStreamReader::drain_pcap(std::vector<CapturedFrame>& out) {
 }
 
 std::size_t CaptureStreamReader::drain_jsonl(std::vector<CapturedFrame>& out) {
+  // Each line is parsed as a view into buf_; compact() runs only after the
+  // loop, so no view outlives the bytes it points at.
+  const char* const bytes = reinterpret_cast<const char*>(buf_.data());
+  const std::size_t size = buf_.size();
   std::size_t emitted = 0;
   std::size_t consumed = 0;
-  for (;;) {
+  // consumed < size also keeps memchr off an empty buffer's null data().
+  while (consumed < size) {
     // A line is parseable only once its newline has been written; the
     // producer writes whole lines, but the filesystem shows us prefixes.
-    std::size_t nl = consumed;
-    while (nl < buf_.size() && buf_[nl] != '\n') ++nl;
-    if (nl == buf_.size()) break;
-    const std::string line(reinterpret_cast<const char*>(buf_.data()) + consumed,
-                           nl - consumed);
-    consumed = nl + 1;
+    const void* nl = std::memchr(bytes + consumed, '\n', size - consumed);
+    if (nl == nullptr) break;
+    const std::size_t line_end =
+        static_cast<std::size_t>(static_cast<const char*>(nl) - bytes);
+    const std::string_view line(bytes + consumed, line_end - consumed);
+    consumed = line_end + 1;
     if (line.empty()) continue;
     if (finished_) fail("JSONL: content after footer");
 
@@ -137,6 +144,8 @@ std::size_t CaptureStreamReader::drain_jsonl(std::vector<CapturedFrame>& out) {
     if (f.event_time() < last_event_) fail("JSONL: records out of order");
     last_event_ = f.event_time();
     if (f.end > end_time_ && !finished_) end_time_ = f.end;
+    // NOLINTNEXTLINE(hot-path-alloc): amortised growth of the caller's
+    // vector, which a polling caller clears and reuses.
     out.push_back(f);
     ++emitted;
   }

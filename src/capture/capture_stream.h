@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/capture/capture.h"
+#include "src/sim/hot.h"
 
 namespace g80211 {
 
@@ -86,7 +87,9 @@ class CaptureStreamReader {
  private:
   void read_appended();
   std::size_t drain_pcap(std::vector<CapturedFrame>& out);
-  std::size_t drain_jsonl(std::vector<CapturedFrame>& out);
+  // Per-frame ingest path of a JSONL journal: allocation-free for
+  // canonical frame lines (see parse_jsonl_record).
+  G80211_HOT std::size_t drain_jsonl(std::vector<CapturedFrame>& out);
   void compact(std::size_t consumed);
 
   std::string path_;

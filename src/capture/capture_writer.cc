@@ -1,9 +1,13 @@
 #include "src/capture/capture_writer.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/capture/capture_tap.h"
 #include "src/runner/metric_sink.h"
@@ -12,32 +16,34 @@ namespace g80211 {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+// Little-endian byte cursor over a caller-sized buffer.
+struct ByteOut {
+  std::uint8_t* p;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
-}
-
-// Node id -> 802.11 address bytes (see capture.h for the mapping).
-void put_addr(std::vector<std::uint8_t>& out, int id) {
-  if (id == kBroadcast) {
-    for (int i = 0; i < 6; ++i) out.push_back(0xff);
-    return;
+  void u8(std::uint8_t v) { *p++ = v; }
+  void u16(std::uint16_t v) {
+    u8(static_cast<std::uint8_t>(v & 0xff));
+    u8(static_cast<std::uint8_t>(v >> 8));
   }
-  const auto u = static_cast<std::uint16_t>(id);
-  out.push_back(kMacOui[0]);
-  out.push_back(kMacOui[1]);
-  out.push_back(kMacOui[2]);
-  out.push_back(kMacOui[3]);
-  out.push_back(static_cast<std::uint8_t>(u >> 8));
-  out.push_back(static_cast<std::uint8_t>(u & 0xff));
-}
+  void u32(std::uint32_t v) {
+    u16(static_cast<std::uint16_t>(v & 0xffff));
+    u16(static_cast<std::uint16_t>(v >> 16));
+  }
+  // Node id -> 802.11 address bytes (see capture.h for the mapping).
+  void addr(int id) {
+    if (id == kBroadcast) {
+      for (int i = 0; i < 6; ++i) u8(0xff);
+      return;
+    }
+    const auto u = static_cast<std::uint16_t>(id);
+    for (std::uint8_t b : kMacOui) u8(b);
+    u8(static_cast<std::uint8_t>(u >> 8));
+    u8(static_cast<std::uint8_t>(u & 0xff));
+  }
+};
+
+// Record header + radiotap + the longest MAC header (DATA): 51 bytes.
+constexpr std::size_t kMaxPcapRecord = 16 + kRadiotapLen + kHdrLenData;
 
 std::uint16_t duration_us(Time d) {
   if (d <= 0) return 0;
@@ -69,29 +75,10 @@ std::size_t mac_header_len(FrameType t) {
   return 0;
 }
 
-void fwrite_all(std::FILE* f, const std::vector<std::uint8_t>& bytes) {
-  if (!bytes.empty()) std::fwrite(bytes.data(), 1, bytes.size(), f);
-}
-
-}  // namespace
-
-// --- PcapWriter --------------------------------------------------------------
-
-std::vector<std::uint8_t> PcapWriter::serialize_header() {
-  std::vector<std::uint8_t> out;
-  out.reserve(24);
-  put_u32(out, kPcapMagicNs);
-  put_u16(out, kPcapVersionMajor);
-  put_u16(out, kPcapVersionMinor);
-  put_u32(out, 0);  // thiszone
-  put_u32(out, 0);  // sigfigs
-  put_u32(out, kPcapSnapLen);
-  put_u32(out, kLinktypeRadiotap);
-  return out;
-}
-
-std::vector<std::uint8_t> PcapWriter::serialize_record(const CapturedFrame& f) {
-  std::vector<std::uint8_t> out;
+// The one pcap record formatter (serialize_record and PcapWriter::write):
+// fills `buf` (kMaxPcapRecord bytes) and returns the record's length.
+std::size_t format_pcap_record(const CapturedFrame& f, std::uint8_t* buf) {
+  ByteOut out{buf};
   const std::size_t hdr_len = mac_header_len(f.type);
   const std::uint32_t incl = static_cast<std::uint32_t>(kRadiotapLen + hdr_len);
   // orig_len: radiotap pseudo-header plus the full on-air MAC length (we
@@ -99,22 +86,21 @@ std::vector<std::uint8_t> PcapWriter::serialize_record(const CapturedFrame& f) {
   const std::uint32_t orig =
       static_cast<std::uint32_t>(kRadiotapLen) +
       static_cast<std::uint32_t>(f.bytes > 0 ? f.bytes : 0);
-  out.reserve(16 + incl);
 
   // Record header. Timestamps are the frame's first bit on air.
-  put_u32(out, static_cast<std::uint32_t>(f.start / 1000000000));
-  put_u32(out, static_cast<std::uint32_t>(f.start % 1000000000));
-  put_u32(out, incl);
-  put_u32(out, orig < incl ? incl : orig);
+  out.u32(static_cast<std::uint32_t>(f.start / 1000000000));
+  out.u32(static_cast<std::uint32_t>(f.start % 1000000000));
+  out.u32(incl);
+  out.u32(orig < incl ? incl : orig);
 
   // Radiotap.
-  out.push_back(0);  // version
-  out.push_back(0);  // pad
-  put_u16(out, static_cast<std::uint16_t>(kRadiotapLen));
-  put_u32(out, kRadiotapPresent);
-  out.push_back(f.corrupted ? kRadiotapFlagBadFcs : 0);  // Flags
-  out.push_back(rate_half_mbps(f.rate_mbps));            // Rate
-  out.push_back(static_cast<std::uint8_t>(rssi_s8(f.rssi_dbm)));  // dBm signal
+  out.u8(0);  // version
+  out.u8(0);  // pad
+  out.u16(static_cast<std::uint16_t>(kRadiotapLen));
+  out.u32(kRadiotapPresent);
+  out.u8(f.corrupted ? kRadiotapFlagBadFcs : 0);               // Flags
+  out.u8(rate_half_mbps(f.rate_mbps));                         // Rate
+  out.u8(static_cast<std::uint8_t>(rssi_s8(f.rssi_dbm)));      // dBm signal
 
   // 802.11 MAC header.
   const std::uint8_t fc_flags =
@@ -122,46 +108,154 @@ std::vector<std::uint8_t> PcapWriter::serialize_record(const CapturedFrame& f) {
                                 (f.more_frags ? kFcFlagMoreFrags : 0));
   switch (f.type) {
     case FrameType::kRts:
-      out.push_back(kFcRts);
-      out.push_back(fc_flags);
-      put_u16(out, duration_us(f.duration));
-      put_addr(out, f.ra);
-      put_addr(out, f.ta);
+      out.u8(kFcRts);
+      out.u8(fc_flags);
+      out.u16(duration_us(f.duration));
+      out.addr(f.ra);
+      out.addr(f.ta);
       break;
     case FrameType::kCts:
     case FrameType::kAck:
-      out.push_back(f.type == FrameType::kCts ? kFcCts : kFcAck);
-      out.push_back(fc_flags);
-      put_u16(out, duration_us(f.duration));
-      put_addr(out, f.ra);
+      out.u8(f.type == FrameType::kCts ? kFcCts : kFcAck);
+      out.u8(fc_flags);
+      out.u16(duration_us(f.duration));
+      out.addr(f.ra);
       break;
     case FrameType::kData: {
-      out.push_back(kFcData);
-      out.push_back(fc_flags);
-      put_u16(out, duration_us(f.duration));
-      put_addr(out, f.ra);  // addr1 = RA
-      put_addr(out, f.ta);  // addr2 = TA
-      put_addr(out, f.ta);  // addr3 = BSSID stand-in
+      out.u8(kFcData);
+      out.u8(fc_flags);
+      out.u16(duration_us(f.duration));
+      out.addr(f.ra);  // addr1 = RA
+      out.addr(f.ta);  // addr2 = TA
+      out.addr(f.ta);  // addr3 = BSSID stand-in
       const std::uint16_t seqctl = static_cast<std::uint16_t>(
           ((static_cast<unsigned>(f.seq) & 0xfff) << 4) |
           (static_cast<unsigned>(f.frag) & 0xf));
-      put_u16(out, seqctl);
+      out.u16(seqctl);
       break;
     }
   }
-  return out;
+  return static_cast<std::size_t>(out.p - buf);
+}
+
+// Text cursor into a buffer sized for the longest line. Numbers come out
+// byte-identical to printf's "%d"/"%lld"/"%llu" and "%.17g" (to_chars
+// with a precision is specified as printf's %.*g), without the
+// format-string interpretation. Each number is given exactly the room its
+// widest value needs (sign and digits10 + 1 digits for an integer; 24
+// chars for %.17g, as in -2.2250738585072014e-308), so no conversion can
+// fail.
+struct TextOut {
+  char* p;
+
+  void text(std::string_view s) {
+    std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  }
+  template <typename T>
+  void num(T v) {
+    p = std::to_chars(p, p + std::numeric_limits<T>::digits10 + 2, v).ptr;
+  }
+  void num(double v) {
+    // %.17g prints an integral value below 2^53 as its bare digits, and
+    // to_chars on the integer is ~25x cheaper than the precision path
+    // (PHY rates, the 0 dBm RSSI of own transmissions). -0 keeps its sign.
+    if (std::fabs(v) < 0x1p53 && v == std::trunc(v) &&
+        !(v == 0.0 && std::signbit(v))) {
+      num(static_cast<std::int64_t>(v));
+      return;
+    }
+    p = std::to_chars(p, p + 24, v, std::chars_format::general, 17).ptr;
+  }
+  // `key` (with its leading comma and colon), then the value.
+  template <typename T>
+  void field(std::string_view key, T v) {
+    text(key);
+    num(v);
+  }
+  void flag(std::string_view key, bool v) {
+    text(key);
+    *p++ = v ? '1' : '0';
+  }
+};
+
+// The longest frame line is 423 bytes: 150 of keys and punctuation, five
+// int64s (20 chars each), a uint64 (20), nine ints (11), six one-digit
+// values and two doubles (24, e.g. -2.2250738585072014e-308).
+constexpr std::size_t kMaxFrameLine = 512;
+
+// The one frame-line formatter (frame_line and JsonlWriter::write): writes
+// the line, without its newline, into `buf` (kMaxFrameLine bytes) and
+// returns its length. The reader's canonical scan (format_detail.cc)
+// matches exactly this layout.
+std::size_t format_frame_line(const CapturedFrame& f, char* buf) {
+  TextOut out{buf};
+  out.text("{\"t\":\"");
+  out.text(frame_type_name(f.type));
+  out.text("\"");
+  out.field(",\"s\":", f.start);
+  out.field(",\"e\":", f.end);
+  out.field(",\"d\":", f.duration);
+  out.field(",\"ta\":", f.ta);
+  out.field(",\"ra\":", f.ra);
+  out.field(",\"tt\":", f.true_tx);
+  out.field(",\"sq\":", f.seq);
+  out.field(",\"fg\":", f.frag);
+  out.flag(",\"mf\":", f.more_frags);
+  out.flag(",\"r\":", f.retry);
+  out.flag(",\"c\":", f.corrupted);
+  out.flag(",\"cl\":", f.collided);
+  out.flag(",\"tx\":", f.tx);
+  out.field(",\"rssi\":", f.rssi_dbm);
+  out.field(",\"len\":", f.bytes);
+  out.field(",\"rate\":", f.rate_mbps);
+  if (f.type == FrameType::kData) {
+    out.field(",\"fl\":", f.flow_id);
+    out.field(",\"ps\":", f.pkt_seq);
+    out.field(",\"pu\":", f.pkt_uid);
+    out.field(",\"sn\":", f.src_node);
+    out.field(",\"dn\":", f.dst_node);
+    out.field(",\"cr\":", f.pkt_created);
+    out.field(",\"pr\":", f.probe ? (f.probe_reply ? 2 : 1) : 0);
+  }
+  out.text("}");
+  return static_cast<std::size_t>(out.p - buf);
+}
+
+}  // namespace
+
+// --- PcapWriter --------------------------------------------------------------
+
+std::vector<std::uint8_t> PcapWriter::serialize_header() {
+  std::uint8_t buf[24];
+  ByteOut out{buf};
+  out.u32(kPcapMagicNs);
+  out.u16(kPcapVersionMajor);
+  out.u16(kPcapVersionMinor);
+  out.u32(0);  // thiszone
+  out.u32(0);  // sigfigs
+  out.u32(kPcapSnapLen);
+  out.u32(kLinktypeRadiotap);
+  return std::vector<std::uint8_t>(buf, out.p);
+}
+
+std::vector<std::uint8_t> PcapWriter::serialize_record(const CapturedFrame& f) {
+  std::uint8_t buf[kMaxPcapRecord];
+  return std::vector<std::uint8_t>(buf, buf + format_pcap_record(f, buf));
 }
 
 void PcapWriter::open(const std::string& path) {
   close();
   file_ = std::fopen(path.c_str(), "wb");
   if (!file_) throw std::runtime_error("PcapWriter: cannot open " + path);
-  fwrite_all(file_, serialize_header());
+  const std::vector<std::uint8_t> header = serialize_header();
+  std::fwrite(header.data(), 1, header.size(), file_);
 }
 
 void PcapWriter::write(const CapturedFrame& f) {
   if (!file_) return;
-  fwrite_all(file_, serialize_record(f));
+  std::uint8_t buf[kMaxPcapRecord];
+  std::fwrite(buf, 1, format_pcap_record(f, buf), file_);
 }
 
 void PcapWriter::close() {
@@ -192,31 +286,8 @@ std::string JsonlWriter::header_line(int owner, const WifiParams& p) {
 }
 
 std::string JsonlWriter::frame_line(const CapturedFrame& f) {
-  char buf[768];
-  int n = std::snprintf(
-      buf, sizeof(buf),
-      "{\"t\":\"%s\",\"s\":%lld,\"e\":%lld,\"d\":%lld,\"ta\":%d,\"ra\":%d,"
-      "\"tt\":%d,\"sq\":%d,\"fg\":%d,\"mf\":%d,\"r\":%d,\"c\":%d,\"cl\":%d,"
-      "\"tx\":%d,\"rssi\":%.17g,\"len\":%d,\"rate\":%.17g",
-      frame_type_name(f.type), static_cast<long long>(f.start),
-      static_cast<long long>(f.end), static_cast<long long>(f.duration), f.ta,
-      f.ra, f.true_tx, f.seq, f.frag, f.more_frags ? 1 : 0, f.retry ? 1 : 0,
-      f.corrupted ? 1 : 0, f.collided ? 1 : 0, f.tx ? 1 : 0, f.rssi_dbm,
-      f.bytes, f.rate_mbps);
-  std::string line(buf, static_cast<std::size_t>(n));
-  if (f.type == FrameType::kData) {
-    n = std::snprintf(
-        buf, sizeof(buf),
-        ",\"fl\":%d,\"ps\":%lld,\"pu\":%llu,\"sn\":%d,\"dn\":%d,\"cr\":%lld,"
-        "\"pr\":%d",
-        f.flow_id, static_cast<long long>(f.pkt_seq),
-        static_cast<unsigned long long>(f.pkt_uid), f.src_node, f.dst_node,
-        static_cast<long long>(f.pkt_created),
-        f.probe ? (f.probe_reply ? 2 : 1) : 0);
-    line.append(buf, static_cast<std::size_t>(n));
-  }
-  line += '}';
-  return line;
+  char buf[kMaxFrameLine];
+  return std::string(buf, format_frame_line(f, buf));
 }
 
 std::string JsonlWriter::footer_line(Time end_time) {
@@ -237,8 +308,10 @@ void JsonlWriter::open(const std::string& path, int owner,
 
 void JsonlWriter::write(const CapturedFrame& f) {
   if (!file_) return;
-  const std::string line = frame_line(f);
-  std::fprintf(file_, "%s\n", line.c_str());
+  char buf[kMaxFrameLine + 1];
+  std::size_t n = format_frame_line(f, buf);
+  buf[n++] = '\n';
+  std::fwrite(buf, 1, n, file_);
 }
 
 void JsonlWriter::close(Time end_time) {

@@ -13,6 +13,7 @@
 
 #include "src/capture/capture.h"
 #include "src/mac/mac.h"
+#include "src/sim/hot.h"
 #include "src/sim/scheduler.h"
 
 namespace g80211 {
@@ -93,7 +94,9 @@ class CaptureWriter {
   std::int64_t frames_written() const { return frames_; }
 
  private:
-  void record(const CapturedFrame& f);
+  // Per-frame recording path: formats into stack buffers, one fwrite per
+  // file, no heap allocation.
+  G80211_HOT void record(const CapturedFrame& f);
 
   Scheduler* sched_;
   std::string stem_;

@@ -1,17 +1,23 @@
 #include "src/capture/format_detail.h"
 
-#include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <type_traits>
+
+#include "src/sim/hot.h"
 
 namespace g80211 {
 namespace capture_detail {
 
 void fail(const std::string& what) {
+  G80211_ALLOC_OK("error path: builds the message of the exception it throws");
   throw std::runtime_error("capture: " + what);
 }
 
@@ -68,11 +74,18 @@ struct JsonField {
 
 using JsonObject = std::map<std::string, JsonField>;
 
-void skip_ws(const std::string& s, std::size_t& i) {
+void skip_ws(std::string_view s, std::size_t& i) {
   while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
 }
 
-std::string parse_json_string(const std::string& s, std::size_t& i) {
+// The characters of a number token: the strict parser and the canonical
+// scan both cut a value at the first byte outside this set.
+bool is_number_char(char c) {
+  return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
+         c == 'e' || c == 'E' || c == 'n' || c == 'a' || c == 'i' || c == 'f';
+}
+
+std::string parse_json_string(std::string_view s, std::size_t& i) {
   if (i >= s.size() || s[i] != '"') fail("JSONL: expected string");
   ++i;
   std::string out;
@@ -97,7 +110,10 @@ std::string parse_json_string(const std::string& s, std::size_t& i) {
   return out;
 }
 
-JsonObject parse_json_object(const std::string& line) {
+JsonObject parse_json_object(std::string_view line) {
+  G80211_ALLOC_OK(
+      "strict parser: the header line, non-canonical records and error "
+      "paths only; canonical frame lines take the in-place scan");
   JsonObject obj;
   std::size_t i = 0;
   skip_ws(line, i);
@@ -120,15 +136,9 @@ JsonObject parse_json_object(const std::string& line) {
         field.is_string = true;
       } else {
         const std::size_t start = i;
-        while (i < line.size() &&
-               (std::isdigit(static_cast<unsigned char>(line[i])) ||
-                line[i] == '-' || line[i] == '+' || line[i] == '.' ||
-                line[i] == 'e' || line[i] == 'E' || line[i] == 'n' ||
-                line[i] == 'a' || line[i] == 'i' || line[i] == 'f')) {
-          ++i;
-        }
+        while (i < line.size() && is_number_char(line[i])) ++i;
         if (i == start) fail("JSONL: expected value");
-        field.raw = line.substr(start, i - start);
+        field.raw = std::string(line.substr(start, i - start));
       }
       if (!obj.emplace(key, std::move(field)).second) {
         fail("JSONL: duplicate key \"" + key + "\"");
@@ -326,7 +336,7 @@ bool parse_pcap_record_body(ByteCursor& c, const PcapRecordHeader& h,
 
 // --- jsonl -------------------------------------------------------------------
 
-void parse_jsonl_header(const std::string& line, int& owner, WifiParams& p) {
+void parse_jsonl_header(std::string_view line, int& owner, WifiParams& p) {
   const JsonObject obj = parse_json_object(line);
   if (obj.find(kJsonlHeaderKey) == obj.end()) {
     fail("JSONL: not a g80211 capture (missing header line)");
@@ -354,8 +364,14 @@ void parse_jsonl_header(const std::string& line, int& owner, WifiParams& p) {
   p.data_mac_overhead_bytes = json_int(obj, "data_mac_overhead_bytes");
 }
 
-JsonlLine parse_jsonl_record(const std::string& line, CapturedFrame& f,
-                             Time& end_time) {
+namespace {
+
+// The general reader of one post-header line: any key order, whitespace,
+// escapes, extra keys; every malformed line fails here with an error that
+// names its defect.
+JsonlLine parse_jsonl_record_strict(std::string_view line, CapturedFrame& f,
+                                    Time& end_time) {
+  G80211_ALLOC_OK("the footer, non-canonical records and error paths only");
   const JsonObject obj = parse_json_object(line);
   if (obj.find(kJsonlFooterKey) != obj.end()) {
     end_time = json_i64(obj, kJsonlFooterKey);
@@ -394,6 +410,108 @@ JsonlLine parse_jsonl_record(const std::string& line, CapturedFrame& f,
   }
   if (f.end < f.start) fail("JSONL: frame ends before it starts");
   return JsonlLine::kFrame;
+}
+
+// One forward pass over a line in JsonlWriter::frame_line's exact layout:
+// literal keys in the writer's order, no whitespace, each value parsed in
+// place with from_chars. Every method returns false at the first byte that
+// deviates, and the caller hands the whole line to the strict parser.
+class FrameLineScan {
+ public:
+  explicit FrameLineScan(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  // Consumes `s` when the line continues with it.
+  bool literal(std::string_view s) {
+    if (static_cast<std::size_t>(end_ - p_) < s.size() ||
+        std::memcmp(p_, s.data(), s.size()) != 0) {
+      return false;
+    }
+    p_ += s.size();
+    return true;
+  }
+
+  // `key`, then the number token the strict parser would cut, which
+  // from_chars must consume whole: an integer within T's range, or a
+  // finite double (strtod and from_chars round decimals identically).
+  template <typename T>
+  bool value(std::string_view key, T& v) {
+    if (!literal(key)) return false;
+    const char* const token = p_;
+    while (p_ != end_ && is_number_char(*p_)) ++p_;
+    const std::from_chars_result r = std::from_chars(token, p_, v);
+    if (r.ec != std::errc() || r.ptr != p_) return false;
+    if constexpr (std::is_floating_point_v<T>) return std::isfinite(v);
+    return true;
+  }
+
+  // `key`, then exactly 0 or 1.
+  bool flag(std::string_view key, bool& v) {
+    int raw = 0;
+    if (!value(key, raw) || (raw != 0 && raw != 1)) return false;
+    v = raw != 0;
+    return true;
+  }
+
+  bool at_end() const { return p_ == end_; }
+
+ private:
+  const char* p_;
+  const char* const end_;
+};
+
+// True when `line` is a canonical frame line, with `f` filled exactly as
+// the strict parser would fill it. Accepts a subset of what the strict
+// parser accepts and never throws: a declined line may still be valid
+// (reordered keys, "+5", whitespace) or not, and the strict parser says
+// which.
+bool scan_frame_line(std::string_view line, CapturedFrame& f) {
+  FrameLineScan in(line);
+  if (!in.literal("{\"t\":\"")) return false;  // header and footer stop here
+  f = CapturedFrame{};
+  if (in.literal("RTS\"")) {
+    f.type = FrameType::kRts;
+  } else if (in.literal("CTS\"")) {
+    f.type = FrameType::kCts;
+  } else if (in.literal("DATA\"")) {
+    f.type = FrameType::kData;
+  } else if (in.literal("ACK\"")) {
+    f.type = FrameType::kAck;
+  } else {
+    return false;
+  }
+  if (!(in.value(",\"s\":", f.start) && in.value(",\"e\":", f.end) &&
+        in.value(",\"d\":", f.duration) && in.value(",\"ta\":", f.ta) &&
+        in.value(",\"ra\":", f.ra) && in.value(",\"tt\":", f.true_tx) &&
+        in.value(",\"sq\":", f.seq) && in.value(",\"fg\":", f.frag) &&
+        in.flag(",\"mf\":", f.more_frags) && in.flag(",\"r\":", f.retry) &&
+        in.flag(",\"c\":", f.corrupted) && in.flag(",\"cl\":", f.collided) &&
+        in.flag(",\"tx\":", f.tx) && in.value(",\"rssi\":", f.rssi_dbm) &&
+        in.value(",\"len\":", f.bytes) &&
+        in.value(",\"rate\":", f.rate_mbps))) {
+    return false;
+  }
+  if (f.type == FrameType::kData) {
+    int probe = 0;
+    if (!(in.value(",\"fl\":", f.flow_id) && in.value(",\"ps\":", f.pkt_seq) &&
+          in.value(",\"pu\":", f.pkt_uid) && in.value(",\"sn\":", f.src_node) &&
+          in.value(",\"dn\":", f.dst_node) &&
+          in.value(",\"cr\":", f.pkt_created) && in.value(",\"pr\":", probe)) ||
+        probe < 0 || probe > 2) {
+      return false;
+    }
+    f.probe = probe != 0;
+    f.probe_reply = probe == 2;
+  }
+  return in.literal("}") && in.at_end() && f.end >= f.start;
+}
+
+}  // namespace
+
+JsonlLine parse_jsonl_record(std::string_view line, CapturedFrame& f,
+                             Time& end_time) {
+  if (scan_frame_line(line, f)) return JsonlLine::kFrame;
+  return parse_jsonl_record_strict(line, f, end_time);
 }
 
 }  // namespace capture_detail

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/capture/capture.h"
@@ -66,13 +67,17 @@ bool parse_pcap_record_body(ByteCursor& c, const PcapRecordHeader& h,
 
 // Header line: validates the format marker/version and fills the capture
 // owner and params. Throws when the line is not a capture header.
-void parse_jsonl_header(const std::string& line, int& owner, WifiParams& p);
+void parse_jsonl_header(std::string_view line, int& owner, WifiParams& p);
 
 enum class JsonlLine { kFrame, kFooter };
 
-// One post-header journal line: a frame record (fills `f`) or the footer
-// (fills `end_time`).
-JsonlLine parse_jsonl_record(const std::string& line, CapturedFrame& f,
+// One post-header journal line (without its newline): a frame record
+// (fills `f`) or the footer (fills `end_time`). A frame line in
+// JsonlWriter::frame_line's exact layout is parsed by one in-place forward
+// scan; any other line (the footer, a hand-edited or corrupt record) goes
+// to the strict general parser, which alone decides what a non-canonical
+// line means and is the only source of errors.
+JsonlLine parse_jsonl_record(std::string_view line, CapturedFrame& f,
                              Time& end_time);
 
 }  // namespace capture_detail

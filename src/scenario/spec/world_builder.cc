@@ -40,7 +40,13 @@ double role_unit(std::uint64_t seed, std::uint64_t kind, std::uint64_t index) {
   return static_cast<double>(role_hash(seed, kind, index) >> 11) * 0x1.0p-53;
 }
 
-Time to_time(double s) { return static_cast<Time>(s * 1e9); }
+// Casting a double outside int64 is undefined. The schema bounds every
+// spec duration; this also stops a spec built in code.
+Time to_time(double s) {
+  const double ns = s * 1e9;
+  G80211_CHECK(std::fabs(ns) < 0x1p63);
+  return static_cast<Time>(ns);
+}
 
 // Damage-radius rings are capped so a sparse-greedy world still yields a
 // readable handful of bands; everything farther lands in the last ring.

@@ -3,11 +3,18 @@
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
+#include <string>
 
 #include "src/scenario/spec/parser.h"
 
 namespace g80211::spec {
 namespace {
+
+// Upper bound on every spec duration. The builder turns durations into
+// int64 nanoseconds, and churn/web periods are exponential draws of up to
+// ~37x their mean, so the bound keeps that headroom far below 2^63 ns
+// (~292 years) while sitting far above any realistic run.
+constexpr double kMaxDurationS = 1e6;
 
 // Typed, consumed-key-tracking view of one table. Every getter removes
 // the key from the pending set; finish() rejects leftovers, so a typo
@@ -94,6 +101,16 @@ class TableReader {
       fail(*v, key + " must be a positive number");
     }
     return v->as_number();
+  }
+
+  // A positive duration of at most kMaxDurationS; `unit_s` is the key's
+  // unit in seconds (1 for *_s keys, 1e-3 for *_ms keys).
+  double duration(const std::string& key, double def, double unit_s) {
+    const double v = positive(key, def);
+    if (v * unit_s > kMaxDurationS) {
+      fail(*find(key), key + " is longer than 1e6 s");
+    }
+    return v;
   }
 
   void finish() const {
@@ -186,6 +203,7 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
   Value empty;  // shared default for absent optional sections
 
   WorldSpec out;
+  const Value* aps_at = nullptr;  // the key that sets the AP count
 
   {
     TableReader r = section(doc, source, "world", empty);
@@ -205,8 +223,8 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
     const std::int64_t seed = r.integer("seed", 1);
     if (seed < 0) r.fail(r.raw().table.at("seed"), "seed must be >= 0");
     out.seed = static_cast<std::uint64_t>(seed);
-    out.warmup_s = r.positive("warmup_s", out.warmup_s);
-    out.measure_s = r.positive("measure_s", out.measure_s);
+    out.warmup_s = r.duration("warmup_s", out.warmup_s, 1.0);
+    out.measure_s = r.duration("measure_s", out.measure_s, 1.0);
     out.comm_range_m = r.positive("comm_range_m", out.comm_range_m);
     out.cs_range_m = r.positive("cs_range_m", out.cs_range_m);
     if (out.cs_range_m < out.comm_range_m) {
@@ -244,7 +262,14 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
       if (out.pitch_m <= 0.0) {
         r.fail(r.raw(), "grid needs pitch_m > 0");
       }
+      const std::int64_t aps =
+          std::int64_t{out.grid_cols} * std::int64_t{out.grid_rows};
+      if (aps > std::numeric_limits<int>::max()) {
+        r.fail(*r.find("rows"), "cols * rows = " + std::to_string(aps) +
+                                    " APs is out of range");
+      }
     }
+    aps_at = positions != nullptr ? positions : r.find("rows");
     out.grc_coverage = r.fraction("grc_coverage", out.grc_coverage);
     r.finish();
   }
@@ -253,6 +278,15 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
     TableReader r = section(doc, source, "stations", empty);
     out.per_ap = r.int32("per_ap", out.per_ap);
     if (out.per_ap < 1) r.fail(r.raw(), "per_ap must be >= 1");
+    const std::int64_t stations =
+        std::int64_t{out.num_aps()} * std::int64_t{out.per_ap};
+    if (stations > std::numeric_limits<int>::max()) {
+      // Anchored at per_ap, or at the AP count when per_ap is the default.
+      const Value* per_ap = r.find("per_ap");
+      r.fail(per_ap != nullptr ? *per_ap : *aps_at,
+             "APs * per_ap = " + std::to_string(stations) +
+                 " stations is out of range");
+    }
     out.radius_m = r.number("radius_m", out.radius_m);
     if (out.radius_m < 0.0) r.fail(r.raw(), "radius_m must be >= 0");
     r.finish();
@@ -261,8 +295,8 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
   {
     TableReader r = section(doc, source, "churn", empty);
     out.churn_fraction = r.fraction("fraction", out.churn_fraction);
-    out.mean_on_s = r.positive("mean_on_s", out.mean_on_s);
-    out.mean_off_s = r.positive("mean_off_s", out.mean_off_s);
+    out.mean_on_s = r.duration("mean_on_s", out.mean_on_s, 1.0);
+    out.mean_off_s = r.duration("mean_off_s", out.mean_off_s, 1.0);
     r.finish();
   }
 
@@ -305,8 +339,8 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
       t.rate_mbps = r.positive("rate_mbps", t.rate_mbps);
       t.payload_bytes = r.int32("payload_bytes", t.payload_bytes);
       if (t.payload_bytes < 1) r.fail(entry, "payload_bytes must be >= 1");
-      t.burst_s = r.positive("burst_s", t.burst_s);
-      t.idle_s = r.positive("idle_s", t.idle_s);
+      t.burst_s = r.duration("burst_s", t.burst_s, 1.0);
+      t.idle_s = r.duration("idle_s", t.idle_s, 1.0);
       r.finish();
       out.traffic.push_back(t);
     }
@@ -325,7 +359,8 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
         out.mix_nav + out.mix_spoof + out.mix_fake <= 0.0) {
       r.fail(r.raw(), "misbehavior mix must have positive total weight");
     }
-    out.nav_inflation_ms = r.positive("nav_inflation_ms", out.nav_inflation_ms);
+    out.nav_inflation_ms =
+        r.duration("nav_inflation_ms", out.nav_inflation_ms, 1e-3);
     out.gp = r.positive("gp", out.gp);
     if (out.gp > 1.0) r.fail(r.raw(), "gp must be in (0, 1]");
     r.finish();
@@ -333,7 +368,7 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
 
   {
     TableReader r = section(doc, source, "metrics", empty);
-    out.window_s = r.positive("window_s", out.window_s);
+    out.window_s = r.duration("window_s", out.window_s, 1.0);
     out.ring_m = r.positive("ring_m", out.ring_m);
     r.finish();
   }

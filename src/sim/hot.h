@@ -9,7 +9,8 @@
 //
 //   G80211_HOT            marks a function as a steady-state hot-path
 //                         root (scheduler drain, channel fan-out, PHY
-//                         delivery tail, MAC state machine). Expands to
+//                         delivery tail, MAC state machine, capture
+//                         record and JSONL ingest). Expands to
 //                         [[gnu::hot]] so the annotation doubles as a
 //                         real optimizer hint (hot functions are placed
 //                         and optimized more aggressively).

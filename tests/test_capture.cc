@@ -1,5 +1,7 @@
 // Capture subsystem: pcap/JSONL round trips, strict-parser rejection of
-// corrupt files, the committed golden fixture, and the headline guarantee
+// corrupt files, the JSONL reader's canonical scan against its strict
+// parser, the writer's byte format against its printf reference, the
+// committed golden fixture, and the headline guarantee
 // of src/capture/replay.h — offline replay of a recorded run reproduces
 // the live GRC detector verdicts exactly (same flagged stations, same
 // counts) for NAV inflation, ACK spoofing, and fake-ACK misbehavior.
@@ -13,19 +15,31 @@
 // say so in the commit message).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
+#include <memory>
+#include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/capture/capture_reader.h"
 #include "src/capture/capture_tap.h"
 #include "src/capture/capture_writer.h"
+#include "src/capture/format_detail.h"
 #include "src/capture/replay.h"
 #include "src/detect/backoff_monitor.h"
 #include "src/detect/cross_layer_detector.h"
@@ -37,6 +51,10 @@
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
 #include "tests/test_artifacts.h"
+
+#ifndef G80211_TEST_DATA_DIR
+#define G80211_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace g80211 {
 namespace {
@@ -251,6 +269,411 @@ TEST(CaptureReader, RejectsCorruptFiles) {
   expect_rejects(with_value("pu", "-1"), "pu");                    // unsigned
   expect_rejects(with_value("pu", "18446744073709551616"), "pu");  // > uint64
   expect_rejects(with_value("mf", "2"), "mf");                     // 0/1 flag
+}
+
+// --- canonical scan vs. strict parser -----------------------------------------
+//
+// The reader parses a record line in the writer's exact layout with an
+// in-place scan, and hands every other line to the strict parser. A space
+// after the opening brace is such a deviation: the scan declines the line
+// and the strict parser skips the space, so the "strict twin" of a line is
+// the strict parser's reading of the same record.
+
+namespace {
+
+std::string strict_twin(const std::string& line) {
+  return "{ " + line.substr(1);
+}
+
+// What the public reader makes of one record line: its frame, or the
+// error it throws.
+struct LineResult {
+  std::optional<CapturedFrame> frame;
+  std::string error;
+};
+
+LineResult read_record_line(const std::string& line) {
+  static const std::string header =
+      JsonlWriter::header_line(0, WifiParams::b11()) + "\n";
+  static const std::string footer = JsonlWriter::footer_line(0) + "\n";
+  LineResult r;
+  try {
+    const Capture cap = parse_jsonl(header + line + "\n" + footer);
+    if (cap.frames.size() == 1) {
+      r.frame = cap.frames[0];
+    } else {
+      r.error = std::to_string(cap.frames.size()) + " frames";
+    }
+  } catch (const std::runtime_error& e) {
+    r.error = e.what();
+  }
+  return r;
+}
+
+// Field-wise equality that also holds for NaN: doubles compare by bits.
+bool same_frame(CapturedFrame a, CapturedFrame b) {
+  for (auto [x, y] : {std::pair{&a.rssi_dbm, &b.rssi_dbm},
+                      std::pair{&a.rate_mbps, &b.rate_mbps}}) {
+    if (std::bit_cast<std::uint64_t>(*x) != std::bit_cast<std::uint64_t>(*y)) {
+      return false;
+    }
+    *x = *y = 0.0;
+  }
+  return a == b;
+}
+
+void expect_same(const LineResult& a, const LineResult& b,
+                 const std::string& line) {
+  EXPECT_EQ(a.error, b.error) << line;
+  ASSERT_EQ(a.frame.has_value(), b.frame.has_value()) << line;
+  if (a.frame) {
+    EXPECT_TRUE(same_frame(*a.frame, *b.frame)) << line;
+  }
+}
+
+// A canonical line as its "key":value parts, in order.
+using Fields = std::vector<std::pair<std::string, std::string>>;
+
+Fields split_fields(const std::string& line) {
+  Fields out;
+  const std::string body = line.substr(1, line.size() - 2);
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t comma = std::min(body.find(',', pos), body.size());
+    const std::string part = body.substr(pos, comma - pos);
+    const std::size_t colon = part.find(':');
+    out.emplace_back(part.substr(0, colon), part.substr(colon + 1));
+    if (comma == body.size()) return out;
+    pos = comma + 1;
+  }
+}
+
+std::string join_fields(const Fields& fields) {
+  std::string out = "{";
+  for (const auto& [key, value] : fields) {
+    if (out.size() > 1) out += ',';
+    out += key + ":" + value;
+  }
+  return out + "}";
+}
+
+// Variants of a canonical line: layouts the strict parser accepts but the
+// scan must decline, and values the two could read differently or must
+// both reject.
+std::vector<std::string> mutants(const std::string& line) {
+  const Fields fields = split_fields(line);
+  std::vector<std::string> out;
+  const auto edit = [&](const std::function<void(Fields&)>& change) {
+    Fields f = fields;
+    change(f);
+    out.push_back(join_fields(f));
+  };
+  const auto set = [&](const std::string& key, const std::string& value) {
+    edit([&](Fields& f) {
+      for (auto& [k, v] : f) {
+        if (k == "\"" + key + "\"") v = value;
+      }
+    });
+  };
+  edit([](Fields& f) { std::swap(f[1], f[2]); });  // keys reordered
+  edit([](Fields& f) { std::reverse(f.begin(), f.end()); });
+  edit([](Fields& f) { f.emplace_back("\"zz\"", "1"); });  // an extra key
+  // A DATA key on a control frame; a duplicate key on DATA.
+  edit([](Fields& f) { f.emplace(f.begin() + 3, "\"fl\"", "7"); });
+  edit([](Fields& f) { f.pop_back(); });  // "pr" missing on DATA
+  edit([](Fields& f) { f[1].second = " " + f[1].second; });  // ": " after s
+  edit([](Fields& f) { std::swap(f[1].second, f[2].second); });  // e < s
+  for (const char* key : {"s", "d", "ta", "len", "mf", "pu", "pr"}) {
+    for (const char* v : {"+5", "1e3", "1.0", "007", "-0", "", "\"5\"", "5x"}) {
+      set(key, v);
+    }
+  }
+  for (const char* v : {"nan", "-nan", "inf", "-inf", "1e400", "-1e400",
+                        "1e-400", "4.9406564584124654e-324", "-0", "+1",
+                        ".5", "5.", "1e", "0x1p3", "1.5.5"}) {
+    set("rssi", v);
+  }
+  for (const char* v : {"\"BEACON\"", "\"rts\"", "\"\"", "\"DATA \"",
+                        "\"R\\u0054S\"", "\"ACK", "5"}) {
+    set("t", v);
+  }
+  // The out-of-range values of CaptureReader.RejectsCorruptFiles.
+  set("ta", "4294967296");
+  set("sq", "-2147483649");
+  set("s", "99999999999999999999");
+  set("pu", "-1");
+  set("pu", "18446744073709551616");
+  set("mf", "2");
+  out.push_back(line + " ");  // trailing whitespace
+  out.push_back(line + "x");  // trailing bytes
+  out.push_back(line + "}");
+  return out;
+}
+
+std::vector<std::string> record_lines(const std::string& journal) {
+  std::vector<std::string> lines;
+  std::size_t pos = journal.find('\n') + 1;  // past the header
+  while (pos < journal.size()) {
+    const std::size_t nl = journal.find('\n', pos);
+    std::string line = journal.substr(pos, nl - pos);
+    if (line.rfind("{\"t\":", 0) == 0) lines.push_back(std::move(line));
+    pos = nl + 1;
+  }
+  return lines;
+}
+
+// A DATA-heavy journal: no RTS/CTS, so DATA and ACK records dominate, and
+// a probing fake-ACK detector adds probe (pr = 1) and reply (pr = 2) DATA.
+std::string record_data_journal(const std::string& stem) {
+  SimConfig cfg;
+  cfg.warmup = milliseconds(10);
+  cfg.measure = milliseconds(100);
+  cfg.seed = 5;
+  cfg.rts_cts = false;
+  Sim sim(cfg);
+  const PairLayout l = pairs_in_range(1);
+  Node& s = sim.add_node(l.senders[0]);
+  Node& r = sim.add_node(l.receivers[0]);
+  sim.add_udp_flow(s, r);
+  FakeAckDetector::Config dc;
+  dc.probe_interval = milliseconds(2);
+  FakeAckDetector detector(sim.scheduler(), s, r.id(), sim.reserve_flow_id(),
+                           dc);
+  detector.start(0);
+  CaptureWriter capture(sim.scheduler(), stem);
+  capture.attach(s.mac());
+  sim.run();
+  capture.close();
+  return slurp_text(stem + ".jsonl");
+}
+
+// The record lines of the golden journal and of a fresh DATA-heavy one.
+std::vector<std::string> scan_test_lines() {
+  std::vector<std::string> lines =
+      record_lines(slurp_text(std::string(G80211_TEST_DATA_DIR) +
+                              "/golden_capture.jsonl"));
+  const std::vector<std::string> data =
+      record_lines(record_data_journal(artifact_stem("data_heavy")));
+  int probes = 0, replies = 0;
+  for (const std::string& line : data) {
+    probes += line.find(",\"pr\":1}") != std::string::npos;
+    replies += line.find(",\"pr\":2}") != std::string::npos;
+  }
+  EXPECT_GT(data.size(), 100u);
+  EXPECT_GT(probes, 0);
+  EXPECT_GT(replies, 0);
+  lines.insert(lines.end(), data.begin(), data.end());
+  return lines;
+}
+
+}  // namespace
+
+TEST(JsonlScan, ReadsEveryLineAsTheStrictParserDoes) {
+  for (const std::string& line : scan_test_lines()) {
+    const LineResult canonical = read_record_line(line);
+    ASSERT_TRUE(canonical.frame.has_value()) << canonical.error;
+    expect_same(canonical, read_record_line(strict_twin(line)), line);
+    for (const std::string& m : mutants(line)) {
+      expect_same(read_record_line(m), read_record_line(strict_twin(m)), m);
+    }
+  }
+}
+
+TEST(JsonlScan, EveryPrefixFailsAsInTheStrictParser) {
+  // Every proper prefix of a record line, given as a complete line, is an
+  // error, and only the strict parser may report it. Each prefix is also
+  // handed to the record parser alone in an exactly-sized heap block, so
+  // a scan that read one byte past its line would trip AddressSanitizer.
+  for (const std::string& line : scan_test_lines()) {
+    for (std::size_t k = 1; k < line.size(); ++k) {
+      const std::string prefix = line.substr(0, k);
+      const LineResult strict = read_record_line(strict_twin(prefix));
+      ASSERT_FALSE(strict.frame.has_value()) << prefix;
+      const LineResult whole = read_record_line(prefix);
+      EXPECT_FALSE(whole.frame.has_value()) << prefix;
+      EXPECT_EQ(whole.error, strict.error) << prefix;
+
+      const auto block = std::make_unique<char[]>(k);
+      std::memcpy(block.get(), prefix.data(), k);
+      CapturedFrame f;
+      Time end_time = 0;
+      std::string error = "accepted";
+      try {
+        capture_detail::parse_jsonl_record(std::string_view(block.get(), k), f,
+                                           end_time);
+      } catch (const std::runtime_error& e) {
+        error = e.what();
+      }
+      EXPECT_EQ(error, strict.error) << prefix;
+    }
+  }
+}
+
+// --- writer format ------------------------------------------------------------
+
+namespace {
+
+// JsonlWriter::frame_line as it was written with snprintf before it moved
+// to to_chars, kept as the byte-level reference of the journal format.
+std::string printf_frame_line(const CapturedFrame& f) {
+  char buf[768];
+  int n = std::snprintf(
+      buf, sizeof(buf),
+      "{\"t\":\"%s\",\"s\":%lld,\"e\":%lld,\"d\":%lld,\"ta\":%d,\"ra\":%d,"
+      "\"tt\":%d,\"sq\":%d,\"fg\":%d,\"mf\":%d,\"r\":%d,\"c\":%d,\"cl\":%d,"
+      "\"tx\":%d,\"rssi\":%.17g,\"len\":%d,\"rate\":%.17g",
+      frame_type_name(f.type), static_cast<long long>(f.start),
+      static_cast<long long>(f.end), static_cast<long long>(f.duration), f.ta,
+      f.ra, f.true_tx, f.seq, f.frag, f.more_frags ? 1 : 0, f.retry ? 1 : 0,
+      f.corrupted ? 1 : 0, f.collided ? 1 : 0, f.tx ? 1 : 0, f.rssi_dbm,
+      f.bytes, f.rate_mbps);
+  std::string line(buf, static_cast<std::size_t>(n));
+  if (f.type == FrameType::kData) {
+    n = std::snprintf(
+        buf, sizeof(buf),
+        ",\"fl\":%d,\"ps\":%lld,\"pu\":%llu,\"sn\":%d,\"dn\":%d,\"cr\":%lld,"
+        "\"pr\":%d",
+        f.flow_id, static_cast<long long>(f.pkt_seq),
+        static_cast<unsigned long long>(f.pkt_uid), f.src_node, f.dst_node,
+        static_cast<long long>(f.pkt_created),
+        f.probe ? (f.probe_reply ? 2 : 1) : 0);
+    line.append(buf, static_cast<std::size_t>(n));
+  }
+  line += '}';
+  return line;
+}
+
+template <typename T, std::size_t N>
+T pick(std::mt19937_64& rng, const T (&values)[N]) {
+  return values[rng() % N];
+}
+
+int random_int(std::mt19937_64& rng) {
+  const int edge[] = {std::numeric_limits<int>::min(),
+                      std::numeric_limits<int>::max(), -1, 0, 1,
+                      static_cast<int>(rng())};
+  return pick(rng, edge);
+}
+
+std::int64_t random_i64(std::mt19937_64& rng) {
+  const std::int64_t edge[] = {
+      std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max(), -1, 0,
+      static_cast<std::int64_t>(rng()),
+      static_cast<std::int64_t>(rng()) >> (rng() % 63)};
+  return pick(rng, edge);
+}
+
+// Finite doubles: random bit patterns, subnormals, integers on both sides
+// of 2^53, and the printf corner cases (-0, exponent switch-overs).
+double random_double(std::mt19937_64& rng) {
+  const double edge[] = {0.0, -0.0, 1e-5, 1e-4, 1e16, 1e17, 1e21, 0.1, 11.0,
+                         5.5, -92.5, 0x1p53, -0x1p53, 0x1p53 - 1, 0x1p53 + 2,
+                         std::numeric_limits<double>::denorm_min(),
+                         -std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::lowest()};
+  switch (rng() % 4) {
+    case 0: return pick(rng, edge);
+    case 1:  // subnormal: sign and mantissa bits only
+      return std::bit_cast<double>(rng() & 0x800fffffffffffffULL);
+    case 2:  // integral
+      return static_cast<double>(static_cast<std::int64_t>(rng()) >>
+                                 (rng() % 64));
+    default:
+      for (;;) {
+        const double d = std::bit_cast<double>(rng());
+        if (std::isfinite(d)) return d;
+      }
+  }
+}
+
+CapturedFrame random_frame(std::mt19937_64& rng) {
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  const FrameType types[] = {FrameType::kRts, FrameType::kCts,
+                             FrameType::kData, FrameType::kAck};
+  CapturedFrame f;
+  f.type = pick(rng, types);
+  f.start = random_i64(rng);
+  switch (rng() % 3) {
+    case 0: f.end = f.start; break;
+    case 1: f.end = kMax; break;
+    default:
+      f.end = f.start > kMax - 1000000
+                  ? f.start
+                  : f.start + static_cast<Time>(rng() % 1000000);
+  }
+  f.duration = random_i64(rng);
+  f.ta = random_int(rng);
+  f.ra = random_int(rng);
+  f.true_tx = random_int(rng);
+  f.seq = random_int(rng);
+  f.frag = random_int(rng);
+  const std::uint64_t bits = rng();
+  f.more_frags = bits & 1;
+  f.retry = bits & 2;
+  f.corrupted = bits & 4;
+  f.collided = bits & 8;
+  f.tx = bits & 16;
+  f.rssi_dbm = random_double(rng);
+  f.bytes = random_int(rng);
+  f.rate_mbps = random_double(rng);
+  if (f.type == FrameType::kData) {
+    f.flow_id = random_int(rng);
+    f.pkt_seq = random_i64(rng);
+    const std::uint64_t uids[] = {0, std::numeric_limits<std::uint64_t>::max(),
+                                  rng()};
+    f.pkt_uid = pick(rng, uids);
+    f.src_node = random_int(rng);
+    f.dst_node = random_int(rng);
+    f.pkt_created = random_i64(rng);
+    const int probe = static_cast<int>(rng() % 3);
+    f.probe = probe != 0;
+    f.probe_reply = probe == 2;
+  }
+  // A journal's records run in event-time order from 0.
+  if (f.event_time() < 0) {
+    f.tx = false;
+    f.end = std::max<Time>(f.end, 0);
+  }
+  return f;
+}
+
+}  // namespace
+
+TEST(JsonlWriterFormat, MatchesPrintfAndRoundTripsExactly) {
+  std::mt19937_64 rng(2007);
+  std::vector<CapturedFrame> frames;
+  for (int i = 0; i < 20000; ++i) frames.push_back(random_frame(rng));
+  for (const CapturedFrame& f : frames) {
+    ASSERT_EQ(JsonlWriter::frame_line(f), printf_frame_line(f));
+  }
+
+  std::stable_sort(frames.begin(), frames.end(),
+                   [](const CapturedFrame& a, const CapturedFrame& b) {
+                     return a.event_time() < b.event_time();
+                   });
+  const std::string path = artifact_stem("format") + ".jsonl";
+  {
+    JsonlWriter w;
+    w.open(path, 3, WifiParams::b11());
+    for (const CapturedFrame& f : frames) w.write(f);
+    w.close(frames.back().end);
+  }
+  const Capture cap = read_jsonl(path);
+  EXPECT_EQ(cap.frames, frames);
+
+  // The strict parser reads the same journal into the same frames.
+  std::string twin;
+  const std::string text = slurp_text(path);
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t nl = text.find('\n', pos);
+    const std::string line = text.substr(pos, nl - pos);
+    twin += (line.rfind("{\"t\":", 0) == 0 ? strict_twin(line) : line) + "\n";
+    pos = nl + 1;
+  }
+  EXPECT_EQ(parse_jsonl(twin).frames, frames);
 }
 
 TEST(CaptureReader, SkipsUnknownPcapRecords) {
@@ -533,10 +956,6 @@ TEST(Replay, HonestRunRaisesNoVerdicts) {
 }
 
 // --- golden fixture -----------------------------------------------------------
-
-#ifndef G80211_TEST_DATA_DIR
-#define G80211_TEST_DATA_DIR "tests/data"
-#endif
 
 TEST(CaptureGolden, CommittedFixtureIsBitStable) {
   // Regenerate the fixture scenario and compare byte-for-byte against the

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -168,6 +169,44 @@ TEST(CaptureStream, DeliversAChunkedJournalExactlyOnce) {
   EXPECT_EQ(reader.end_time(), expect.end_time);
   EXPECT_EQ(reader.pending_bytes(), 0u);
   EXPECT_EQ(frames, expect.frames);
+
+  // Every two-part split of a short journal cut from the golden one: the
+  // header, records up to the first of each frame type, and the footer.
+  // Wherever the first append ends (mid-number, mid-key, on either side of
+  // a newline), the tailed journal must equal the one-shot read.
+  const std::string golden(bytes.begin(), bytes.end());
+  std::string cut = golden.substr(0, golden.find('\n') + 1);
+  std::set<std::string> types;
+  for (std::size_t pos = cut.size(); types.size() < 4;) {
+    const std::size_t nl = golden.find('\n', pos);
+    ASSERT_NE(nl, std::string::npos);
+    const std::string line = golden.substr(pos, nl + 1 - pos);
+    const std::size_t type = line.find("\"t\":\"");
+    ASSERT_NE(type, std::string::npos) << line;
+    types.insert(line.substr(type + 5, line.find('"', type + 5) - type - 5));
+    cut += line;
+    pos = nl + 1;
+  }
+  cut += golden.substr(golden.rfind('\n', golden.size() - 2) + 1);  // footer
+  const Capture whole = parse_jsonl(cut);
+  ASSERT_EQ(whole.frames.size(), 4u);  // the golden journal opens RTS CTS DATA ACK
+
+  const std::string split_path = artifact("split.jsonl");
+  const auto* data = reinterpret_cast<const std::uint8_t*>(cut.data());
+  for (std::size_t k = 0; k <= cut.size(); ++k) {
+    { std::ofstream truncate(split_path, std::ios::binary | std::ios::trunc); }
+    CaptureStreamReader split(split_path);
+    std::vector<CapturedFrame> got;
+    append(split_path, data, k);
+    split.poll(got);
+    append(split_path, data + k, cut.size() - k);
+    split.poll(got);
+    ASSERT_TRUE(split.finished()) << "split at byte " << k;
+    EXPECT_NO_THROW(split.check_complete()) << "split at byte " << k;
+    EXPECT_EQ(split.owner(), whole.owner);
+    EXPECT_EQ(split.end_time(), whole.end_time);
+    EXPECT_EQ(got, whole.frames) << "split at byte " << k;
+  }
 }
 
 TEST(CaptureStream, SurfacesPcapSkipStatistics) {

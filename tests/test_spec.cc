@@ -257,6 +257,54 @@ TEST(SpecSchema, ErrorsAreLineAnchored) {
                                "payload_bytes = 2147483648\n",
                         "payload_bytes out of range"),
             7);
+  // Durations are bounded at 1e6 s, at the value's line. Unbounded, the
+  // builder's conversion to int64 nanoseconds was undefined: a run with
+  // measure_s = 1e300 validated, then reported 0 windows.
+  EXPECT_EQ(expect_line("[world]\nmeasure_s = 1e300\n",
+                        "measure_s is longer than 1e6 s"),
+            2);
+  EXPECT_EQ(expect_line("[world]\nname = \"x\"\nwarmup_s = 1000000.5\n",
+                        "warmup_s is longer than 1e6 s"),
+            3);
+  const std::string cbr = grid + "[[traffic]]\nclass = \"cbr\"\n";  // 6 lines
+  EXPECT_EQ(expect_line(cbr + "[metrics]\nwindow_s = 2e6\n",
+                        "window_s is longer than 1e6 s"),
+            8);
+  EXPECT_EQ(expect_line(cbr + "[churn]\nmean_on_s = 1e7\n",
+                        "mean_on_s is longer than 1e6 s"),
+            8);
+  EXPECT_EQ(expect_line(cbr + "[churn]\nmean_on_s = 1.0\nmean_off_s = 1e20\n",
+                        "mean_off_s is longer than 1e6 s"),
+            9);
+  EXPECT_EQ(expect_line(grid + "[[traffic]]\nclass = \"web\"\nburst_s = 1e300\n",
+                        "burst_s is longer than 1e6 s"),
+            7);
+  EXPECT_EQ(expect_line(grid + "[[traffic]]\nclass = \"web\"\nidle_s = 3e6\n",
+                        "idle_s is longer than 1e6 s"),
+            7);
+  // nav_inflation_ms is in milliseconds: 1e9 ms is the 1e6 s bound.
+  EXPECT_EQ(expect_line(cbr + "[greedy]\nnav_inflation_ms = 1.5e9\n",
+                        "nav_inflation_ms is longer than 1e6 s"),
+            8);
+  EXPECT_NO_THROW(parse_world_spec_text(
+      cbr + "[world]\nmeasure_s = 1e6\n[greedy]\nnav_inflation_ms = 1e9\n",
+      "t"));
+  // AP and station counts are products of int keys, computed in 64 bits;
+  // beyond int they fail at the key that overflowed them (per_ap, or rows
+  // when per_ap keeps its default of 4).
+  EXPECT_EQ(expect_line("[aps]\ncols = 65536\nrows = 65536\npitch_m = 5.0\n",
+                        "cols * rows = 4294967296 APs is out of range"),
+            3);
+  EXPECT_EQ(expect_line("[aps]\ncols = 46341\nrows = 46341\npitch_m = 5.0\n",
+                        "APs is out of range"),
+            3);
+  EXPECT_EQ(expect_line("[aps]\ncols = 46340\nrows = 46340\npitch_m = 5.0\n"
+                        "[stations]\nper_ap = 2\n",
+                        "APs * per_ap = 4294791200 stations is out of range"),
+            6);
+  EXPECT_EQ(expect_line("[aps]\ncols = 65536\nrows = 8192\npitch_m = 5.0\n",
+                        "stations is out of range"),
+            3);
 }
 
 TEST(SpecSchema, DescribeRoundTripIsLossless) {
