@@ -8,13 +8,16 @@
 // regressions (>15% fails).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <string_view>
+#include <cstddef>
+#include <cstdint>
 
 #include "bench/common.h"
 #include "bench/perf_counters.h"
 #include "src/scenario/sharded.h"
+#include "src/sim/dary_heap.h"
+#include "src/sim/rng.h"
 #include "src/sim/scheduler.h"
+#include "src/sim/timing_wheel.h"
 
 using namespace g80211;
 using namespace g80211::bench;
@@ -26,21 +29,6 @@ namespace {
 // sim_seconds_per_wall_second rate.
 double sim_span_seconds(const SimConfig& cfg) {
   return to_seconds(cfg.warmup + cfg.measure);
-}
-
-// Ready-queue backend under test. G80211_SCHED_BACKEND=heap|wheel lets an
-// A/B run compare both backends from one binary (benchmark names stay
-// identical so compare_simperf diffs line up); unset means the engine
-// default, which is what the committed baseline records.
-SchedulerBackend bench_backend() {
-  const char* e = std::getenv("G80211_SCHED_BACKEND");
-  if (e != nullptr && std::string_view(e) == "heap") {
-    return SchedulerBackend::kDaryHeap;
-  }
-  if (e != nullptr && std::string_view(e) == "wheel") {
-    return SchedulerBackend::kTimingWheel;
-  }
-  return kDefaultSchedulerBackend;
 }
 
 // Attach the perf_event_open attribution counters. perf_hw_available is
@@ -82,7 +70,6 @@ void BM_SaturatedUdpPairs(benchmark::State& state) {
     cfg.measure = seconds(1);
     cfg.warmup = milliseconds(100);
     cfg.seed = seed++;
-    cfg.scheduler_backend = bench_backend();
     Sim sim(cfg);
     const PairLayout l = pairs_in_range(n_pairs);
     std::vector<Node*> senders, receivers;
@@ -119,7 +106,6 @@ void BM_TcpPair(benchmark::State& state) {
     cfg.measure = seconds(1);
     cfg.warmup = milliseconds(100);
     cfg.seed = seed++;
-    cfg.scheduler_backend = bench_backend();
     Sim sim(cfg);
     const PairLayout l = pairs_in_range(1);
     Node& s = sim.add_node(l.senders[0]);
@@ -160,7 +146,6 @@ void BM_Hotspot(benchmark::State& state) {
     cfg.measure = seconds(1);
     cfg.warmup = milliseconds(100);
     cfg.seed = seed++;
-    cfg.scheduler_backend = bench_backend();
     Sim sim(cfg);
     const SharedApLayout l = shared_ap(n_stations);
     Node& ap = sim.add_node(l.ap);
@@ -191,7 +176,7 @@ void BM_Hotspot(benchmark::State& state) {
 // schedule / cancel / reschedule plus a fired ladder. Measures raw
 // events/sec through the slab + heap with zero steady-state allocation.
 void BM_SchedulerChurn(benchmark::State& state) {
-  Scheduler s{bench_backend()};
+  Scheduler s;
   std::uint64_t sink = 0;
   constexpr int kBatch = 64;
   // Counters bracket the whole loop: iterations here are µs-scale, so
@@ -220,7 +205,7 @@ void BM_SchedulerChurn(benchmark::State& state) {
 // Timer restart churn: the defer/backoff/NAV pattern — start, supersede,
 // fire — exercising the cancel-tombstone path and slot reuse.
 void BM_TimerRestart(benchmark::State& state) {
-  Scheduler s{bench_backend()};
+  Scheduler s;
   std::uint64_t fired = 0;
   Timer t(s, [&fired] { ++fired; });
   // Whole-loop counter bracket, as in BM_SchedulerChurn: per-iteration
@@ -239,6 +224,44 @@ void BM_TimerRestart(benchmark::State& state) {
   state.counters["pool_slots"] =
       benchmark::Counter(static_cast<double>(s.pool_slots()));
   report_perf(state, pc, s.executed());
+}
+
+// The hold model behind the ready queue's spill threshold
+// (src/sim/timing_wheel.h): n pending entries; each step pops the minimum
+// and pushes now + uniform(0, 2 * gap). Runs the containers directly —
+// the plain 4-ary heap and the scheduler's ready queue, which is that heap
+// up to 64 entries and a timing wheel above — at a mean gap of 0.5 ms (a
+// saturated MAC) and 5 ms (sparse traffic).
+struct HoldEntry {
+  Time when = 0;
+  std::uint64_t seq = 0;
+};
+struct HoldBefore {
+  bool operator()(const HoldEntry& a, const HoldEntry& b) const {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
+};
+using HoldHeap = DaryHeap<HoldEntry, HoldBefore>;
+using HoldReadyQueue = TimingWheel<HoldEntry, HoldBefore>;
+
+template <typename Queue>
+void BM_ReadyQueueHold(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Time span = 2 * microseconds(state.range(1));
+  Rng rng(1);
+  Queue q;
+  std::uint64_t seq = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    q.push({rng.uniform_int(span), seq++});
+  }
+  for (auto _ : state) {
+    const Time now = q.top().when;
+    q.pop();
+    q.push({now + rng.uniform_int(span), seq++});
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(state.iterations());
 }
 
 // The conservative parallel engine at hotspot scale: four isolated cells
@@ -263,7 +286,6 @@ void BM_ShardedHotspot(benchmark::State& state) {
     spec.base.measure = seconds(1);
     spec.base.warmup = milliseconds(100);
     spec.base.seed = seed++;
-    spec.base.scheduler_backend = bench_backend();
     for (int b = 0; b < 4; ++b) {
       HotspotBssSpec cell;
       cell.ap = Position{600.0 * b, 0.0};
@@ -304,21 +326,22 @@ BENCHMARK(BM_Hotspot)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SchedulerChurn)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TimerRestart)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ShardedHotspot)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_ReadyQueueHold, HoldHeap)
+    ->ArgsProduct({{4, 8, 16, 32, 64, 128, 256, 1024}, {500, 5000}})
+    ->ArgNames({"n", "gap_us"});
+BENCHMARK_TEMPLATE(BM_ReadyQueueHold, HoldReadyQueue)
+    ->ArgsProduct({{4, 8, 16, 32, 64, 128, 256, 1024}, {500, 5000}})
+    ->ArgNames({"n", "gap_us"});
 
 }  // namespace
 
 // Custom main (instead of BENCHMARK_MAIN) to stamp the run's context with
 // what actually matters for comparability: the *project* build type
-// (library_build_type only describes the system libbenchmark) and which
-// scheduler backend the binary defaults to.
+// (library_build_type only describes the system libbenchmark).
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("g80211_build_type", G80211_BUILD_TYPE);
-  benchmark::AddCustomContext(
-      "g80211_scheduler_backend",
-      bench_backend() == SchedulerBackend::kTimingWheel ? "timing_wheel"
-                                                        : "dary_heap");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

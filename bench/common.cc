@@ -60,6 +60,7 @@ PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed) {
         static_cast<double>(senders[i]->mac().stats().rts_sent));
     if (spec.tcp) out.avg_cwnd.push_back(tcp_flows[i].sender->avg_cwnd());
   }
+  out.ready_queue = sim.scheduler().ready_queue_stats();
   return out;
 }
 

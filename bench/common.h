@@ -49,6 +49,7 @@ struct PairsResult {
   std::vector<double> sender_avg_cw;
   std::vector<double> avg_cwnd;      // per TCP flow (empty for UDP)
   std::vector<double> rts_sent;      // per sender
+  ReadyQueueStats ready_queue;       // the run's scheduler mode switches
 };
 
 PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed);

@@ -126,7 +126,10 @@ class ShardedSim {
   }
   Time lookahead() const { return lookahead_; }
   std::uint64_t epochs_run() const { return epochs_; }
-  // Events executed across all shard schedulers.
+  // Events executed across all shard schedulers. Shard-invariant except
+  // for one warmup-reset event per shard (each shard is a Sim, and
+  // Sim::begin_run schedules one): events_executed() - num_shards() is the
+  // same at every shard count.
   std::uint64_t events_executed() const;
   // Packets that crossed a shard boundary through the mailboxes.
   std::uint64_t cross_packets_routed() const;

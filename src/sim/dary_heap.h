@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,11 @@ class DaryHeap {
       v_.pop_back();
     }
   }
+
+  // Every entry in storage (heap, not sorted) order, for a caller that
+  // re-homes them all in place and then clear()s, which keeps the capacity.
+  std::span<const T> unordered() const { return v_; }
+  void clear() { v_.clear(); }
 
  private:
   void sift_up(std::size_t i) {

@@ -32,9 +32,10 @@ class Scheduler;
 // Ready-queue implementation behind the scheduler. Both produce the exact
 // same event execution order (the comparator is a strict total order; the
 // golden event-order trace test pins the equivalence) — the choice is pure
-// mechanics. The wheel wins on the saturated-hotspot benchmarks (O(1)
-// push, tombstones skipped in bulk at slot drain), so it is the default;
-// the heap remains selectable for verification and A/B measurement.
+// mechanics. kTimingWheel is the one ready queue the engine runs: a 4-ary
+// heap while it holds at most 64 entries, a timing wheel above that (see
+// timing_wheel.h). kDaryHeap is the heap-only reference the tests compare
+// against.
 enum class SchedulerBackend {
   kDaryHeap,
   kTimingWheel,
@@ -111,6 +112,9 @@ class Scheduler {
   // Event-slab high-water mark: the most events that were ever pending at
   // once. Stays flat under schedule/cancel churn (slots are reused).
   std::size_t pool_slots() const { return pool_.slots(); }
+  // The ready queue's mode switches and cascades so far; all zero on
+  // kDaryHeap, whose queue has no modes.
+  const ReadyQueueStats& ready_queue_stats() const { return wheel_.stats(); }
 
  private:
   friend class EventId;

@@ -1,22 +1,52 @@
-// Hierarchical timing wheel — alternative ready-queue backend for the
-// scheduler (selectable against the 4-ary heap, see scheduler.h).
+// The scheduler's ready queue: a 4-ary heap while small, a hierarchical
+// timing wheel while large (the alternative backend, a plain 4-ary heap,
+// is selectable in scheduler.h as the test reference).
 //
-// Layout: 4 levels of 256 slots over a tick of 2^10 ns (1.024 us). Level k
-// spans 256^(k+1) ticks, so the wheel covers 2^42 ns (~73 simulated
-// minutes) ahead of the cursor; anything further sits in a small overflow
-// heap and is re-placed when the cursor approaches. Push is O(1): two
-// shifts and a vector push_back into the destination slot. Pop drains the
-// cursor's level-0 slot into a tiny "ready" heap that orders the (rarely
+// Two modes, chosen by the queue's own size (tombstones included, since
+// they cost heap work too):
+//   * heap mode, at most kSpillAbove (64) entries: every entry lives in
+//     the `ready_` 4-ary heap and push/pop are plain heap operations. The
+//     cursor sits at +infinity, so every push lands "behind" it, in
+//     ready_, through the same branch wheel mode uses.
+//   * wheel mode: the push that takes the queue above 64 *spills* every
+//     entry into the slots behind a cursor at the earliest tick; the pop
+//     that takes it below kCollapseBelow (16) *collapses* every slot and
+//     the overflow heap back into ready_. The 4x band between the two
+//     keeps a queue hovering near one threshold from flapping.
+//
+// Why 64: a hold model (N pending entries; each step pops the minimum and
+// pushes now + uniform(0, 2 * mean gap)), -O2, ns per pop+push, best of 5
+// (bench_ext_simperf's BM_ReadyQueueHold re-measures it):
+//
+//   N                     4    8   16   32   64  128  256  1024
+//   heap,  0.5 ms gap    34   47   49   62   64   71   75    93
+//   wheel, 0.5 ms gap    76   58   62   60   56   58   61    66
+//   heap,  5 ms gap      38   48   52   65   63   72   63    90
+//   wheel, 5 ms gap      99   92   90   85   61   51   48    48
+//
+// The crossover sits at 32-64. A sparse wheel loses because level 0 spans
+// only 262 us, shorter than the MAC's usual gaps, so most pops cascade
+// from level 1. The paper's own 2-8-station worlds hold 2-31 entries and
+// run as a heap; city-scale worlds hold 64-255 and run as a wheel.
+//
+// Wheel layout: 4 levels of 256 slots over a tick of 2^10 ns (1.024 us).
+// Level k spans 256^(k+1) ticks, so the wheel covers 2^42 ns (~73
+// simulated minutes) ahead of the cursor; anything further sits in a
+// small overflow heap and is re-placed when the cursor approaches. Push is
+// O(1): two shifts and a vector push_back into the destination slot. Pop
+// drains the cursor's level-0 slot into ready_, which orders the (rarely
 // more than a handful of) entries sharing one 1.024 us tick.
 //
 // Determinism: pop order is by the caller's strict total order (time,
-// insertion-seq), identical to the d-ary heap backend. Slots partition time
-// into disjoint tick ranges and are drained strictly in tick order (per-slot
-// occupancy bitmaps make the in-order scan cheap); within a tick the ready
-// heap applies the full comparator. The golden event-order trace test in
-// tests/test_scheduler.cc pins the equivalence on both backends.
+// insertion-seq), identical to the d-ary heap backend, in both modes and
+// across every switch. Slots partition time into disjoint tick ranges and
+// are drained strictly in tick order (per-slot occupancy bitmaps make the
+// in-order scan cheap); within a tick, and after a collapse, ready_
+// applies the full comparator. The golden event-order trace test and the
+// container-level differential test in tests/test_scheduler.cc pin the
+// equivalence.
 //
-// Why a wheel can beat a heap here: push/pop on the heap are O(log n) with
+// Why a large wheel beats a heap: push/pop on the heap are O(log n) with
 // data-dependent branches; the wheel replaces them with O(1) stores and a
 // bitmap scan whose cost is amortised over the events of a tick. The MAC's
 // schedule-then-cancel churn (NAV, difs/backoff timers) also dies cheaply:
@@ -35,28 +65,44 @@
 
 namespace g80211 {
 
+// What a TimingWheel's mode switches and cursor moves cost, counted where
+// they happen (never on the per-event path). A pure function of the
+// push/pop sequence, so deterministic.
+struct ReadyQueueStats {
+  std::uint64_t spills = 0;     // heap mode -> wheel mode
+  std::uint64_t collapses = 0;  // wheel mode -> heap mode
+  std::uint64_t cascades = 0;   // coarse slots re-placed as the cursor moved
+};
+
 // T must expose a `when` (Time) member; Before must be the scheduler's
 // strict total order over T. Interface mirrors DaryHeap except that top()
 // is non-const (it may advance the cursor and cascade slots lazily).
 template <typename T, typename Before>
 class TimingWheel {
  public:
+  // Mode thresholds on size(); see the header comment.
+  static constexpr std::size_t kSpillAbove = 64;
+  static constexpr std::size_t kCollapseBelow = 16;
+
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
+  const ReadyQueueStats& stats() const { return stats_; }
 
   void push(const T& x) {
     ++size_;
     const std::uint64_t tick = tick_of(x.when);
-    if (tick < next_tick_) {  // cursor already passed this tick's slot
+    if (tick < next_tick_) {  // behind the cursor: always so in heap mode
       ready_.push(x);
+      if (size_ > kSpillAbove && heap_mode()) spill();
       return;
     }
     place(x, tick);
   }
 
-  // top()/pop() fast path: ready_ already holds the minimum (true for
-  // every peek after the first of an event, and for the pop that follows
-  // a peek), so the cursor walk stays out of line and off the hot path.
+  // top()/pop() fast path: ready_ already holds the minimum (always in
+  // heap mode; in wheel mode for every peek after the first of an event,
+  // and for the pop that follows a peek), so the cursor walk stays out of
+  // line and off the hot path.
   const T& top() {
     if (ready_.empty()) advance();
     return ready_.top();
@@ -66,6 +112,7 @@ class TimingWheel {
     if (ready_.empty()) advance();
     ready_.pop();
     --size_;
+    if (size_ < kCollapseBelow && !heap_mode()) collapse();
   }
 
  private:
@@ -74,6 +121,10 @@ class TimingWheel {
   static constexpr std::size_t kSlots = 1u << kSlotBits;  // 256 per level
   static constexpr int kLevels = 4;
   static constexpr std::uint64_t kSlotMask = kSlots - 1;
+  // Heap mode's cursor: past every real tick (a Time's tick is < 2^53).
+  static constexpr std::uint64_t kHeapCursor = ~std::uint64_t{0};
+
+  bool heap_mode() const { return next_tick_ == kHeapCursor; }
 
   static std::uint64_t tick_of(Time when) {
     G80211_DCHECK(when >= 0 && "wheel time must be non-negative");
@@ -111,8 +162,9 @@ class TimingWheel {
   // level's granularity, still contains the tick; beyond level 3 it
   // overflows to the heap. Coarse-delta (not raw-delta) comparison keeps
   // every slot holding exactly one coarse-tick value at a time, which is
-  // what makes the in-order drain correct across window wrap.
-  void place(const T& x, std::uint64_t tick) {
+  // what makes the in-order drain correct across window wrap. Inlined:
+  // it is the body of every wheel-mode push.
+  [[gnu::always_inline]] void place(const T& x, std::uint64_t tick) {
     for (int k = 0; k < kLevels; ++k) {
       const int shift = kSlotBits * k;
       if ((tick >> shift) - (next_tick_ >> shift) < kSlots) {
@@ -126,9 +178,58 @@ class TimingWheel {
     overflow_.push(x);
   }
 
+  // Move every entry of level-k slot `idx` into ready_; the slot keeps its
+  // capacity.
+  void drain(int k, std::size_t idx) {
+    std::vector<T>& slot = slots_[k][idx];
+    for (const T& x : slot) ready_.push(x);
+    in_wheel_ -= slot.size();
+    slot.clear();
+    bm_[k].clear(idx);
+  }
+
+  // Heap mode -> wheel mode: place every entry of ready_ behind a cursor at
+  // the earliest tick. The slots are empty in heap mode, so any cursor at
+  // or below the minimum is consistent, and placing walks ready_'s storage
+  // in place (order does not matter there). Cold and out of line, like
+  // collapse(): a run switches modes a handful of times, and inlining either
+  // into push()/pop() bloats every scheduling site and the event loop.
+  [[gnu::cold, gnu::noinline]] void spill() {
+    ++stats_.spills;
+    next_tick_ = tick_of(ready_.top().when);
+    for (const T& x : ready_.unordered()) place(x, tick_of(x.when));
+    ready_.clear();
+    G80211_DCHECK(ready_.empty() && in_wheel_ + overflow_.size() == size_);
+  }
+
+  // Wheel mode -> heap mode: every occupied slot (found through the
+  // bitmaps) and the overflow heap join ready_. Order-safe because ready_
+  // applies the full comparator.
+  [[gnu::cold, gnu::noinline]] void collapse() {
+    ++stats_.collapses;
+    for (int k = 0; k < kLevels; ++k) {
+      for (int s = bm_[k].next(0); s >= 0; s = bm_[k].next(0)) {
+        drain(k, static_cast<std::size_t>(s));
+      }
+    }
+    for (const T& x : overflow_.unordered()) ready_.push(x);
+    overflow_.clear();
+    next_tick_ = kHeapCursor;
+    G80211_DCHECK(in_wheel_ == 0 && slots_empty() && overflow_.empty() &&
+                  ready_.size() == size_);
+  }
+
+  bool slots_empty() const {
+    for (const Bitmap& b : bm_) {
+      if (b.any()) return false;
+    }
+    return true;
+  }
+
   // Re-place every entry of level-k slot `idx` now that the cursor entered
   // its coarse tick; entries land at a strictly lower level (or level 0).
   void cascade(int k, std::size_t idx) {
+    ++stats_.cascades;
     std::vector<T>& slot = slots_[k][idx];
     bm_[k].clear(idx);
     // Swap out: place() touches other slots of the same level only at
@@ -190,22 +291,22 @@ class TimingWheel {
     }
   }
 
-  // Move the cursor forward until ready_ holds the queue's minimum.
+  // Move the cursor forward until ready_ holds the queue's minimum (wheel
+  // mode only: in heap mode ready_ holds every entry). Out of line: it runs
+  // once per drained tick, not per event, and must not bloat the loops that
+  // call top()/pop().
   // Invariants: every entry with tick < next_tick_ is in ready_; the
   // cursor's own slot at every level has already been cascaded/drained.
-  void advance() {
+  [[gnu::noinline]] void advance() {
     G80211_DCHECK(size_ > 0 && "top()/pop() of an empty wheel");
+    G80211_DCHECK(!heap_mode());
     while (ready_.empty()) {
       // Drain the next occupied level-0 slot of the current window.
       const std::size_t idx0 = next_tick_ & kSlotMask;
       if (const int s = bm_[0].next(idx0); s >= 0) {
         const std::uint64_t tick =
             (next_tick_ - idx0) + static_cast<std::uint64_t>(s);
-        std::vector<T>& slot = slots_[0][static_cast<std::size_t>(s)];
-        for (const T& x : slot) ready_.push(x);
-        in_wheel_ -= slot.size();
-        slot.clear();
-        bm_[0].clear(static_cast<std::size_t>(s));
+        drain(0, static_cast<std::size_t>(s));
         // Through jump_to, not a bare increment: stepping off the last tick
         // of a coarse window must cascade the newly entered higher-level
         // slots, or an entry parked there (pushed when its delta was
@@ -249,13 +350,17 @@ class TimingWheel {
     }
   }
 
-  std::uint64_t next_tick_ = 0;  // level-0 cursor: all earlier ticks drained
+  // Level-0 cursor: all earlier ticks drained. kHeapCursor in heap mode.
+  std::uint64_t next_tick_ = kHeapCursor;
   std::size_t size_ = 0;         // total entries (ready + wheel + overflow)
   std::size_t in_wheel_ = 0;     // entries currently in wheel slots
   std::array<std::array<std::vector<T>, kSlots>, kLevels> slots_;
   std::array<Bitmap, kLevels> bm_;
-  DaryHeap<T, Before> ready_;     // drained ticks, full comparator order
+  // Heap mode: every entry. Wheel mode: drained ticks, in full comparator
+  // order.
+  DaryHeap<T, Before> ready_;
   DaryHeap<T, Before> overflow_;  // beyond the wheel span
+  ReadyQueueStats stats_;
 };
 
 }  // namespace g80211

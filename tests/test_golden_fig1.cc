@@ -12,6 +12,11 @@
 // The config is fully explicit (warmup/measure set here, not via
 // base_config), so the result is independent of the G80211_QUICK
 // environment that ctest sets.
+//
+// Fig 1 is the sparse regime, where the scheduler's ready queue stays a
+// heap; a dense twin (a Fig 4 TCP world whose queue spills into the timing
+// wheel and collapses back) proves the same bit-identity across the
+// queue's mode switches.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -43,10 +48,31 @@ std::uint64_t fnv1a_bits(const std::vector<double>& values) {
   return h;
 }
 
-// `capture_stem` non-empty: record a capture of the first sweep point.
-std::vector<double> fig1_metric_vector(SchedulerBackend backend,
-                                       const std::string& capture_stem) {
+void append_pairs_metrics(const bench::PairsResult& r,
+                          std::vector<double>& metrics) {
+  metrics.insert(metrics.end(), r.goodput_mbps.begin(), r.goodput_mbps.end());
+  metrics.insert(metrics.end(), r.sender_avg_cw.begin(),
+                 r.sender_avg_cw.end());
+  metrics.insert(metrics.end(), r.rts_sent.begin(), r.rts_sent.end());
+}
+
+// A slice's metric vector plus its ready-queue mode switches, summed over
+// the slice's runs.
+struct SliceRun {
   std::vector<double> metrics;
+  ReadyQueueStats ready_queue;
+};
+
+void add_stats(const ReadyQueueStats& run, ReadyQueueStats& total) {
+  total.spills += run.spills;
+  total.collapses += run.collapses;
+  total.cascades += run.cascades;
+}
+
+// `capture_stem` non-empty: record a capture of the first sweep point.
+SliceRun fig1_metric_vector(SchedulerBackend backend,
+                            const std::string& capture_stem) {
+  SliceRun out;
   for (const Time inflation :
        {microseconds(0), microseconds(600), milliseconds(2)}) {
     bench::PairsSpec spec;
@@ -66,15 +92,11 @@ std::vector<double> fig1_metric_vector(SchedulerBackend backend,
     };
     for (const std::uint64_t seed : {std::uint64_t{100}, std::uint64_t{101}}) {
       const bench::PairsResult r = bench::run_pairs(spec, seed);
-      metrics.insert(metrics.end(), r.goodput_mbps.begin(),
-                     r.goodput_mbps.end());
-      metrics.insert(metrics.end(), r.sender_avg_cw.begin(),
-                     r.sender_avg_cw.end());
-      metrics.insert(metrics.end(), r.rts_sent.begin(), r.rts_sent.end());
+      append_pairs_metrics(r, out.metrics);
+      add_stats(r.ready_queue, out.ready_queue);
     }
   }
-
-  return metrics;
+  return out;
 }
 
 // Recorded from the current engine. A mismatch means simulation output
@@ -102,16 +124,66 @@ TEST(GoldenFig1, MetricVectorBitIdentical) {
   // capture suite) fails, so a red run ships its evidence.
   const std::filesystem::path dir =
       test::artifact_dir("capture_test_artifacts");
-  expect_golden(fig1_metric_vector(kDefaultSchedulerBackend,
-                                   (dir / "golden_fig1").string()));
+  const SliceRun run = fig1_metric_vector(kDefaultSchedulerBackend,
+                                          (dir / "golden_fig1").string());
+  expect_golden(run.metrics);
+  // Fig 1's two pairs are the sparse regime: the ready queue never holds
+  // more than its spill threshold, so the whole slice runs as a heap.
+  EXPECT_EQ(run.ready_queue.spills, 0u);
+  EXPECT_EQ(run.ready_queue.cascades, 0u);
 }
 
 TEST(GoldenFig1, MetricVectorBitIdenticalOnBothSchedulerBackends) {
   // The ready-queue backend is pure mechanics: heap or wheel, the engine
   // must dispatch the identical event sequence and therefore reproduce the
   // identical metric bits.
-  expect_golden(fig1_metric_vector(SchedulerBackend::kDaryHeap, ""));
-  expect_golden(fig1_metric_vector(SchedulerBackend::kTimingWheel, ""));
+  expect_golden(fig1_metric_vector(SchedulerBackend::kDaryHeap, "").metrics);
+  expect_golden(
+      fig1_metric_vector(SchedulerBackend::kTimingWheel, "").metrics);
+}
+
+// Fig 1's twin in the dense regime: Fig 4's two TCP pairs with the CTS
+// NAV inflated by 10 ms. TCP's bursts take the ready queue from ~30 to
+// ~220 entries and back, so it spills into its wheel and collapses back
+// into its heap mid-run, and the bit-identity above is proven across both
+// mode switches.
+SliceRun dense_metric_vector(SchedulerBackend backend) {
+  SliceRun out;
+  bench::PairsSpec spec;
+  spec.tcp = true;
+  spec.cfg.standard = Standard::B80211;
+  spec.cfg.rts_cts = true;
+  spec.cfg.warmup = milliseconds(500);
+  spec.cfg.measure = seconds(2);
+  spec.cfg.scheduler_backend = backend;
+  spec.customize = [](Sim& sim, std::vector<Node*>&, std::vector<Node*>& rx) {
+    sim.make_nav_inflator(*rx[1], NavFrameMask::cts_only(), milliseconds(10));
+  };
+  for (const std::uint64_t seed : {std::uint64_t{100}, std::uint64_t{101}}) {
+    const bench::PairsResult r = bench::run_pairs(spec, seed);
+    append_pairs_metrics(r, out.metrics);
+    out.metrics.insert(out.metrics.end(), r.avg_cwnd.begin(),
+                       r.avg_cwnd.end());
+    add_stats(r.ready_queue, out.ready_queue);
+  }
+  return out;
+}
+
+TEST(GoldenFig1, DenseTwinBitIdenticalOnBothSchedulerBackends) {
+  const SliceRun heap = dense_metric_vector(SchedulerBackend::kDaryHeap);
+  const SliceRun queue = dense_metric_vector(kDefaultSchedulerBackend);
+  ASSERT_EQ(heap.metrics.size(), queue.metrics.size());
+  EXPECT_EQ(fnv1a_bits(heap.metrics), fnv1a_bits(queue.metrics))
+      << "the ready queue's mode switches changed the dispatch order";
+  // The heap-only reference has no modes. The default queue's switches are
+  // a pure function of the run, so they are pinned exactly: a change here
+  // with the hash above unchanged means the queue's mechanics moved.
+  EXPECT_EQ(heap.ready_queue.spills, 0u);
+  EXPECT_EQ(heap.ready_queue.collapses, 0u);
+  EXPECT_EQ(heap.ready_queue.cascades, 0u);
+  EXPECT_EQ(queue.ready_queue.spills, 4u);
+  EXPECT_EQ(queue.ready_queue.collapses, 2u);
+  EXPECT_EQ(queue.ready_queue.cascades, 8698u);
 }
 
 }  // namespace

@@ -1,19 +1,37 @@
 // Unit tests for the discrete-event kernel: ordering, cancellation,
-// determinism, timers, the pooled event slab and its generation handles.
+// determinism, timers, the pooled event slab and its generation handles,
+// and the ready queue's heap/wheel mode switches.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/sim/dary_heap.h"
 #include "src/sim/inplace_function.h"
 #include "src/sim/scheduler.h"
+#include "src/sim/timing_wheel.h"
 
 namespace g80211 {
 namespace {
 
+// A bare ready-queue entry for driving the containers directly.
+struct Item {
+  Time when = 0;
+  std::uint64_t seq = 0;
+};
+struct ItemBefore {
+  bool operator()(const Item& a, const Item& b) const {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
+};
+using ItemWheel = TimingWheel<Item, ItemBefore>;
+using ItemHeap = DaryHeap<Item, ItemBefore>;
+
 // Every scheduler-facing test runs against both ready-queue backends: the
-// 4-ary heap and the hierarchical timing wheel must be observationally
+// heap-only reference and the default queue (a 4-ary heap that spills into
+// a hierarchical timing wheel above 64 entries) must be observationally
 // identical (same dispatch order, same stats) — see scheduler.h.
 class SchedulerSuite : public ::testing::TestWithParam<SchedulerBackend> {};
 
@@ -219,12 +237,37 @@ TEST_P(SchedulerSuite, GoldenEventOrderTrace) {
                                              "timer", "c1", "c2"}));
 }
 
-TEST_P(SchedulerSuite, CrossLevelTimesFireInOrder) {
-  // Deadlines spanning every wheel level — sub-tick, level 0, the higher
-  // windows, and far past the 2^42 ns span (overflow) — plus events
-  // scheduled mid-run. The heap backend runs the same schedule, so this
-  // also pins backend equivalence at coarse horizons.
-  Scheduler s{GetParam()};
+// Small schedules run as the ready queue's heap. To keep the wheel's own
+// mechanics under test, the *InWheelMode cases re-run a schedule after
+// pre-loading the (fresh) scheduler past the spill threshold with
+// cancelled fillers. One filler at time 0 pins the spill's cursor at tick
+// 0, where a fresh wheel's cursor starts, so the test's own deadlines are
+// placed exactly as before; the rest sit at `after`, past the test's last
+// deadline, and hold the queue above the collapse threshold until then.
+void spill_with_fillers(Scheduler& s, Time after) {
+  s.at(0, [] {}).cancel();
+  for (std::size_t i = 0; i < ItemWheel::kSpillAbove; ++i) {
+    s.at(after, [] {}).cancel();
+  }
+}
+
+// After a run that started from spill_with_fillers(): the default queue
+// ran the schedule in wheel mode and collapsed as the fillers drained.
+void expect_ran_in_wheel_mode(const Scheduler& s) {
+  const ReadyQueueStats& q = s.ready_queue_stats();
+  if (s.backend() == SchedulerBackend::kDaryHeap) {
+    EXPECT_EQ(q.spills, 0u);
+    return;
+  }
+  EXPECT_GE(q.spills, 1u);
+  EXPECT_GE(q.collapses, 1u);
+}
+
+// Deadlines spanning every wheel level — sub-tick, level 0, the higher
+// windows, and far past the 2^42 ns span (overflow) — plus events
+// scheduled mid-run. The heap backend runs the same schedule, so this also
+// pins backend equivalence at coarse horizons.
+void run_cross_level_times(Scheduler& s) {
   std::vector<int> order;
   const Time times[] = {
       nanoseconds(1),   nanoseconds(900),  microseconds(2),
@@ -246,10 +289,21 @@ TEST_P(SchedulerSuite, CrossLevelTimesFireInOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 100, 5, 6, 101, 7, 8, 9}));
 }
 
-TEST_P(SchedulerSuite, IdleGapThenLateEventFires) {
-  // A lone far-future event forces the wheel to skip a long empty stretch
-  // (cursor jumps, not tick-by-tick crawling).
+TEST_P(SchedulerSuite, CrossLevelTimesFireInOrder) {
   Scheduler s{GetParam()};
+  run_cross_level_times(s);
+}
+
+TEST_P(SchedulerSuite, CrossLevelTimesFireInOrderInWheelMode) {
+  Scheduler s{GetParam()};
+  spill_with_fillers(s, seconds(9000));
+  run_cross_level_times(s);
+  expect_ran_in_wheel_mode(s);
+}
+
+// A lone far-future event forces the wheel to skip a long empty stretch
+// (cursor jumps, not tick-by-tick crawling).
+void run_idle_gap_then_late_event(Scheduler& s) {
   Time fired_at = -1;
   s.at(seconds(7200), [&] { fired_at = s.now(); });
   s.run();
@@ -257,13 +311,24 @@ TEST_P(SchedulerSuite, IdleGapThenLateEventFires) {
   EXPECT_EQ(s.now(), seconds(7200));
 }
 
-TEST_P(SchedulerSuite, CoarseWindowBoundaryDoesNotLeapfrogParkedEntry) {
-  // Regression: B lands one full level-0 window ahead of the cursor (tick
-  // delta exactly 256), parking it in a level-1 slot. A fires on the last
-  // tick of the window and schedules a nested event one tick past B. The
-  // cursor's step off the window edge must cascade the level-1 slot it
-  // enters, or the nested tick-257 entry leapfrogs B (tick 256).
+TEST_P(SchedulerSuite, IdleGapThenLateEventFires) {
   Scheduler s{GetParam()};
+  run_idle_gap_then_late_event(s);
+}
+
+TEST_P(SchedulerSuite, IdleGapThenLateEventFiresInWheelMode) {
+  Scheduler s{GetParam()};
+  spill_with_fillers(s, seconds(9000));
+  run_idle_gap_then_late_event(s);
+  expect_ran_in_wheel_mode(s);
+}
+
+// Regression: B lands one full level-0 window ahead of the cursor (tick
+// delta exactly 256), parking it in a level-1 slot. A fires on the last
+// tick of the window and schedules a nested event one tick past B. The
+// cursor's step off the window edge must cascade the level-1 slot it
+// enters, or the nested tick-257 entry leapfrogs B (tick 256).
+void run_coarse_window_boundary(Scheduler& s) {
   std::vector<int> order;
   s.at(nanoseconds(262000), [&] {  // tick 255
     order.push_back(0);
@@ -272,6 +337,23 @@ TEST_P(SchedulerSuite, CoarseWindowBoundaryDoesNotLeapfrogParkedEntry) {
   s.at(nanoseconds(263000), [&] { order.push_back(1); });  // tick 256
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST_P(SchedulerSuite, CoarseWindowBoundaryDoesNotLeapfrogParkedEntry) {
+  Scheduler s{GetParam()};
+  run_coarse_window_boundary(s);
+}
+
+TEST_P(SchedulerSuite,
+       CoarseWindowBoundaryDoesNotLeapfrogParkedEntryInWheelMode) {
+  Scheduler s{GetParam()};
+  spill_with_fillers(s, milliseconds(1));
+  run_coarse_window_boundary(s);
+  expect_ran_in_wheel_mode(s);
+  if (s.backend() == SchedulerBackend::kTimingWheel) {
+    // The window-edge step cascaded B's level-1 slot.
+    EXPECT_GE(s.ready_queue_stats().cascades, 1u);
+  }
 }
 
 TEST(SchedulerEquivalence, BackendsDispatchIdenticalOrder) {
@@ -319,6 +401,118 @@ TEST(SchedulerEquivalence, BackendsDispatchIdenticalOrder) {
   const auto wheel = run_backend(SchedulerBackend::kTimingWheel);
   ASSERT_EQ(heap.size(), wheel.size());
   EXPECT_EQ(heap, wheel);
+}
+
+// The ready queue against the plain heap, below the scheduler: seeded
+// random push/pop sequences whose size swings repeatedly across both mode
+// thresholds, with deadlines at every wheel level and in overflow, pushes
+// just behind the cursor right after each spill, and equal-`when` ties.
+// Like the scheduler, pushes never go below the last popped time.
+TEST(ReadyQueueDifferential, WheelPopsInHeapOrderAcrossModeSwitches) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    ItemWheel wheel;
+    ItemHeap heap;
+    std::uint64_t state = 0x9E3779B97F4A7C15ULL * seed;
+    auto next = [&state] {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return state;
+    };
+    Time now = 0;
+    Time last_when = 0;
+    std::uint64_t seq = 0;
+    // The mode the thresholds imply, modelled apart from the wheel.
+    bool wheel_mode = false;
+    std::uint64_t want_spills = 0;
+    std::uint64_t want_collapses = 0;
+    std::uint64_t behind_pushes = 0;
+    // Returns true when this push should spill the wheel.
+    auto push = [&](Time when) {
+      const Item x{when, seq++};
+      wheel.push(x);
+      heap.push(x);
+      last_when = when;
+      if (wheel_mode || heap.size() <= ItemWheel::kSpillAbove) return false;
+      wheel_mode = true;
+      ++want_spills;
+      return true;
+    };
+    // Pops both; true when they agree on the entry.
+    auto pop_matches = [&] {
+      const Item w = wheel.top();
+      const Item h = heap.top();
+      wheel.pop();
+      heap.pop();
+      now = h.when;
+      if (wheel_mode && heap.size() < ItemWheel::kCollapseBelow) {
+        wheel_mode = false;
+        ++want_collapses;
+      }
+      return w.when == h.when && w.seq == h.seq;
+    };
+    // Deadline offsets within one 1.024 us tick, within wheel levels 0..3
+    // (up to 2^18, 2^26, 2^34, 2^42 ns ahead), in overflow, or tied with
+    // the last push.
+    auto deadline = [&]() -> Time {
+      const std::uint64_t r = next();
+      const std::uint64_t v = r >> 3;
+      switch (r % 7) {
+        case 0: return now + static_cast<Time>(v % 1024);
+        case 1: return now + static_cast<Time>(v % (std::uint64_t{1} << 18));
+        case 2: return now + static_cast<Time>(v % (std::uint64_t{1} << 26));
+        case 3: return now + static_cast<Time>(v % (std::uint64_t{1} << 34));
+        case 4: return now + static_cast<Time>(v % (std::uint64_t{1} << 42));
+        case 5:
+          return now + static_cast<Time>((std::uint64_t{1} << 42) +
+                                         v % (std::uint64_t{1} << 44));
+        default: return last_when >= now ? last_when : now;
+      }
+    };
+    for (int cycle = 0; cycle < 60; ++cycle) {
+      // Grow past the spill threshold (3 pushes per pop on average)...
+      const std::size_t high = ItemWheel::kSpillAbove + 1 + next() % 120;
+      while (heap.size() < high) {
+        if (heap.empty() || next() % 4 != 0) {
+          if (push(deadline())) {
+            // The spill put the cursor at the earliest entry's tick. Push
+            // into the tick just behind it, at its first instant, and tied
+            // with the earliest entry itself.
+            const Time min_when = heap.top().when;
+            const Time cursor_at = (min_when >> 10) << 10;
+            if (cursor_at - 1 >= now) {
+              push(cursor_at - 1);
+              ++behind_pushes;
+            }
+            push(cursor_at >= now ? cursor_at : now);
+            push(min_when);
+          }
+        } else {
+          ASSERT_TRUE(pop_matches());
+        }
+        ASSERT_EQ(wheel.size(), heap.size());
+      }
+      // ...then shrink below the collapse threshold, sometimes to empty.
+      const std::size_t low = next() % ItemWheel::kCollapseBelow;
+      while (heap.size() > low) {
+        if (next() % 4 == 0) {
+          push(deadline());
+        } else {
+          ASSERT_TRUE(pop_matches());
+        }
+        ASSERT_EQ(wheel.size(), heap.size());
+      }
+    }
+    while (!heap.empty()) ASSERT_TRUE(pop_matches());
+    EXPECT_TRUE(wheel.empty());
+    EXPECT_EQ(wheel.stats().spills, want_spills);
+    EXPECT_EQ(wheel.stats().collapses, want_collapses);
+    EXPECT_GE(want_spills, 60u);
+    EXPECT_GE(want_collapses, 60u);
+    EXPECT_GT(behind_pushes, 0u);
+    EXPECT_GT(wheel.stats().cascades, 0u);
+  }
 }
 
 TEST(InplaceFunction, MoveTransfersTheCallable) {

@@ -4,6 +4,8 @@
 //  * partitions that would split carrier-sense neighborhoods are refused;
 //  * cross-shard backhaul flows deliver through the epoch mailboxes at
 //    every shard count;
+//  * the event count is shard-invariant except for one warmup-reset event
+//    per shard;
 //  * the auto-partitioner is deterministic, contiguous and balanced.
 #include <gtest/gtest.h>
 
@@ -116,6 +118,28 @@ TEST(ShardedSim, InlineAndThreadedExecutionsAreIdentical) {
   const auto inline_run = run_world(spec, 2, /*threaded=*/false);
   const auto threaded_run = run_world(spec, 2, /*threaded=*/true);
   EXPECT_TRUE(identical(inline_run, threaded_run));
+}
+
+TEST(ShardedSim, EventCountIsShardInvariantBesideOneWarmupResetPerShard) {
+  // Every shard is a Sim, and each Sim schedules one warmup-reset event
+  // when it begins its run; every other event belongs to a station, a flow
+  // or a wire and runs on exactly one shard. So the engine's event count
+  // less one per shard is the same at every shard count, with and without
+  // cross-shard backhaul.
+  for (const bool cross_flows : {false, true}) {
+    SCOPED_TRACE(cross_flows);
+    const ShardedWorldSpec spec = separated_world(4, 2, cross_flows);
+    std::vector<std::uint64_t> world_events;
+    for (const int shards : {1, 2, 4}) {
+      ShardedSim sim(spec, shards, /*threaded=*/false);
+      sim.run();
+      world_events.push_back(sim.events_executed() -
+                             static_cast<std::uint64_t>(sim.num_shards()));
+    }
+    EXPECT_GT(world_events[0], 0u);
+    EXPECT_EQ(world_events[1], world_events[0]);
+    EXPECT_EQ(world_events[2], world_events[0]);
+  }
 }
 
 TEST(ShardedSim, RefusesPartitionWithinCarrierSenseRange) {
