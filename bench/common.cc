@@ -61,6 +61,10 @@ PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed) {
     if (spec.tcp) out.avg_cwnd.push_back(tcp_flows[i].sender->avg_cwnd());
   }
   out.ready_queue = sim.scheduler().ready_queue_stats();
+  out.events = sim.scheduler().executed();
+  for (int id = 0; id < sim.num_nodes(); ++id) {
+    out.queue_drops += sim.node(id).mac().stats().queue_drops;
+  }
   return out;
 }
 

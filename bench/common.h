@@ -50,6 +50,8 @@ struct PairsResult {
   std::vector<double> avg_cwnd;      // per TCP flow (empty for UDP)
   std::vector<double> rts_sent;      // per sender
   ReadyQueueStats ready_queue;       // the run's scheduler mode switches
+  std::uint64_t events = 0;          // events the run executed
+  std::int64_t queue_drops = 0;      // MacStats::queue_drops over all nodes
 };
 
 PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed);

@@ -45,23 +45,27 @@ struct ByteOut {
 // Record header + radiotap + the longest MAC header (DATA): 51 bytes.
 constexpr std::size_t kMaxPcapRecord = 16 + kRadiotapLen + kHdrLenData;
 
+// The three quantisers saturate at their field's range for any input:
+// rounding happens in the input's own type, so no value can overflow
+// before the clamp (a long cannot hold 1e21 dBm; d + 500 can wrap).
 std::uint16_t duration_us(Time d) {
   if (d <= 0) return 0;
-  const Time us = (d + 500) / 1000;  // round to the nearest microsecond
+  // Round to the nearest microsecond.
+  const Time us = d / 1000 + (d % 1000 >= 500 ? 1 : 0);
   return us > 0xffff ? 0xffff : static_cast<std::uint16_t>(us);
 }
 
 std::uint8_t rate_half_mbps(double mbps) {
-  const double v = std::lround(mbps * 2.0);
-  if (v < 0) return 0;
-  if (v > 255) return 255;
+  const double v = std::round(mbps * 2.0);
+  if (!(v > 0.0)) return 0;  // and NaN
+  if (v > 255.0) return 255;
   return static_cast<std::uint8_t>(v);
 }
 
 std::int8_t rssi_s8(double dbm) {
-  const long v = std::lround(dbm);
-  if (v < -128) return -128;
-  if (v > 127) return 127;
+  const double v = std::round(dbm);
+  if (!(v > -128.0)) return -128;  // and NaN
+  if (v > 127.0) return 127;
   return static_cast<std::int8_t>(v);
 }
 

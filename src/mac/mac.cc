@@ -99,6 +99,12 @@ double Mac::data_rate_to(int dest) const {
                    auto_rate_start_index_)];
 }
 
+MacStats Mac::stats() const {
+  MacStats s = stats_;
+  s.queue_drops = queue_.drops();
+  return s;
+}
+
 const ArfRateController* Mac::rate_controller(int dest) const {
   const auto it = rate_ctrl_.find(dest);
   return it != rate_ctrl_.end() ? &it->second : nullptr;
@@ -109,10 +115,7 @@ const ArfRateController* Mac::rate_controller(int dest) const {
 // ---------------------------------------------------------------------------
 
 void Mac::send(PacketPtr packet, int dest_mac) {
-  if (!queue_.push(std::move(packet), dest_mac)) {
-    ++stats_.queue_drops;
-    return;
-  }
+  if (!queue_.push(std::move(packet), dest_mac)) return;  // a queue drop
   if (!current_) {
     start_service();
     reevaluate();

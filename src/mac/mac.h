@@ -137,6 +137,9 @@ class Mac : public PhyListener {
   // Enqueue a packet for transmission to MAC address `dest_mac`.
   void send(PacketPtr packet, int dest_mac);
   std::size_t queue_size() const { return queue_.size(); }
+  // The interface queue, for sources that sleep on it while it is full
+  // (CbrSource::feed). Packets enter through send().
+  DropTailQueue& queue() { return queue_; }
 
   // Association handoff support: drop every queued (not yet serviced)
   // packet addressed to `dest_mac`. A frame already under service —
@@ -149,7 +152,9 @@ class Mac : public PhyListener {
   }
 
   // --- stats --------------------------------------------------------------
-  const MacStats& stats() const { return stats_; }
+  // A snapshot. queue_drops is the interface queue's drops(), which counts
+  // the ticks of sources asleep on it up to now.
+  MacStats stats() const;
   const Backoff& backoff() const { return backoff_; }
   const Nav& nav() const { return nav_; }
 

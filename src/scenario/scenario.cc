@@ -74,7 +74,7 @@ CbrSource& Sim::add_cbr_source(Node& src, int flow_id, int dst_node,
   cbr_sources_.push_back(std::make_unique<CbrSource>(sched_, cc, flow_id,
                                                      src.id(), dst_node, rng));
   CbrSource& source = *cbr_sources_.back();
-  source.output = [&src](PacketPtr p) { src.send_packet(std::move(p)); };
+  source.feed(src);
   source.start(start_at);
   return source;
 }

@@ -213,9 +213,9 @@ void ShardedSim::build_shard(const ShardedWorldSpec& spec, int s) {
       EpochMailbox<RoutedPacket>* box = &mailboxes_[c];
       const Time latency = cf.latency;
       const int link = static_cast<int>(c);
-      source.output = [sched, box, latency, link](PacketPtr p) {
+      source.send_to([sched, box, latency, link](PacketPtr p) {
         box->push(RoutedPacket{sched->now() + latency, link, *p});
-      };
+      });
       h.source = &source;
     }
   }

@@ -253,10 +253,10 @@ BuiltWorld::BuiltWorld(const WorldSpec& spec)
       if (st.roams) {
         // Deliver through whichever AP the station is associated with;
         // handoffs re-point delivery_ap_ and flush the old AP's queue.
-        f.source->output = [this, s](PacketPtr p) {
+        f.source->send_to([this, s](PacketPtr p) {
           ap_nodes_[static_cast<std::size_t>(delivery_ap_[s])]->send_packet(
               std::move(p));
-        };
+        });
       }
     }
   }

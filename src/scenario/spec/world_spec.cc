@@ -16,6 +16,13 @@ namespace {
 // (~292 years) while sitting far above any realistic run.
 constexpr double kMaxDurationS = 1e6;
 
+// Upper bound on APs plus stations. plan_world allocates every node's
+// plan up front, so a grid far past any real deployment (46340 x 46340
+// APs asks for 2.1e9 positions) would otherwise end in std::bad_alloc or
+// an out-of-memory kill instead of an error at the key. 2^20 sits above
+// every committed world and above a 10^6-station city.
+constexpr std::int64_t kMaxNodes = std::int64_t{1} << 20;
+
 // Typed, consumed-key-tracking view of one table. Every getter removes
 // the key from the pending set; finish() rejects leftovers, so a typo
 // like `warmupt_s` fails with its own line number instead of silently
@@ -280,12 +287,26 @@ WorldSpec parse_world_spec(const Value& doc, const std::string& source) {
     if (out.per_ap < 1) r.fail(r.raw(), "per_ap must be >= 1");
     const std::int64_t stations =
         std::int64_t{out.num_aps()} * std::int64_t{out.per_ap};
+    // Anchored at per_ap, or at the AP count when per_ap is the default.
+    const Value* per_ap = r.find("per_ap");
     if (stations > std::numeric_limits<int>::max()) {
-      // Anchored at per_ap, or at the AP count when per_ap is the default.
-      const Value* per_ap = r.find("per_ap");
       r.fail(per_ap != nullptr ? *per_ap : *aps_at,
              "APs * per_ap = " + std::to_string(stations) +
                  " stations is out of range");
+    }
+    const std::string limit = " is over the limit of " +
+                              std::to_string(kMaxNodes) +
+                              " APs plus stations";
+    if (out.num_aps() > kMaxNodes) {
+      const std::string aps = std::to_string(out.num_aps()) + " APs";
+      r.fail(*aps_at, (out.positions.empty() ? "cols * rows = " + aps
+                                             : "positions lists " + aps) +
+                          limit);
+    }
+    if (out.num_aps() + stations > kMaxNodes) {
+      r.fail(per_ap != nullptr ? *per_ap : *aps_at,
+             "APs * (per_ap + 1) = " +
+                 std::to_string(out.num_aps() + stations) + " nodes" + limit);
     }
     out.radius_m = r.number("radius_m", out.radius_m);
     if (out.radius_m < 0.0) r.fail(r.raw(), "radius_m must be >= 0");

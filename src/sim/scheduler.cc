@@ -48,12 +48,16 @@ void Scheduler::run_until(Time horizon) {
     queue_pop();
     fire(e);
   }
-  if (now_ < horizon) now_ = horizon;
+  if (now_ <= horizon) {
+    now_ = horizon;
+    closed_ = horizon;
+  }
 }
 
 void Scheduler::run() {
   while (step()) {
   }
+  closed_ = now_;
 }
 
 }  // namespace g80211

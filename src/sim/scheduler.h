@@ -68,6 +68,11 @@ class Scheduler {
   SchedulerBackend backend() const { return backend_; }
 
   Time now() const { return now_; }
+  // True once instant `t` is over: every event due at or before `t` has
+  // run. Inside an event at time t that instant is still open (more events
+  // at t may follow); once run_until(h) with h >= t returns, it is closed.
+  // Paused CBR sources replay exactly the ticks this calls elapsed.
+  bool elapsed(Time t) const { return t < now_ || t <= closed_; }
 
   // Schedule `fn` to run at absolute time `at` (must be >= now()).
   // Templated so the callable is constructed directly in its pool slot —
@@ -170,6 +175,7 @@ class Scheduler {
 
   SchedulerBackend backend_ = kDefaultSchedulerBackend;
   Time now_ = 0;
+  Time closed_ = -1;  // latest instant whose events have all run
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;

@@ -676,6 +676,88 @@ TEST(JsonlWriterFormat, MatchesPrintfAndRoundTripsExactly) {
   EXPECT_EQ(parse_jsonl(twin).frames, frames);
 }
 
+namespace {
+
+// pcap's address space: 16-bit node ids under the 02:80:02:11 prefix, plus
+// the broadcast address.
+int pcap_addr(int id) { return id == kBroadcast ? kBroadcast : id & 0xffff; }
+
+// The frame a pcap reader must return for `f`, from the format's
+// documented limits (capture.h): timing is the first bit on air, Duration
+// rounds to the nearest microsecond and saturates at its 16 bits, RSSI
+// rounds to a whole dBm within int8, the rate to 0.5 Mb/s within a byte,
+// the on-air length is at least the captured header, CTS/ACK carry no
+// transmitter, only DATA carries a sequence number, and nothing the
+// simulator alone knows (end time, ground truth, payload identity,
+// direction) survives.
+CapturedFrame pcap_view(const CapturedFrame& f) {
+  CapturedFrame q;
+  q.start = f.start;
+  q.end = f.start;
+  q.type = f.type;
+  q.ra = pcap_addr(f.ra);
+  const bool control = f.type == FrameType::kCts || f.type == FrameType::kAck;
+  q.ta = control ? kNoAddr : pcap_addr(f.ta);
+  if (f.duration > 0) {
+    const Time us = f.duration / 1000 + (f.duration % 1000 >= 500 ? 1 : 0);
+    q.duration = std::min<Time>(us, 0xffff) * 1000;
+  }
+  if (f.type == FrameType::kData) {
+    q.seq = f.seq & 0xfff;
+    q.frag = f.frag & 0xf;
+  }
+  q.more_frags = f.more_frags;
+  q.retry = f.retry;
+  q.corrupted = f.corrupted;
+  q.rssi_dbm = std::clamp(std::round(f.rssi_dbm), -128.0, 127.0);
+  q.rate_mbps = std::clamp(std::round(f.rate_mbps * 2.0), 0.0, 255.0) / 2.0;
+  const int header = f.type == FrameType::kData ? 24 : control ? 10 : 16;
+  q.bytes = std::max(f.bytes, header);
+  return q;
+}
+
+}  // namespace
+
+// PCAP round trip over generated frames, extremes included (the pcap twin
+// of JsonlWriterFormat.MatchesPrintfAndRoundTripsExactly).
+TEST(PcapWriterFormat, RoundTripsGeneratedFramesWithinItsQuantisation) {
+  // pcap timestamps are unsigned 32-bit seconds: fold each start into
+  // that span, the one input restriction the format imposes.
+  constexpr std::uint64_t kSpan = (std::uint64_t{1} << 32) * 1000000000ULL;
+  std::mt19937_64 rng(1993);
+  std::vector<CapturedFrame> frames;
+  for (int i = 0; i < 20000; ++i) {
+    CapturedFrame f = random_frame(rng);
+    f.start = static_cast<Time>(static_cast<std::uint64_t>(f.start) % kSpan);
+    frames.push_back(f);
+  }
+  std::stable_sort(frames.begin(), frames.end(),
+                   [](const CapturedFrame& a, const CapturedFrame& b) {
+                     return a.start < b.start;
+                   });
+  const std::string path = artifact_stem("pcap_format") + ".pcap";
+  {
+    PcapWriter w;
+    w.open(path);
+    for (const CapturedFrame& f : frames) w.write(f);
+  }
+  const std::vector<std::uint8_t> original = slurp(path);
+  const Capture cap = read_pcap(path);
+  ASSERT_EQ(cap.frames.size(), frames.size());
+  EXPECT_EQ(cap.skipped_unknown, 0);
+
+  // Parse -> serialise reproduces the file byte for byte, and a second
+  // parse reads the same frames.
+  EXPECT_EQ(reserialize_pcap(cap), original);
+  EXPECT_EQ(parse_pcap(reserialize_pcap(cap)).frames, cap.frames);
+  // Every field pcap carries is the generated value, quantised.
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_EQ(cap.frames[i], pcap_view(frames[i]))
+        << "frame " << i << ": " << JsonlWriter::frame_line(frames[i])
+        << "\n read back as " << JsonlWriter::frame_line(cap.frames[i]);
+  }
+}
+
 TEST(CaptureReader, SkipsUnknownPcapRecords) {
   const std::string stem = artifact_stem("unknown");
   run_nav_scenario(stem, 23, milliseconds(50), false);

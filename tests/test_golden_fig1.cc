@@ -56,11 +56,13 @@ void append_pairs_metrics(const bench::PairsResult& r,
   metrics.insert(metrics.end(), r.rts_sent.begin(), r.rts_sent.end());
 }
 
-// A slice's metric vector plus its ready-queue mode switches, summed over
-// the slice's runs.
+// A slice's metric vector plus its ready-queue mode switches, executed
+// events and queue drops, summed over the slice's runs.
 struct SliceRun {
   std::vector<double> metrics;
   ReadyQueueStats ready_queue;
+  std::uint64_t events = 0;
+  std::int64_t queue_drops = 0;
 };
 
 void add_stats(const ReadyQueueStats& run, ReadyQueueStats& total) {
@@ -94,6 +96,8 @@ SliceRun fig1_metric_vector(SchedulerBackend backend,
       const bench::PairsResult r = bench::run_pairs(spec, seed);
       append_pairs_metrics(r, out.metrics);
       add_stats(r.ready_queue, out.ready_queue);
+      out.events += r.events;
+      out.queue_drops += r.queue_drops;
     }
   }
   return out;
@@ -131,6 +135,11 @@ TEST(GoldenFig1, MetricVectorBitIdentical) {
   // more than its spill threshold, so the whole slice runs as a heap.
   EXPECT_EQ(run.ready_queue.spills, 0u);
   EXPECT_EQ(run.ready_queue.cascades, 0u);
+  // The engine's work, pinned exactly: a change in either count with the
+  // hash unchanged means the engine now does more (or less) to produce
+  // the same output, and must be deliberate.
+  EXPECT_EQ(run.events, 72287u);
+  EXPECT_EQ(run.queue_drops, 36774);
 }
 
 TEST(GoldenFig1, MetricVectorBitIdenticalOnBothSchedulerBackends) {

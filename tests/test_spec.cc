@@ -305,6 +305,27 @@ TEST(SpecSchema, ErrorsAreLineAnchored) {
   EXPECT_EQ(expect_line("[aps]\ncols = 65536\nrows = 8192\npitch_m = 5.0\n",
                         "stations is out of range"),
             3);
+  // APs plus stations are capped at 2^20, at the key that crosses the cap:
+  // the grid when its APs alone do (46340 x 46340 used to end in
+  // std::bad_alloc from plan_world), per_ap otherwise, or the grid when
+  // per_ap keeps its default.
+  EXPECT_EQ(expect_line("[aps]\ncols = 46340\nrows = 46340\npitch_m = 5.0\n"
+                        "[stations]\nper_ap = 1\n",
+                        "[stations] cols * rows = 2147395600 APs is over the "
+                        "limit of 1048576 APs plus stations"),
+            3);
+  EXPECT_EQ(expect_line("[aps]\ncols = 1024\nrows = 512\npitch_m = 5.0\n"
+                        "[stations]\nper_ap = 2\n",
+                        "APs * (per_ap + 1) = 1572864 nodes is over the limit"),
+            6);
+  EXPECT_EQ(expect_line("[aps]\ncols = 1024\nrows = 256\npitch_m = 5.0\n",
+                        "APs * (per_ap + 1) = 1310720 nodes is over the limit"),
+            3);
+  EXPECT_NO_THROW(parse_world_spec_text(
+      "[aps]\ncols = 1024\nrows = 512\npitch_m = 5.0\n"
+      "[stations]\nper_ap = 1\n[[traffic]]\nclass = \"cbr\"\n",
+      "t"))
+      << "exactly 2^20 nodes is within the limit";
 }
 
 TEST(SpecSchema, DescribeRoundTripIsLossless) {

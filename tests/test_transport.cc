@@ -20,7 +20,7 @@ TEST(Cbr, PacesAtConfiguredRate) {
   cfg.rate_mbps = 8.192;  // exactly 1000 packets/s
   CbrSource src(sched, cfg, 1, 0, 1);
   std::vector<PacketPtr> out;
-  src.output = [&](PacketPtr p) { out.push_back(std::move(p)); };
+  src.send_to([&](PacketPtr p) { out.push_back(std::move(p)); });
   src.start(0);
   sched.run_until(seconds(1));
   EXPECT_NEAR(static_cast<double>(out.size()), 1000.0, 10.0);
@@ -33,7 +33,7 @@ TEST(Cbr, StopHaltsGeneration) {
   CbrSource::Config cfg;
   CbrSource src(sched, cfg, 1, 0, 1);
   int n = 0;
-  src.output = [&](PacketPtr) { ++n; };
+  src.send_to([&](PacketPtr) { ++n; });
   src.start(0);
   src.stop(milliseconds(100));
   sched.run_until(seconds(1));
