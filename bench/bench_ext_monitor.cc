@@ -10,15 +10,26 @@
 // runner::ThreadPool, the driver's sharding model; /1 uses the pool's
 // inline mode, so it is the true single-thread number).
 //
+// BM_MonitorDrain adds what the batch path skips: the same traffic
+// written once as a JSONL journal, then MonitorDriver::drain over the
+// file, so the reader's block reads and line scan are timed together with
+// the detectors (/1: one stream on the driver's inline single shard).
+//
 // The committed baseline (BENCH_simperf.json) records frames_per_second;
 // compare with bench/compare_simperf.py.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/capture/capture_writer.h"
 #include "src/mac/durations.h"
+#include "src/monitor/driver.h"
 #include "src/monitor/engine.h"
 #include "src/monitor/frame_batch.h"
 #include "src/phy/wifi_params.h"
@@ -132,6 +143,50 @@ BENCHMARK(BM_MonitorIngest)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_MonitorDrain(benchmark::State& state) {
+  const int streams = static_cast<int>(state.range(0));
+  const WifiParams params = WifiParams::b11();
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("g80211_bench_monitor_drain_" + std::to_string(::getpid()) + ".jsonl"))
+          .string();
+  {
+    constexpr int kEpochs = 8;  // 32768 frames, about 120 reader blocks
+    JsonlWriter writer;
+    writer.open(path, kOwner, params);
+    FrameBatch batch;
+    Time now = 0;
+    for (int e = 0; e < kEpochs; ++e) {
+      batch.clear();
+      now = fill_epoch(batch, params, now);
+      for (const CapturedFrame& f : batch.frames) writer.write(f);
+    }
+    writer.close(now);
+  }
+
+  MonitorOptions opts;
+  opts.config.window = seconds(1);
+  opts.shards = streams;
+  const std::vector<std::string> paths(static_cast<std::size_t>(streams), path);
+  std::int64_t frames = 0;
+  for (auto _ : state) {
+    MonitorDriver driver(opts, paths);
+    driver.drain();
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      frames += driver.status(i).frames;
+    }
+    benchmark::DoNotOptimize(driver.verdicts(0));
+  }
+  std::filesystem::remove(path);
+
+  state.counters["frames_per_second"] = benchmark::Counter(
+      static_cast<double>(frames), benchmark::Counter::kIsRate);
+  state.counters["frames_per_iteration"] = benchmark::Counter(
+      static_cast<double>(frames), benchmark::Counter::kAvgIterations);
+}
+
+BENCHMARK(BM_MonitorDrain)->Arg(1)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

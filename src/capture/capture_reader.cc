@@ -10,7 +10,8 @@ namespace {
 // then the completeness checks a finished stream must pass.
 Capture read_whole(CaptureStreamReader&& reader) {
   Capture cap;
-  reader.poll(cap.frames);
+  while (reader.poll(cap.frames) > 0) {
+  }
   reader.check_complete();
   cap.owner = reader.owner();
   cap.params = reader.params();

@@ -1,8 +1,10 @@
 #include "src/capture/capture_stream.h"
 
+#include <cerrno>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "src/capture/format_detail.h"
@@ -21,41 +23,57 @@ CaptureStreamReader::CaptureStreamReader(const std::string& path,
 
 CaptureStreamReader::CaptureStreamReader(std::vector<std::uint8_t> bytes,
                                          CaptureFormat format)
-    : buf_(std::move(bytes)), format_(format) {}
+    : buf_(std::move(bytes)), end_(buf_.size()), format_(format) {}
 
 CaptureStreamReader::~CaptureStreamReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void CaptureStreamReader::read_appended() {
+bool CaptureStreamReader::read_block() {
+  // A drain leaves only the partial last record; move it to the front so
+  // the block lands right behind it.
+  if (begin_ > 0) {
+    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+    buf_offset_ += static_cast<std::int64_t>(begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  // Grows past one block only while a record longer than a block is
+  // pending.
+  if (buf_.size() - end_ < kBlockBytes) buf_.resize(end_ + kBlockBytes);
   // A previous read hit EOF; the file may have grown since. Clearing the
   // EOF flag makes stdio look again.
   std::clearerr(file_);
-  std::uint8_t chunk[65536];
-  std::size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), file_)) > 0) {
-    buf_.insert(buf_.end(), chunk, chunk + n);
+  const std::size_t n = std::fread(buf_.data() + end_, 1, kBlockBytes, file_);
+  end_ += n;
+  if (n < kBlockBytes && std::ferror(file_)) {
+    const int err = errno;  // strerror's text, without its shared buffer
+    fail("cannot read " + path_ + ": " + std::generic_category().message(err));
   }
-}
-
-void CaptureStreamReader::compact(std::size_t consumed) {
-  if (consumed == 0) return;
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(consumed));
-  buf_offset_ += static_cast<std::int64_t>(consumed);
+  return n == kBlockBytes;
 }
 
 std::size_t CaptureStreamReader::poll(std::vector<CapturedFrame>& out) {
-  if (file_ != nullptr) read_appended();
+  if (file_ == nullptr) return drain(out);  // in memory: all bytes are here
+  for (;;) {
+    const bool more = read_block();
+    const std::size_t emitted = drain(out);
+    if (emitted > 0 || !more) return emitted;
+  }
+}
+
+std::size_t CaptureStreamReader::drain(std::vector<CapturedFrame>& out) {
   if (format_ == CaptureFormat::kAny) {
-    if (buf_.empty()) return 0;
-    if (buf_[0] == '{') {
+    if (pending_bytes() == 0) return 0;
+    const std::uint8_t* const b = buf_.data() + begin_;
+    if (b[0] == '{') {
       format_ = CaptureFormat::kJsonl;
     } else {
-      if (buf_.size() < 4) return 0;  // could still be a pcap magic prefix
-      const std::uint32_t magic = static_cast<std::uint32_t>(buf_[0]) |
-                                  (static_cast<std::uint32_t>(buf_[1]) << 8) |
-                                  (static_cast<std::uint32_t>(buf_[2]) << 16) |
-                                  (static_cast<std::uint32_t>(buf_[3]) << 24);
+      if (pending_bytes() < 4) return 0;  // could still be a pcap magic prefix
+      const std::uint32_t magic = static_cast<std::uint32_t>(b[0]) |
+                                  (static_cast<std::uint32_t>(b[1]) << 8) |
+                                  (static_cast<std::uint32_t>(b[2]) << 16) |
+                                  (static_cast<std::uint32_t>(b[3]) << 24);
       if (magic != kPcapMagicNs) fail("unrecognised capture file " + path_);
       format_ = CaptureFormat::kPcap;
     }
@@ -66,20 +84,20 @@ std::size_t CaptureStreamReader::poll(std::vector<CapturedFrame>& out) {
 void CaptureStreamReader::check_complete() const {
   const std::string where = path_.empty() ? "" : path_ + ": ";
   if (!header_ready_) {
-    fail(where + (buf_.empty() ? "empty capture file"
-                               : "truncated capture header"));
+    fail(where + (pending_bytes() == 0 ? "empty capture file"
+                                       : "truncated capture header"));
   }
   if (format_ == CaptureFormat::kJsonl && !finished_) {
     fail(where + "JSONL: truncated capture (missing footer)");
   }
-  if (!buf_.empty()) {
-    fail(where + "truncated capture: " + std::to_string(buf_.size()) +
+  if (pending_bytes() != 0) {
+    fail(where + "truncated capture: " + std::to_string(pending_bytes()) +
          " bytes after the last complete record");
   }
 }
 
 std::size_t CaptureStreamReader::drain_pcap(std::vector<CapturedFrame>& out) {
-  ByteCursor c{&buf_};
+  ByteCursor c{buf_.data(), end_, begin_};
   if (!header_ready_) {
     if (!capture_detail::parse_pcap_file_header(c)) return 0;
     header_ready_ = true;
@@ -103,17 +121,17 @@ std::size_t CaptureStreamReader::drain_pcap(std::vector<CapturedFrame>& out) {
       ++skipped_unknown_;
     }
   }
-  compact(c.pos);
+  begin_ = c.pos;
   return emitted;
 }
 
 std::size_t CaptureStreamReader::drain_jsonl(std::vector<CapturedFrame>& out) {
-  // Each line is parsed as a view into buf_; compact() runs only after the
-  // loop, so no view outlives the bytes it points at.
+  // Each line is parsed as a view into buf_, which only read_block()
+  // moves or grows, so no view outlives the bytes it points at.
   const char* const bytes = reinterpret_cast<const char*>(buf_.data());
-  const std::size_t size = buf_.size();
+  const std::size_t size = end_;
   std::size_t emitted = 0;
-  std::size_t consumed = 0;
+  std::size_t consumed = begin_;
   // consumed < size also keeps memchr off an empty buffer's null data().
   while (consumed < size) {
     // A line is parseable only once its newline has been written; the
@@ -149,7 +167,7 @@ std::size_t CaptureStreamReader::drain_jsonl(std::vector<CapturedFrame>& out) {
     out.push_back(f);
     ++emitted;
   }
-  compact(consumed);
+  begin_ = consumed;
   return emitted;
 }
 

@@ -1,15 +1,17 @@
 // The capture reader: every pcap or JSONL capture is framed here.
 //
 // Parses a capture record-by-record as its bytes arrive, tolerating a file
-// that is still being written (a live CaptureWriter journal). Each poll()
-// reads whatever has been appended since the last call and emits every
-// *complete* record; a record split by the current end of file stays
-// buffered until a later poll completes it. Records are therefore
-// delivered exactly once, in journal order. The one-shot readers
-// (capture_reader.h) are this reader run to the end of the input followed
-// by check_complete(), so a file read whole and a file tailed live pass
-// the same header, footer, order and skip rules and fail with the same
-// errors.
+// that is still being written (a live CaptureWriter journal). A file is
+// read in fixed blocks of kBlockBytes straight into the reader's buffer,
+// and each read is followed by emitting every *complete* record the buffer
+// holds; a record split by a block edge or by the current end of file
+// stays buffered until a later read completes it. Records are therefore
+// delivered exactly once, in journal order, and the buffer never holds
+// more than one block plus the longest record, however long the input.
+// The one-shot readers (capture_reader.h) are this reader run to the end
+// of the input followed by check_complete(), so a file read whole and a
+// file tailed live pass the same header, footer, order and skip rules and
+// fail with the same errors.
 //
 // Format is sniffed from the first bytes (pcap magic vs. '{') unless the
 // caller pins it. For JSONL the stream knows when it is complete (the
@@ -44,9 +46,17 @@ class CaptureStreamReader {
   CaptureStreamReader(const CaptureStreamReader&) = delete;
   CaptureStreamReader& operator=(const CaptureStreamReader&) = delete;
 
-  // Read newly appended bytes and append every newly completed record to
-  // `out`. Returns the number of records appended. Throws on bytes that
-  // can never become a valid capture (same conditions as read_capture).
+  // The unit of file input: each read takes at most this many bytes.
+  static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+
+  // Read the next block of the file and append every frame record the
+  // buffer then completes to `out`; while that is none and the file has
+  // more bytes, read the next block. Returns the number of frames
+  // appended, which is 0 only once the reader has reached the current end
+  // of the input: `while (poll(out) > 0)` reads everything written so far.
+  // A capture held in memory is emitted whole by the first poll. Throws on
+  // bytes that can never become a valid capture (same conditions as
+  // read_capture), and when the file cannot be read.
   std::size_t poll(std::vector<CapturedFrame>& out);
 
   // True once the format sniff saw the pcap magic — available as soon as
@@ -73,9 +83,10 @@ class CaptureStreamReader {
   std::int64_t skipped_unknown() const { return skipped_unknown_; }
   std::int64_t first_skipped_offset() const { return first_skipped_offset_; }
 
-  // Buffered bytes not yet parsed into a record. Nonzero once the producer
-  // has stopped writing means the file ends mid-record (truncated).
-  std::size_t pending_bytes() const { return buf_.size(); }
+  // Buffered bytes not yet parsed into a record: at most one block plus
+  // the longest record. Nonzero once the producer has stopped writing
+  // means the file ends mid-record (truncated).
+  std::size_t pending_bytes() const { return end_ - begin_; }
 
   // For a capture whose producer has finished: throws unless the header
   // was read, a JSONL journal reached its footer, and no bytes are left
@@ -85,17 +96,22 @@ class CaptureStreamReader {
   const std::string& path() const { return path_; }  // "" when in memory
 
  private:
-  void read_appended();
+  bool read_block();  // false once a read stops short of a whole block
+  // Sniffs the format if still unknown, then emits the buffered records.
+  std::size_t drain(std::vector<CapturedFrame>& out);
   std::size_t drain_pcap(std::vector<CapturedFrame>& out);
   // Per-frame ingest path of a JSONL journal: allocation-free for
   // canonical frame lines (see parse_jsonl_record).
   G80211_HOT std::size_t drain_jsonl(std::vector<CapturedFrame>& out);
-  void compact(std::size_t consumed);
 
   std::string path_;
   std::FILE* file_ = nullptr;
 
-  std::vector<std::uint8_t> buf_;   // unparsed bytes
+  // buf_[begin_, end_) holds the unparsed bytes; buf_.size() is the
+  // buffer's room, which a file read fills from end_.
+  std::vector<std::uint8_t> buf_;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
   std::int64_t buf_offset_ = 0;     // absolute file offset of buf_[0]
 
   CaptureFormat format_;            // kAny until sniffed

@@ -23,23 +23,23 @@ void fail(const std::string& what) {
 
 std::uint8_t ByteCursor::u8(const char* what) {
   need(1, what);
-  return (*bytes)[pos++];
+  return bytes[pos++];
 }
 
 std::uint16_t ByteCursor::u16(const char* what) {
   need(2, what);
   const std::uint16_t v =
-      static_cast<std::uint16_t>((*bytes)[pos] | ((*bytes)[pos + 1] << 8));
+      static_cast<std::uint16_t>(bytes[pos] | (bytes[pos + 1] << 8));
   pos += 2;
   return v;
 }
 
 std::uint32_t ByteCursor::u32(const char* what) {
   need(4, what);
-  const std::uint32_t v = static_cast<std::uint32_t>((*bytes)[pos]) |
-                          (static_cast<std::uint32_t>((*bytes)[pos + 1]) << 8) |
-                          (static_cast<std::uint32_t>((*bytes)[pos + 2]) << 16) |
-                          (static_cast<std::uint32_t>((*bytes)[pos + 3]) << 24);
+  const std::uint32_t v = static_cast<std::uint32_t>(bytes[pos]) |
+                          (static_cast<std::uint32_t>(bytes[pos + 1]) << 8) |
+                          (static_cast<std::uint32_t>(bytes[pos + 2]) << 16) |
+                          (static_cast<std::uint32_t>(bytes[pos + 3]) << 24);
   pos += 4;
   return v;
 }
@@ -49,7 +49,7 @@ namespace {
 // 6 address bytes -> node id; throws on an address outside our OUI scheme.
 int parse_addr(ByteCursor& c) {
   c.need(6, "802.11 address");
-  const std::uint8_t* a = c.bytes->data() + c.pos;
+  const std::uint8_t* a = c.bytes + c.pos;
   c.pos += 6;
   bool bcast = true;
   for (int i = 0; i < 6; ++i) bcast = bcast && a[i] == 0xff;
@@ -414,39 +414,42 @@ JsonlLine parse_jsonl_record_strict(std::string_view line, CapturedFrame& f,
 
 // One forward pass over a line in JsonlWriter::frame_line's exact layout:
 // literal keys in the writer's order, no whitespace, each value parsed in
-// place with from_chars. Every method returns false at the first byte that
-// deviates, and the caller hands the whole line to the strict parser.
+// place. Every method returns false at the first byte that deviates, and
+// the caller hands the whole line to the strict parser.
 class FrameLineScan {
  public:
   explicit FrameLineScan(std::string_view line)
       : p_(line.data()), end_(line.data() + line.size()) {}
 
-  // Consumes `s` when the line continues with it.
-  bool literal(std::string_view s) {
-    if (static_cast<std::size_t>(end_ - p_) < s.size() ||
-        std::memcmp(p_, s.data(), s.size()) != 0) {
+  // Consumes the string literal `s` when the line continues with it. The
+  // length is a compile-time constant, so the comparison inlines.
+  template <std::size_t N>
+  bool literal(const char (&s)[N]) {
+    constexpr std::size_t n = N - 1;
+    if (static_cast<std::size_t>(end_ - p_) < n ||
+        std::memcmp(p_, s, n) != 0) {
       return false;
     }
-    p_ += s.size();
+    p_ += n;
     return true;
   }
 
-  // `key`, then the number token the strict parser would cut, which
-  // from_chars must consume whole: an integer within T's range, or a
+  // `key`, then the number token the strict parser would cut, read as
+  // from_chars would read it whole: an integer within T's range, or a
   // finite double (strtod and from_chars round decimals identically).
-  template <typename T>
-  bool value(std::string_view key, T& v) {
+  template <typename T, std::size_t N>
+  bool value(const char (&key)[N], T& v) {
     if (!literal(key)) return false;
-    const char* const token = p_;
-    while (p_ != end_ && is_number_char(*p_)) ++p_;
-    const std::from_chars_result r = std::from_chars(token, p_, v);
-    if (r.ec != std::errc() || r.ptr != p_) return false;
-    if constexpr (std::is_floating_point_v<T>) return std::isfinite(v);
-    return true;
+    if constexpr (std::is_floating_point_v<T>) {
+      return real(v);
+    } else {
+      return integer(v);
+    }
   }
 
   // `key`, then exactly 0 or 1.
-  bool flag(std::string_view key, bool& v) {
+  template <std::size_t N>
+  bool flag(const char (&key)[N], bool& v) {
     int raw = 0;
     if (!value(key, raw) || (raw != 0 && raw != 1)) return false;
     v = raw != 0;
@@ -456,6 +459,68 @@ class FrameLineScan {
   bool at_end() const { return p_ == end_; }
 
  private:
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  // The token ends here: from_chars consumed all of it.
+  bool token_ends() const { return p_ == end_ || !is_number_char(*p_); }
+
+  // An optional '-' (signed T only), at least one digit and the token's
+  // end, with the value inside T: exactly what from_chars accepts.
+  template <typename T>
+  bool integer(T& v) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    bool negative = false;
+    if constexpr (std::is_signed_v<T>) {
+      negative = p_ != end_ && *p_ == '-';
+      if (negative) ++p_;
+    }
+    const char* const first = p_;
+    std::uint64_t magnitude = 0;
+    for (; p_ != end_ && is_digit(*p_); ++p_) {
+      const auto d = static_cast<std::uint64_t>(*p_ - '0');
+      if (magnitude >= kMax / 10 &&
+          (magnitude > kMax / 10 || d > kMax % 10)) {
+        return false;  // beyond 64 bits
+      }
+      magnitude = magnitude * 10 + d;
+    }
+    if (p_ == first || !token_ends()) return false;
+    const auto limit =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max()) +
+        (negative ? 1 : 0);
+    if (magnitude > limit) return false;
+    // Unsigned negation then the modular conversion to T (C++20): exact
+    // for every magnitude up to limit, T's minimum included.
+    using U = std::make_unsigned_t<T>;
+    v = static_cast<T>(negative ? static_cast<U>(0 - magnitude)
+                                : static_cast<U>(magnitude));
+    return true;
+  }
+
+  // An integral token of at most 15 digits is below 2^53, so its digit
+  // value converts to double exactly, as from_chars rounds it ("-0" gives
+  // -0.0). The writer prints most rates and a transmission's rssi 0 this
+  // way; every other token takes from_chars.
+  bool real(double& v) {
+    constexpr std::ptrdiff_t kExactDigits = 15;
+    const char* const token = p_;
+    const bool negative = p_ != end_ && *p_ == '-';
+    if (negative) ++p_;
+    const char* const first = p_;
+    std::uint64_t magnitude = 0;
+    for (; p_ != end_ && is_digit(*p_) && p_ - first <= kExactDigits; ++p_) {
+      magnitude = magnitude * 10 + static_cast<std::uint64_t>(*p_ - '0');
+    }
+    if (p_ != first && p_ - first <= kExactDigits && token_ends()) {
+      const auto d = static_cast<double>(magnitude);
+      v = negative ? -d : d;
+      return true;
+    }
+    while (p_ != end_ && is_number_char(*p_)) ++p_;
+    const std::from_chars_result r = std::from_chars(token, p_, v);
+    return r.ec == std::errc() && r.ptr == p_ && std::isfinite(v);
+  }
+
   const char* p_;
   const char* const end_;
 };

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/capture/capture.h"
 
@@ -28,10 +27,11 @@ namespace capture_detail {
 // --- little-endian cursor with bounds checks ---------------------------------
 
 struct ByteCursor {
-  const std::vector<std::uint8_t>* bytes;
+  const std::uint8_t* bytes;
+  std::size_t size;      // bytes[0, size) are readable
   std::size_t pos = 0;
 
-  std::size_t remaining() const { return bytes->size() - pos; }
+  std::size_t remaining() const { return size - pos; }
   void need(std::size_t n, const char* what) const {
     if (remaining() < n) fail(std::string("truncated ") + what);
   }

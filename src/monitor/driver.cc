@@ -11,7 +11,8 @@ MonitorDriver::MonitorDriver(MonitorOptions opts,
       shards_(std::max(1, std::min<int>(opts.shards,
                                         static_cast<int>(std::max<std::size_t>(
                                             paths.size(), 1))))),
-      pool_(static_cast<unsigned>(shards_)) {
+      // One shard runs its passes inline: no worker thread to hand off to.
+      pool_(shards_ == 1 ? 0U : static_cast<unsigned>(shards_)) {
   streams_.reserve(paths.size());
   for (const std::string& p : paths) {
     streams_.push_back(std::make_unique<Stream>(p));

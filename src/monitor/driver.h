@@ -1,6 +1,11 @@
 // Multi-stream monitor driver: shards capture streams across a worker
 // pool and runs the poll -> batch -> detect loop for each.
 //
+// A pass polls each stream once, which reads about one block of its file
+// (CaptureStreamReader::kBlockBytes), and steps the detectors over that
+// block's frames while they are still in cache. The backlog a pass holds
+// is therefore one block per stream, however long the journals.
+//
 // Each stream (one capture journal = one vantage station's BSS view) is
 // pinned to shard `index % shards` for its whole life, and a shard is
 // processed by exactly one pool task per pass — streams never migrate and
@@ -10,9 +15,9 @@
 // on the caller's thread, after ThreadPool::wait().
 //
 // Two consumption modes, same loop:
-//  * file mode — drain() passes until no stream yields a record, then
-//    finalizes: every JSONL stream must have reached its footer, anything
-//    else is a truncated capture.
+//  * file mode — drain() passes until no stream yields a record (each
+//    has reached the end of its file), then finalizes: every JSONL stream
+//    must have reached its footer, anything else is a truncated capture.
 //  * follow mode — the caller owns the loop: pass() returns the number of
 //    records consumed; on 0 the caller sleeps (the sleep lives in the
 //    CLI, src/ stays free of wall-clock waits) and polls again, until
@@ -38,7 +43,9 @@ namespace g80211 {
 
 struct MonitorOptions {
   MonitorConfig config;
-  int shards = 1;  // worker shards (also the thread-pool size)
+  // Worker shards: N > 1 runs each pass on N pool threads, 1 runs it
+  // inline on the caller's thread.
+  int shards = 1;
 };
 
 // A window/alert tagged with the stream it came from.

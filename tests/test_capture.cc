@@ -1,7 +1,8 @@
 // Capture subsystem: pcap/JSONL round trips, strict-parser rejection of
 // corrupt files, the JSONL reader's canonical scan against its strict
-// parser, the writer's byte format against its printf reference, the
-// committed golden fixture, and the headline guarantee
+// parser, the writer's byte format against its printf reference, block
+// reads of a journal several reader blocks long, the committed golden
+// fixture, and the headline guarantee
 // of src/capture/replay.h — offline replay of a recorded run reproduces
 // the live GRC detector verdicts exactly (same flagged stations, same
 // counts) for NAV inflation, ACK spoofing, and fake-ACK misbehavior.
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "src/capture/capture_reader.h"
+#include "src/capture/capture_stream.h"
 #include "src/capture/capture_tap.h"
 #include "src/capture/capture_writer.h"
 #include "src/capture/format_detail.h"
@@ -397,6 +399,40 @@ std::vector<std::string> mutants(const std::string& line) {
                         "\"R\\u0054S\"", "\"ACK", "5"}) {
     set("t", v);
   }
+  // Integer edges: each limit of int and int64 and one either side of it,
+  // UINT64_MAX and one past it, a bare or doubled sign, 16 digits.
+  for (const char* key : {"ta", "sq", "len"}) {
+    for (const char* v : {"-2147483649", "-2147483648", "-2147483647",
+                          "2147483646", "2147483647", "2147483648", "-",
+                          "--1", "1234567890123456"}) {
+      set(key, v);
+    }
+  }
+  for (const char* key : {"s", "d", "ps", "cr"}) {
+    for (const char* v :
+         {"-9223372036854775809", "-9223372036854775808",
+          "-9223372036854775807", "9223372036854775806",
+          "9223372036854775807", "9223372036854775808", "-", "--1",
+          "1234567890123456", "-1234567890123456"}) {
+      set(key, v);
+    }
+  }
+  for (const char* v : {"18446744073709551614", "18446744073709551615", "-",
+                        "--1", "1234567890123456",
+                        "00000000000000000000000000042"}) {
+    set("pu", v);
+  }
+  // Doubles read by the digit loop (integral, at most 15 digits) and the
+  // tokens just beyond it: 2^53 - 1, 2^53 and 2^53 + 1, 15 and 16 digits.
+  for (const char* key : {"rssi", "rate"}) {
+    for (const char* v :
+         {"0", "-0", "9007199254740991", "9007199254740992",
+          "9007199254740993", "-9007199254740993", "123456789012345",
+          "-999999999999999", "000000000000042", "1234567890123456",
+          "-1234567890123456", "0000000000000042", "-", "--1", "7-"}) {
+      set(key, v);
+    }
+  }
   // The out-of-range values of CaptureReader.RejectsCorruptFiles.
   set("ta", "4294967296");
   set("sq", "-2147483649");
@@ -755,6 +791,132 @@ TEST(PcapWriterFormat, RoundTripsGeneratedFramesWithinItsQuantisation) {
     ASSERT_EQ(cap.frames[i], pcap_view(frames[i]))
         << "frame " << i << ": " << JsonlWriter::frame_line(frames[i])
         << "\n read back as " << JsonlWriter::frame_line(cap.frames[i]);
+  }
+}
+
+// --- block reads -----------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kBlock = CaptureStreamReader::kBlockBytes;
+
+// A journal six reader blocks long: generated frames in event-time order,
+// so block edges fall inside lines, and one frame line longer than two
+// blocks that only the strict parser accepts (padded with spaces), so
+// one whole block completes no line at all.
+std::string multi_block_journal() {
+  std::mt19937_64 rng(20);
+  std::string text = JsonlWriter::header_line(2, WifiParams::b11()) + "\n";
+  Time t = 0;
+  for (int i = 0; text.size() < 6 * kBlock; ++i) {
+    CapturedFrame f = random_frame(rng);
+    f.start = t + static_cast<Time>(1 + rng() % 1000);
+    f.end = f.start + static_cast<Time>(rng() % 1000);
+    t = f.end;
+    const std::string line = JsonlWriter::frame_line(f);
+    text += i == 300 ? "{" + std::string(2 * kBlock, ' ') + line.substr(1)
+                     : line;
+    text += '\n';
+  }
+  return text + JsonlWriter::footer_line(t) + "\n";
+}
+
+std::size_t longest_line(const std::string& text) {
+  std::size_t longest = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t nl = std::min(text.find('\n', pos), text.size());
+    longest = std::max(longest, nl - pos);
+    pos = nl + 1;
+  }
+  return longest;
+}
+
+struct ReadOutcome {
+  Capture cap;
+  std::string error;
+};
+
+// `text` read from a file by polling to its end, checking the reader's
+// buffer bound after every poll. An error loses the "<path>: " that the
+// completeness checks put before it, so it compares with parse_jsonl's.
+ReadOutcome read_in_blocks(const std::string& path, const std::string& text) {
+  spit(path, std::vector<std::uint8_t>(text.begin(), text.end()));
+  const std::size_t bound = kBlock + longest_line(text);
+  ReadOutcome r;
+  try {
+    CaptureStreamReader reader(path, CaptureFormat::kJsonl);
+    while (reader.poll(r.cap.frames) > 0) {
+      EXPECT_LE(reader.pending_bytes(), bound);
+    }
+    EXPECT_LE(reader.pending_bytes(), bound);
+    reader.check_complete();
+    r.cap.owner = reader.owner();
+    r.cap.end_time = reader.end_time();
+  } catch (const std::runtime_error& e) {
+    r.error = e.what();
+    const std::size_t at = r.error.find(path + ": ");
+    if (at != std::string::npos) r.error.erase(at, path.size() + 2);
+  }
+  return r;
+}
+
+ReadOutcome parse_whole(const std::string& text) {
+  ReadOutcome r;
+  try {
+    r.cap = parse_jsonl(text);
+  } catch (const std::runtime_error& e) {
+    r.error = e.what();
+  }
+  return r;
+}
+
+}  // namespace
+
+TEST(CaptureStream, ReadsAMultiBlockJournalAsParseJsonlDoes) {
+  const std::string text = multi_block_journal();
+  ASSERT_GT(longest_line(text), 2 * kBlock);
+  bool straddled = false;
+  for (std::size_t edge = kBlock; edge < text.size(); edge += kBlock) {
+    straddled = straddled || text[edge - 1] != '\n';
+  }
+  EXPECT_TRUE(straddled);
+
+  // The journal itself, then defects placed in later blocks: an
+  // out-of-order pair, a line that is not JSON, a frame after the footer,
+  // truncations mid-line and on a block edge, and a partial line after
+  // the footer.
+  const std::size_t mid = text.find('\n', 4 * kBlock) + 1;
+  const std::size_t next = text.find('\n', mid) + 1;
+  const std::size_t after = text.find('\n', next) + 1;
+  const std::size_t footer = text.rfind('\n', text.size() - 2) + 1;
+  const std::size_t last = text.rfind('\n', footer - 2) + 1;
+  const std::string last_frame = text.substr(last, footer - last);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"", text},
+      {"records out of order", text.substr(0, mid) +
+                                   text.substr(next, after - next) +
+                                   text.substr(mid, next - mid) +
+                                   text.substr(after)},
+      {"expected '{'", text.substr(0, mid) + "not json\n" + text.substr(mid)},
+      {"content after footer", text + last_frame},
+      {"missing footer", text.substr(0, mid + 10)},
+      {"missing footer", text.substr(0, 4 * kBlock)},
+      {"bytes after the last complete record",
+       text + last_frame.substr(0, 40)},
+  };
+  const std::string path = artifact_stem("blocks") + ".jsonl";
+  for (const auto& [defect, journal] : cases) {
+    const ReadOutcome whole = parse_whole(journal);
+    const ReadOutcome blocks = read_in_blocks(path, journal);
+    EXPECT_EQ(blocks.error, whole.error) << defect;
+    EXPECT_NE(whole.error.find(defect), std::string::npos) << whole.error;
+    if (defect.empty()) {
+      EXPECT_EQ(whole.error, "");
+      EXPECT_GT(whole.cap.frames.size(), 1000u);
+      EXPECT_EQ(blocks.cap.frames, whole.cap.frames);
+      EXPECT_EQ(blocks.cap.owner, whole.cap.owner);
+      EXPECT_EQ(blocks.cap.end_time, whole.cap.end_time);
+    }
   }
 }
 

@@ -209,6 +209,31 @@ TEST(CaptureStream, DeliversAChunkedJournalExactlyOnce) {
   }
 }
 
+TEST(CaptureStream, FailsOnAReadErrorNamingThePath) {
+  // A directory opens but cannot be read. That is a read error naming the
+  // path and its cause, not an empty capture that follow mode would tail
+  // forever.
+  const std::string dir = artifact("unreadable");
+  std::filesystem::create_directories(dir);
+  const std::string expect = "cannot read " + dir + ": ";
+  CaptureStreamReader reader(dir);
+  std::vector<CapturedFrame> frames;
+  try {
+    reader.poll(frames);
+    FAIL() << "a directory read as an empty capture";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
+        << e.what();
+  }
+  try {
+    read_capture(dir);
+    FAIL() << "a directory read as a capture";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CaptureStream, SurfacesPcapSkipStatistics) {
   // Same doctored fixture as the one-shot reader test: first record's Frame
   // Control byte turned into a beacon. The tail reader reports the same

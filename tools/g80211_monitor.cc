@@ -115,11 +115,13 @@ int main(int argc, char** argv) {
     MonitorDriver driver(opts, paths);
     if (follow) {
       // Tail loop: the sleep lives here, not in src/ (simulation code is
-      // wall-clock-free; only the tool decides how eagerly to poll).
+      // wall-clock-free; only the tool decides how eagerly to poll). A
+      // pass reads about one block per journal, so output is printed once
+      // the passes have caught up with every journal: a backlog's windows
+      // and alerts come out as one time-ordered batch.
       for (;;) {
-        const std::size_t consumed = driver.pass();
+        if (driver.pass() > 0) continue;
         print_stream_output(driver);
-        if (consumed > 0) continue;
         if (driver.finished()) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
