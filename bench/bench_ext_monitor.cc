@@ -14,9 +14,6 @@
 // written once as a JSONL journal, then MonitorDriver::drain over the
 // file, so the reader's block reads and line scan are timed together with
 // the detectors (/1: one stream on the driver's inline single shard).
-//
-// The committed baseline (BENCH_simperf.json) records frames_per_second;
-// compare with bench/compare_simperf.py.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>

@@ -3,9 +3,9 @@
 // sweeps. Unlike the per-figure benches (Iterations(1) experiment
 // drivers), these are real google-benchmark timings.
 //
-// A committed baseline lives in BENCH_simperf.json; run
-// bench/compare_simperf.py after touching the engine to catch
-// regressions (>15% fails).
+// They are a developer's view of the engine's layers. A speed claim goes
+// through the repository benchmark instead (perfbench/README.md), which
+// compares alternating runs of both trees on one host.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -335,14 +335,4 @@ BENCHMARK_TEMPLATE(BM_ReadyQueueHold, HoldReadyQueue)
 
 }  // namespace
 
-// Custom main (instead of BENCHMARK_MAIN) to stamp the run's context with
-// what actually matters for comparability: the *project* build type
-// (library_build_type only describes the system libbenchmark).
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::AddCustomContext("g80211_build_type", G80211_BUILD_TYPE);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

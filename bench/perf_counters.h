@@ -12,8 +12,7 @@
 // absent and hw_available() reports false, while the software task-clock
 // counter (no PMU needed) still works almost everywhere, so the report
 // stays useful. Consumers must treat missing counters as "unavailable",
-// never as zero — compare_simperf.py skips cycle checks when the baseline
-// or candidate lacks them.
+// never as zero (the CI attribution print shows them as "-").
 //
 // Not part of the simulator proper (bench/ only): the engine itself must
 // never read host performance state.

@@ -6,10 +6,9 @@
 //   $ ./build/examples/simulate --attack spoof --ber 2e-4 --tcp --grc
 //   $ ./build/examples/simulate --attack fake --hidden --gp 50
 //   $ ./build/examples/simulate --pairs 4 --tcp --seconds 20 --trace 12
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
+#include <limits>
 #include <string>
 
 #include "src/analysis/stats.h"
@@ -17,6 +16,7 @@
 #include "src/detect/grc.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
+#include "tools/cli_flags.h"
 
 using namespace g80211;
 
@@ -62,16 +62,24 @@ void usage() {
       "  --trace N          print the first N frames seen by an observer\n");
 }
 
-bool parse(int argc, char** argv, Options& o) {
+constexpr const char* kTool = "simulate";
+// 2^19 pairs is 2^20 nodes, the cap on spec-file worlds.
+constexpr int kMaxPairs = 1 << 19;
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
+// 0 when the flags parse. Otherwise the exit status: 1 for --help or an
+// unknown flag (the caller prints usage), 2 for a value that does not
+// parse whole and in range (cli_flags.h names the flag and the value).
+int parse(int argc, char** argv, Options& o) {
   for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](double& out) {
-      if (i + 1 >= argc) return false;
-      out = std::atof(argv[++i]);
-      return true;
-    };
-    if (a == "--help" || a == "-h") return false;
-    if (a == "--tcp") {
+    const char* f = argv[i];
+    const std::string a = f;
+    // The value of a flag that takes one; "" when it is missing.
+    auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
+    bool ok = true;
+    if (a == "--help" || a == "-h") {
+      return 1;
+    } else if (a == "--tcp") {
       o.tcp = true;
     } else if (a == "--udp") {
       o.tcp = false;
@@ -84,50 +92,53 @@ bool parse(int argc, char** argv, Options& o) {
     } else if (a == "--80211g") {
       o.g80211_ = true;
     } else if (a == "--frag") {
-      double v;
-      if (!next(v)) return false;
-      o.frag = static_cast<int>(v);
+      ok = cli::parse_integer(kTool, f, value(), 0, kIntMax, "bytes >= 0",
+                              o.frag);
     } else if (a == "--grc") {
       o.grc = true;
     } else if (a == "--autorate") {
       o.auto_rate = true;
-    } else if (a == "--attack" && i + 1 < argc) {
-      o.attack = argv[++i];
+    } else if (a == "--attack") {
+      o.attack = value();
     } else if (a == "--pairs") {
-      double v;
-      if (!next(v)) return false;
-      o.pairs = static_cast<int>(v);
+      ok = cli::parse_integer(kTool, f, value(), 1, kMaxPairs,
+                              "an integer in [1, 524288]", o.pairs);
     } else if (a == "--ber") {
-      if (!next(o.ber)) return false;
+      ok = cli::parse_number(kTool, f, value(), 0.0, 1.0, "a rate in [0, 1]",
+                             o.ber);
     } else if (a == "--gp") {
-      if (!next(o.gp)) return false;
+      ok = cli::parse_number(kTool, f, value(), 0.0, 100.0,
+                             "a percentage in [0, 100]", o.gp);
     } else if (a == "--inflation-us") {
-      if (!next(o.inflation_us)) return false;
+      // The Duration field holds at most 32767 us.
+      ok = cli::parse_number(kTool, f, value(), 0.0, 32767.0,
+                             "microseconds in [0, 32767]", o.inflation_us);
     } else if (a == "--seconds") {
-      if (!next(o.seconds_)) return false;
+      ok = cli::parse_number(kTool, f, value(), 1e-9, 1e6,
+                             "seconds in [1e-9, 1e6]", o.seconds_);
     } else if (a == "--seed") {
-      double v;
-      if (!next(v)) return false;
-      o.seed = static_cast<std::uint64_t>(v);
+      ok = cli::parse_integer(kTool, f, value(), std::uint64_t{0},
+                              std::numeric_limits<std::uint64_t>::max(),
+                              "an integer in [0, 2^64)", o.seed);
     } else if (a == "--trace") {
-      double v;
-      if (!next(v)) return false;
-      o.trace = static_cast<int>(v);
+      ok = cli::parse_integer(kTool, f, value(), 0, kIntMax,
+                              "an integer >= 0", o.trace);
     } else {
-      std::printf("unknown flag: %s\n\n", a.c_str());
-      return false;
+      std::printf("unknown flag: %s\n\n", f);
+      return 1;
     }
+    if (!ok) return 2;
   }
-  return true;
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options o;
-  if (!parse(argc, argv, o)) {
-    usage();
-    return 1;
+  if (const int status = parse(argc, argv, o); status != 0) {
+    if (status == 1) usage();
+    return status;
   }
   if (o.hidden) {
     o.pairs = 2;

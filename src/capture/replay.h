@@ -51,7 +51,6 @@ namespace g80211 {
 
 struct ReplayOptions {
   // NAV validation (paper Section VII-A).
-  bool nav = true;
   Time nav_tolerance = microseconds(2);
   bool assume_fragmentation = false;
 
@@ -64,7 +63,6 @@ struct ReplayOptions {
   bool spoof_recovery = true;
 
   // Fake-ACK detection (Section VII-C).
-  bool fake_ack = true;
   double fake_ack_threshold = 0.05;
   Time fake_ack_grace = seconds(1);
 
@@ -73,7 +71,6 @@ struct ReplayOptions {
   // union of the journalled frame spans; this is exact whenever colliding
   // frames share start and length (capture-invisible losers), the regime
   // the equivalence tests pin down.
-  bool backoff = true;
   BackoffMonitor::Config backoff_cfg;
 
   // Cross-layer TCP/MAC correlation (Section VII-B, last paragraph). A TCP
@@ -81,7 +78,6 @@ struct ReplayOptions {
   // with the same (flow, pkt_seq) but a fresh pkt_uid (MAC retries keep the
   // uid); a MAC-acknowledged segment is one whose WaitAck window closed on
   // an accepted ACK.
-  bool cross_layer = true;
   std::int64_t cross_layer_threshold = 5;
 };
 

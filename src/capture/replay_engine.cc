@@ -63,14 +63,12 @@ void ReplayEngine::step(const CapturedFrame& r) {
   // starting strictly after everything heard so far means the medium went
   // idle at busy_until_ — replay that edge at its own time, before this
   // record's event advances the clock past it.
-  if (opts_.backoff) {
-    if (have_busy_ && r.start > busy_until_) {
-      clock_src_.advance_to(busy_until_);
-      backoff_.on_edge(false);
-    }
-    if (!have_busy_ || r.end > busy_until_) busy_until_ = r.end;
-    have_busy_ = true;
+  if (have_busy_ && r.start > busy_until_) {
+    clock_src_.advance_to(busy_until_);
+    backoff_.on_edge(false);
   }
+  if (!have_busy_ || r.end > busy_until_) busy_until_ = r.end;
+  have_busy_ = true;
 
   // The detectors' clock: advanced (never rewound) to each record's live
   // callback time.
@@ -90,11 +88,11 @@ void ReplayEngine::step(const CapturedFrame& r) {
       wait_seq_ = r.pkt_seq;
       wait_probe_ = r.probe;
     }
-    if (opts_.fake_ack && r.probe && !r.probe_reply) {
+    if (r.probe && !r.probe_reply) {
       // Retransmissions share the packet's creation time; record once.
       probes_[r.dst_node].created.emplace(r.pkt_seq, r.pkt_created);
     }
-    if (opts_.cross_layer && !r.probe && r.flow_id > 0) {
+    if (!r.probe && r.flow_id > 0) {
       // A second transmission of the same segment under a fresh pkt_uid is
       // a TCP-level retransmission (MAC retries keep the uid). The journal
       // shows it at air time, after the original's MAC outcome — the same
@@ -117,17 +115,17 @@ void ReplayEngine::step(const CapturedFrame& r) {
   // 1. Sniffer chain: NAV exchange context, RSSI profile learning, backoff
   //    attribution. All see every reception; each applies its own
   //    corruption filter.
-  if (opts_.nav) nav_.observe(frame, info);
+  nav_.observe(frame, info);
   if (opts_.spoof && !r.corrupted && r.ta != kNoAddr &&
       (r.type == FrameType::kRts || r.type == FrameType::kData)) {
     spoof_.monitor().add_sample(r.ta, r.rssi_dbm);
   }
-  if (opts_.backoff) backoff_.on_frame(frame, info);
+  backoff_.on_frame(frame, info);
 
   if (r.corrupted) return;  // the live MAC stops at EIFS deference here
 
   // 2. nav_filter: frames not addressed to the vantage update its NAV.
-  if (opts_.nav && r.ra != owner_) nav_.validate(frame, info);
+  if (r.ra != owner_) nav_.validate(frame, info);
 
   // 3. ack_filter: ACKs addressed to the vantage inside the WaitAck
   //    window. Strict bound: an ACK landing exactly at the deadline lost
@@ -149,7 +147,7 @@ void ReplayEngine::step(const CapturedFrame& r) {
       waiting_ = false;  // exchange completed
       // The live tx_done_cb fires with acked=true here: the segment that
       // opened this window was delivered at the MAC.
-      if (opts_.cross_layer && wait_flow_ > 0 && !wait_probe_) {
+      if (wait_flow_ > 0 && !wait_probe_) {
         xlayer(wait_flow_).det.on_mac_acked(wait_seq_);
       }
     }
@@ -157,8 +155,8 @@ void ReplayEngine::step(const CapturedFrame& r) {
 
   // 4. Upper-layer delivery: probe replies reaching the vantage. The
   //    earliest uncorrupted copy is the one MAC dedup let through.
-  if (opts_.fake_ack && r.type == FrameType::kData && r.ra == owner_ &&
-      r.probe && r.probe_reply) {
+  if (r.type == FrameType::kData && r.ra == owner_ && r.probe &&
+      r.probe_reply) {
     auto& ledger = probes_[r.src_node];
     const auto it = ledger.reply_end.find(r.pkt_seq);
     if (it == ledger.reply_end.end() || r.end < it->second) {
@@ -180,53 +178,49 @@ ReplayResult ReplayEngine::result(Time end_time) const {
   res.spoof_tn = spoof_tn_;
   res.spoof_fn = spoof_fn_;
 
-  if (opts_.fake_ack) {
-    for (const auto& [dest, ledger] : probes_) {
-      FakeAckVerdict v;
-      v.dest = dest;
-      v.probes_seen = static_cast<std::int64_t>(ledger.created.size());
-      for (const auto& [seq, created] : ledger.created) {
-        // Maturity fires when created + grace <= the horizon (the maturity
-        // event runs before run_until() stops there); the reply must land
-        // strictly earlier (it was scheduled later, so it loses the
-        // equal-timestamp tie-break).
-        if (created + opts_.fake_ack_grace > end_time) continue;
-        ++v.matured;
-        const auto it = ledger.reply_end.find(seq);
-        if (it != ledger.reply_end.end() &&
-            it->second < created + opts_.fake_ack_grace) {
-          ++v.matured_replied;
-        }
+  for (const auto& [dest, ledger] : probes_) {
+    FakeAckVerdict v;
+    v.dest = dest;
+    v.probes_seen = static_cast<std::int64_t>(ledger.created.size());
+    for (const auto& [seq, created] : ledger.created) {
+      // Maturity fires when created + grace <= the horizon (the maturity
+      // event runs before run_until() stops there); the reply must land
+      // strictly earlier (it was scheduled later, so it loses the
+      // equal-timestamp tie-break).
+      if (created + opts_.fake_ack_grace > end_time) continue;
+      ++v.matured;
+      const auto it = ledger.reply_end.find(seq);
+      if (it != ledger.reply_end.end() &&
+          it->second < created + opts_.fake_ack_grace) {
+        ++v.matured_replied;
       }
-      const auto at = tx_attempts_.find(dest);
-      const std::int64_t attempts = at != tx_attempts_.end() ? at->second : 0;
-      const auto rt = tx_retries_.find(dest);
-      const std::int64_t retries = rt != tx_retries_.end() ? rt->second : 0;
-      v.mac_loss = attempts == 0 ? 0.0
-                                 : static_cast<double>(retries) /
-                                       static_cast<double>(attempts);
-      v.application_loss =
-          v.matured == 0 ? 0.0
-                         : 1.0 - static_cast<double>(v.matured_replied) /
-                                     static_cast<double>(v.matured);
-      v.expected_app_loss = std::pow(v.mac_loss, params_.long_retry_limit + 1);
-      v.detected = v.matured >= 20 &&
-                   v.application_loss >
-                       v.expected_app_loss + opts_.fake_ack_threshold;
-      res.fake_ack.push_back(v);
     }
+    const auto at = tx_attempts_.find(dest);
+    const std::int64_t attempts = at != tx_attempts_.end() ? at->second : 0;
+    const auto rt = tx_retries_.find(dest);
+    const std::int64_t retries = rt != tx_retries_.end() ? rt->second : 0;
+    v.mac_loss = attempts == 0 ? 0.0
+                               : static_cast<double>(retries) /
+                                     static_cast<double>(attempts);
+    v.application_loss =
+        v.matured == 0 ? 0.0
+                       : 1.0 - static_cast<double>(v.matured_replied) /
+                                   static_cast<double>(v.matured);
+    v.expected_app_loss = std::pow(v.mac_loss, params_.long_retry_limit + 1);
+    v.detected = v.matured >= 20 &&
+                 v.application_loss >
+                     v.expected_app_loss + opts_.fake_ack_threshold;
+    res.fake_ack.push_back(v);
   }
 
-  if (opts_.backoff) {
-    for (const int s : backoff_.stations()) {
-      BackoffVerdict v;
-      v.station = s;
-      v.ewma_slots = backoff_.observed_backoff(s);
-      v.samples = backoff_.samples(s);
-      v.tx_share = backoff_.tx_share(s);
-      v.flagged = backoff_.flagged(s);
-      res.backoff.push_back(v);
-    }
+  for (const int s : backoff_.stations()) {
+    BackoffVerdict v;
+    v.station = s;
+    v.ewma_slots = backoff_.observed_backoff(s);
+    v.samples = backoff_.samples(s);
+    v.tx_share = backoff_.tx_share(s);
+    v.flagged = backoff_.flagged(s);
+    res.backoff.push_back(v);
   }
 
   if (opts_.spoof) {
@@ -240,15 +234,13 @@ ReplayResult ReplayEngine::result(Time end_time) const {
     }
   }
 
-  if (opts_.cross_layer) {
-    for (const auto& [flow, fx] : xlayer_) {
-      CrossLayerVerdict v;
-      v.flow_id = flow;
-      v.mac_acked = fx.det.mac_acked_segments();
-      v.suspicious = fx.det.suspicious_retransmissions();
-      v.detected = fx.det.detected();
-      res.cross_layer.push_back(v);
-    }
+  for (const auto& [flow, fx] : xlayer_) {
+    CrossLayerVerdict v;
+    v.flow_id = flow;
+    v.mac_acked = fx.det.mac_acked_segments();
+    v.suspicious = fx.det.suspicious_retransmissions();
+    v.detected = fx.det.detected();
+    res.cross_layer.push_back(v);
   }
 
   return res;

@@ -99,12 +99,6 @@ class Channel {
   // (ablation: every overlap is a collision).
   double capture_threshold = 10.0;
 
-  // Reference mode for tests: route transmit() through the pre-cache
-  // scalar walk (distance + propagation math per receiver per frame, no
-  // link tables). Bit-identical to the SoA sweep by construction; the
-  // mixed-topology identity test in tests/test_phy_channel.cc pins it.
-  bool use_scalar_fanout = false;
-
   void attach(Phy* phy);
   const std::vector<Phy*>& phys() const { return phys_; }
 
@@ -146,7 +140,6 @@ class Channel {
   TxRecord* acquire_record();
   void release_record(TxRecord* rec);
   void finish(TxRecord* rec);
-  void transmit_scalar(TxRecord* rec, Phy* sender);
 
   Scheduler* sched_;
   WifiParams params_;

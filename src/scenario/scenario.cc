@@ -22,7 +22,6 @@ WifiParams params_for(Standard s) {
 Sim::Sim(const SimConfig& cfg)
     : cfg_(cfg),
       params_(params_for(cfg.standard)),
-      sched_(cfg.scheduler_backend),
       rng_(cfg.seed * 0x9e3779b97f4a7c15ULL + 0x517cc1b727220a95ULL),
       channel_(sched_, params_) {
   channel_.set_ranges(cfg.comm_range_m, cfg.cs_range_m);

@@ -38,9 +38,9 @@ struct SimConfig {
   Time warmup = seconds(1);
   Time measure = seconds(10);
   std::uint64_t seed = 1;
-  // Ready-queue implementation; both produce identical event order (see
-  // scheduler.h). Exposed so benchmarks and equivalence tests can A/B.
-  SchedulerBackend scheduler_backend = kDefaultSchedulerBackend;
+  // Read by nothing: the engine has one ready queue (see scheduler.h). The
+  // field stays only because the repository benchmark (perfbench/) sets it.
+  SchedulerBackend scheduler_backend = SchedulerBackend::kTimingWheel;
 };
 
 class Sim {

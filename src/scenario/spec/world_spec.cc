@@ -174,6 +174,21 @@ std::string fmt(double x) {
   return s;
 }
 
+// `s` as a quoted string, escaped the way the parser reads it back.
+std::string quoted(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default: out += c;
+    }
+  }
+  return out + "\"";
+}
+
 }  // namespace
 
 std::vector<Position> WorldSpec::ap_positions() const {
@@ -418,8 +433,8 @@ std::string describe(const WorldSpec& spec) {
   };
 
   out += "[world]\n";
-  line("name", "\"" + spec.name + "\"");
-  line("standard", std::string("\"") + standard_name(spec.standard) + "\"");
+  line("name", quoted(spec.name));
+  line("standard", quoted(standard_name(spec.standard)));
   line("rts_cts", spec.rts_cts ? "true" : "false");
   std::snprintf(buf, sizeof(buf), "%" PRIu64, spec.seed);
   line("seed", buf);
@@ -465,7 +480,7 @@ std::string describe(const WorldSpec& spec) {
 
   for (const TrafficSpec& t : spec.traffic) {
     out += "\n[[traffic]]\n";
-    line("class", std::string("\"") + class_name(t.cls) + "\"");
+    line("class", quoted(class_name(t.cls)));
     line("weight", fmt(t.weight));
     line("rate_mbps", fmt(t.rate_mbps));
     std::snprintf(buf, sizeof(buf), "%d", t.payload_bytes);

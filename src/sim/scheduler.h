@@ -4,11 +4,12 @@
 // insertion order so that a run is a pure function of (scenario, seed).
 // Events can be cancelled through the EventId returned at scheduling time;
 // cancellation is O(1) (a generation bump frees the slot immediately) and
-// stale heap entries are skipped as tombstones when popped.
+// stale queue entries are skipped as tombstones when popped.
 //
 // Hot-path design: callbacks live in an EventPool slab (no shared_ptr, no
 // std::function, no per-event heap allocation in steady state) and the
-// priority queue holds plain {time, seq, generation, index} records. See
+// ready queue (a 4-ary heap while small, a timing wheel while large; see
+// timing_wheel.h) holds plain {time, seq, generation, index} records. See
 // docs/architecture.md, "Event engine".
 #pragma once
 
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "src/sim/check.h"
-#include "src/sim/dary_heap.h"
 #include "src/sim/event_pool.h"
 #include "src/sim/hot.h"
 #include "src/sim/time.h"
@@ -29,19 +29,10 @@ namespace g80211 {
 
 class Scheduler;
 
-// Ready-queue implementation behind the scheduler. Both produce the exact
-// same event execution order (the comparator is a strict total order; the
-// golden event-order trace test pins the equivalence) — the choice is pure
-// mechanics. kTimingWheel is the one ready queue the engine runs: a 4-ary
-// heap while it holds at most 64 entries, a timing wheel above that (see
-// timing_wheel.h). kDaryHeap is the heap-only reference the tests compare
-// against.
-enum class SchedulerBackend {
-  kDaryHeap,
-  kTimingWheel,
-};
-inline constexpr SchedulerBackend kDefaultSchedulerBackend =
-    SchedulerBackend::kTimingWheel;
+// The scheduler's one ready queue. Nothing in the engine reads this
+// value: the type and SimConfig::scheduler_backend stay only because the
+// repository benchmark (perfbench/) still names them.
+enum class SchedulerBackend { kTimingWheel };
 
 // Handle to a scheduled event; cheap to copy, safe to outlive the event
 // (but not the scheduler it came from).
@@ -63,10 +54,6 @@ class EventId {
 
 class Scheduler {
  public:
-  explicit Scheduler(SchedulerBackend backend = kDefaultSchedulerBackend)
-      : backend_(backend) {}
-  SchedulerBackend backend() const { return backend_; }
-
   Time now() const { return now_; }
   // True once instant `t` is over: every event due at or before `t` has
   // run. Inside an event at time t that instant is still open (more events
@@ -83,12 +70,7 @@ class Scheduler {
     G80211_DCHECK(when >= now_ && "cannot schedule into the past");
     const std::uint32_t index = pool_.alloc(std::forward<F>(fn));
     const std::uint64_t gen = pool_.generation(index);
-    const Entry e{when, next_seq_++, gen, index};
-    if (backend_ == SchedulerBackend::kDaryHeap) {
-      heap_.push(e);
-    } else {
-      wheel_.push(e);
-    }
+    queue_.push(Entry{when, next_seq_++, gen, index});
     ++live_;
     return EventId(this, index, gen);
   }
@@ -108,18 +90,17 @@ class Scheduler {
   // Number of events executed so far (diagnostics).
   std::uint64_t executed() const { return executed_; }
   // Number of events currently queued (including tombstones).
-  std::size_t queued() const { return queue_size(); }
+  std::size_t queued() const { return queue_.size(); }
   // Live events currently queued (scheduled, unfired, uncancelled).
   std::size_t pending() const { return live_; }
   // Cancelled tombstones still sitting in the queue; they are discarded
   // lazily when they reach the top, so buildup here measures cancel churn.
-  std::size_t cancelled_pending() const { return queue_size() - live_; }
+  std::size_t cancelled_pending() const { return queue_.size() - live_; }
   // Event-slab high-water mark: the most events that were ever pending at
   // once. Stays flat under schedule/cancel churn (slots are reused).
   std::size_t pool_slots() const { return pool_.slots(); }
-  // The ready queue's mode switches and cascades so far; all zero on
-  // kDaryHeap, whose queue has no modes.
-  const ReadyQueueStats& ready_queue_stats() const { return wheel_.stats(); }
+  // The ready queue's mode switches and cascades so far.
+  const ReadyQueueStats& ready_queue_stats() const { return queue_.stats(); }
 
  private:
   friend class EventId;
@@ -130,9 +111,9 @@ class Scheduler {
     std::uint64_t gen = 0;
     std::uint32_t index = 0;
   };
-  // Strict total order (seq values are unique), so the heap's pop sequence
-  // is the sorted order of its pushes regardless of internal layout — the
-  // determinism contract DaryHeap relies on.
+  // Strict total order (seq values are unique), so the queue's pop
+  // sequence is the sorted order of its pushes regardless of its internal
+  // layout or mode — the determinism contract TimingWheel relies on.
   struct Earlier {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when < b.when;
@@ -149,39 +130,18 @@ class Scheduler {
     --live_;
   }
 
-  // Backend dispatch for the ready queue. One perfectly-predicted branch
-  // per operation; both containers pop in the identical (when, seq) order.
-  std::size_t queue_size() const {
-    return backend_ == SchedulerBackend::kDaryHeap ? heap_.size()
-                                                   : wheel_.size();
-  }
-  bool queue_empty() const { return queue_size() == 0; }
-  // Non-const: the wheel advances its cursor lazily on top().
-  const Entry& queue_top() {
-    return backend_ == SchedulerBackend::kDaryHeap ? heap_.top()
-                                                   : wheel_.top();
-  }
-  void queue_pop() {
-    if (backend_ == SchedulerBackend::kDaryHeap) {
-      heap_.pop();
-    } else {
-      wheel_.pop();
-    }
-  }
-
   bool step();                // pop+run one live event; false if queue empty
   const Entry* peek_live();   // drop cancelled tops; earliest live or null
   void fire(const Entry& e);  // run a just-popped live entry
 
-  SchedulerBackend backend_ = kDefaultSchedulerBackend;
   Time now_ = 0;
   Time closed_ = -1;  // latest instant whose events have all run
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
   EventPool pool_;
-  DaryHeap<Entry, Earlier> heap_;
-  TimingWheel<Entry, Earlier> wheel_;
+  // Non-const top(): the wheel advances its cursor lazily.
+  TimingWheel<Entry, Earlier> queue_;
 };
 
 inline bool EventId::pending() const {

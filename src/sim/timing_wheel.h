@@ -1,6 +1,5 @@
 // The scheduler's ready queue: a 4-ary heap while small, a hierarchical
-// timing wheel while large (the alternative backend, a plain 4-ary heap,
-// is selectable in scheduler.h as the test reference).
+// timing wheel while large.
 //
 // Two modes, chosen by the queue's own size (tombstones included, since
 // they cost heap work too):
@@ -38,13 +37,13 @@
 // more than a handful of) entries sharing one 1.024 us tick.
 //
 // Determinism: pop order is by the caller's strict total order (time,
-// insertion-seq), identical to the d-ary heap backend, in both modes and
+// insertion-seq), the order a plain DaryHeap would give, in both modes and
 // across every switch. Slots partition time into disjoint tick ranges and
 // are drained strictly in tick order (per-slot occupancy bitmaps make the
 // in-order scan cheap); within a tick, and after a collapse, ready_
-// applies the full comparator. The golden event-order trace test and the
-// container-level differential test in tests/test_scheduler.cc pin the
-// equivalence.
+// applies the full comparator. tests/test_scheduler.cc pins the order: a
+// container-level differential test against DaryHeap, and scheduler-level
+// tests against the sorted (when, scheduling order) specification.
 //
 // Why a large wheel beats a heap: push/pop on the heap are O(log n) with
 // data-dependent branches; the wheel replaces them with O(1) stores and a

@@ -80,17 +80,17 @@ def main():
         check(f"{rel} flags exactly {sorted(expected)}", got == expected,
               f"got {sorted(got)}\n{p.stdout}")
 
-    # 3. A full bad-tree scan surfaces every rule at once, and the
-    # iterator-loop / std::accumulate shapes of nondet-unordered-iter are
-    # all caught (the regex lint only sees the range-for shape).
+    # 3. A full bad-tree scan surfaces every rule at once, and every
+    # shape of nondet-unordered-iter is caught: range-for and iterator
+    # loop over a member and over a local, and std::accumulate.
     p = run(tree("bad"))
     got = rules_in(p.stdout)
     check("bad tree exits 1", p.returncode == 1, f"exit={p.returncode}")
     check("bad tree covers all six rules", got == ALL_RULES,
           f"missing {sorted(ALL_RULES - got)}\n{p.stdout}")
     ui = [ln for ln in p.stdout.splitlines() if "nondet-unordered-iter" in ln]
-    check("unordered_iter catches iterator loop + accumulate + range-for",
-          len(ui) == 3, p.stdout)
+    check("unordered_iter catches all five iteration shapes",
+          len(ui) == 5, p.stdout)
 
     # 4. Findings carry stable path:line: [rule] shape (tooling greps it).
     check("output format is path:line: [rule]",

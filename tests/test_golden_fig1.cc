@@ -15,8 +15,8 @@
 //
 // Fig 1 is the sparse regime, where the scheduler's ready queue stays a
 // heap; a dense twin (a Fig 4 TCP world whose queue spills into the timing
-// wheel and collapses back) proves the same bit-identity across the
-// queue's mode switches.
+// wheel and collapses back) pins its own hash across the queue's mode
+// switches.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -72,8 +72,7 @@ void add_stats(const ReadyQueueStats& run, ReadyQueueStats& total) {
 }
 
 // `capture_stem` non-empty: record a capture of the first sweep point.
-SliceRun fig1_metric_vector(SchedulerBackend backend,
-                            const std::string& capture_stem) {
+SliceRun fig1_metric_vector(const std::string& capture_stem) {
   SliceRun out;
   for (const Time inflation :
        {microseconds(0), microseconds(600), milliseconds(2)}) {
@@ -84,7 +83,6 @@ SliceRun fig1_metric_vector(SchedulerBackend backend,
     spec.cfg.rts_cts = true;
     spec.cfg.warmup = milliseconds(500);
     spec.cfg.measure = seconds(2);
-    spec.cfg.scheduler_backend = backend;
     if (inflation == 0) spec.capture_stem = capture_stem;
     spec.customize = [inflation](Sim& sim, std::vector<Node*>&,
                                  std::vector<Node*>& rx) {
@@ -108,16 +106,22 @@ SliceRun fig1_metric_vector(SchedulerBackend backend,
 // refactor), re-record this constant and say so in the commit message.
 constexpr std::uint64_t kGolden = 0x045ffda2b5fd0c2fULL;
 
-void expect_golden(const std::vector<double>& metrics) {
+// The dense twin's hash, recorded when a heap-only reference queue still
+// ran beside the default one and both gave these bits.
+constexpr std::uint64_t kDenseGolden = 0x576118bc0fb1ff38ULL;
+
+void expect_golden(const std::vector<double>& metrics, std::uint64_t golden,
+                   const char* what) {
   const std::uint64_t h = fnv1a_bits(metrics);
-  if (h != kGolden) {
-    std::printf("golden metric vector (%zu doubles):\n", metrics.size());
+  if (h != golden) {
+    std::printf("%s metric vector (%zu doubles):\n", what, metrics.size());
     for (const double d : metrics) std::printf("  %.17g\n", d);
     std::printf("hash: 0x%016llx\n",
                 static_cast<unsigned long long>(h));
   }
-  EXPECT_EQ(h, kGolden)
-      << "fig1 metric vector changed bit-for-bit; see stdout for values";
+  EXPECT_EQ(h, golden) << what
+                       << " metric vector changed bit-for-bit; see stdout "
+                          "for values";
 }
 
 TEST(GoldenFig1, MetricVectorBitIdentical) {
@@ -128,9 +132,8 @@ TEST(GoldenFig1, MetricVectorBitIdentical) {
   // capture suite) fails, so a red run ships its evidence.
   const std::filesystem::path dir =
       test::artifact_dir("capture_test_artifacts");
-  const SliceRun run = fig1_metric_vector(kDefaultSchedulerBackend,
-                                          (dir / "golden_fig1").string());
-  expect_golden(run.metrics);
+  const SliceRun run = fig1_metric_vector((dir / "golden_fig1").string());
+  expect_golden(run.metrics, kGolden, "fig1");
   // Fig 1's two pairs are the sparse regime: the ready queue never holds
   // more than its spill threshold, so the whole slice runs as a heap.
   EXPECT_EQ(run.ready_queue.spills, 0u);
@@ -142,21 +145,11 @@ TEST(GoldenFig1, MetricVectorBitIdentical) {
   EXPECT_EQ(run.queue_drops, 36774);
 }
 
-TEST(GoldenFig1, MetricVectorBitIdenticalOnBothSchedulerBackends) {
-  // The ready-queue backend is pure mechanics: heap or wheel, the engine
-  // must dispatch the identical event sequence and therefore reproduce the
-  // identical metric bits.
-  expect_golden(fig1_metric_vector(SchedulerBackend::kDaryHeap, "").metrics);
-  expect_golden(
-      fig1_metric_vector(SchedulerBackend::kTimingWheel, "").metrics);
-}
-
 // Fig 1's twin in the dense regime: Fig 4's two TCP pairs with the CTS
 // NAV inflated by 10 ms. TCP's bursts take the ready queue from ~30 to
 // ~220 entries and back, so it spills into its wheel and collapses back
-// into its heap mid-run, and the bit-identity above is proven across both
-// mode switches.
-SliceRun dense_metric_vector(SchedulerBackend backend) {
+// into its heap mid-run.
+SliceRun dense_metric_vector() {
   SliceRun out;
   bench::PairsSpec spec;
   spec.tcp = true;
@@ -164,7 +157,6 @@ SliceRun dense_metric_vector(SchedulerBackend backend) {
   spec.cfg.rts_cts = true;
   spec.cfg.warmup = milliseconds(500);
   spec.cfg.measure = seconds(2);
-  spec.cfg.scheduler_backend = backend;
   spec.customize = [](Sim& sim, std::vector<Node*>&, std::vector<Node*>& rx) {
     sim.make_nav_inflator(*rx[1], NavFrameMask::cts_only(), milliseconds(10));
   };
@@ -179,20 +171,14 @@ SliceRun dense_metric_vector(SchedulerBackend backend) {
 }
 
 TEST(GoldenFig1, DenseTwinBitIdenticalOnBothSchedulerBackends) {
-  const SliceRun heap = dense_metric_vector(SchedulerBackend::kDaryHeap);
-  const SliceRun queue = dense_metric_vector(kDefaultSchedulerBackend);
-  ASSERT_EQ(heap.metrics.size(), queue.metrics.size());
-  EXPECT_EQ(fnv1a_bits(heap.metrics), fnv1a_bits(queue.metrics))
-      << "the ready queue's mode switches changed the dispatch order";
-  // The heap-only reference has no modes. The default queue's switches are
-  // a pure function of the run, so they are pinned exactly: a change here
-  // with the hash above unchanged means the queue's mechanics moved.
-  EXPECT_EQ(heap.ready_queue.spills, 0u);
-  EXPECT_EQ(heap.ready_queue.collapses, 0u);
-  EXPECT_EQ(heap.ready_queue.cascades, 0u);
-  EXPECT_EQ(queue.ready_queue.spills, 4u);
-  EXPECT_EQ(queue.ready_queue.collapses, 2u);
-  EXPECT_EQ(queue.ready_queue.cascades, 8698u);
+  const SliceRun run = dense_metric_vector();
+  expect_golden(run.metrics, kDenseGolden, "dense twin");
+  // The queue's switches are a pure function of the run, so they are
+  // pinned exactly: a change here with the hash above unchanged means the
+  // queue's mechanics moved.
+  EXPECT_EQ(run.ready_queue.spills, 4u);
+  EXPECT_EQ(run.ready_queue.collapses, 2u);
+  EXPECT_EQ(run.ready_queue.cascades, 8698u);
 }
 
 }  // namespace

@@ -53,8 +53,6 @@ def main():
         "src/sim/random.cc": {"nondet-random"},
         "src/sim/wallclock.cc": {"nondet-wallclock"},
         "src/sim/steadyclock.cc": {"nondet-steadyclock"},
-        "src/sim/unordered_iter.cc": {"nondet-unordered-iter"},
-        "src/sim/unordered_iter_it.cc": {"nondet-unordered-iter"},
         "src/sim/bare_assert.cc": {"bare-assert"},
         "src/sim/packet_heap.cc": {"packet-arena"},
         "src/sim/guarded.h": {"pragma-once"},

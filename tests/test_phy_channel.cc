@@ -2,6 +2,10 @@
 // range semantics, half-duplex behaviour, BER corruption delivery.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/phy/channel.h"
@@ -364,87 +368,121 @@ TEST_F(PhyChannelTest, PropagationChangeInvalidatesCachedRxPower) {
   EXPECT_EQ(after, 2.0 * before) << "cached rx power must track tx power";
 }
 
-// The SoA fan-out sweep must be bit-identical to the reference scalar walk
-// (per-frame distance/propagation math, no link tables): same deliveries in
-// the same order, same RSSI bits, same corruption verdicts, same carrier
-// edges. Mixed topology — in comm range, interference-band only, and out of
-// sensing range — with overlapping transmissions to exercise the capture
-// rule, and RSSI noise left on so RNG draw sequences are compared too.
-TEST(ChannelFanoutIdentity, SoaMatchesScalarOnMixedTopology) {
-  struct World {
-    Scheduler sched;
-    Channel channel{sched, WifiParams::b11()};
-    std::vector<std::unique_ptr<Phy>> phys;
-    std::vector<std::unique_ptr<RecordingListener>> listeners;
-
-    explicit World(bool scalar) {
-      channel.use_scalar_fanout = scalar;
-      channel.set_ranges(50.0, 100.0);
-      const Position pos[] = {{0, 0},  {10, 0},  {30, 0},
-                              {70, 0},  // interference band: sensed only
-                              {150, 0},  // out of sensing range entirely
-                              {40, 30}};
-      for (int id = 0; id < 6; ++id) {
-        phys.push_back(
-            std::make_unique<Phy>(channel, id, pos[id], Rng(100 + id)));
-        listeners.push_back(std::make_unique<RecordingListener>());
-        phys.back()->set_listener(listeners.back().get());
-      }
-    }
-
-    void run() {
-      auto frame = [](int ta, int ra) {
-        Frame f;
-        f.type = FrameType::kData;
-        f.ta = ta;
-        f.ra = ra;
-        f.packet = make_packet();
-        f.packet->size_bytes = 1064;
-        return f;
-      };
-      phys[0]->transmit(frame(0, 1), microseconds(400));
-      // Overlaps node 0's frame: capture/collision logic runs at every
-      // receiver that hears both.
-      sched.at(microseconds(100),
-               [&] { phys[2]->transmit(frame(2, 5), microseconds(400)); });
-      // Hidden-ish late joiner, partially overlapping node 2's frame.
-      sched.at(microseconds(450),
-               [&] { phys[5]->transmit(frame(5, 0), microseconds(300)); });
-      // Clean back-to-back frame once the air is quiet again.
-      sched.at(microseconds(900),
-               [&] { phys[1]->transmit(frame(1, 0), microseconds(200)); });
-      sched.run();
+// FNV-1a over every listener's recorded output, bit for bit: its edge and
+// tx-end counts and each delivered frame with its reception info.
+std::uint64_t output_digest(
+    const std::vector<std::unique_ptr<RecordingListener>>& listeners) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  auto mix = [&h](auto value) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof(value) <= sizeof(bits));
+    std::memcpy(&bits, &value, sizeof(value));
+    for (std::size_t i = 0; i < sizeof(value); ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 1099511628211ULL;  // FNV prime
     }
   };
-
-  World soa(/*scalar=*/false);
-  World ref(/*scalar=*/true);
-  soa.run();
-  ref.run();
-
-  for (std::size_t n = 0; n < soa.listeners.size(); ++n) {
-    const RecordingListener& a = *soa.listeners[n];
-    const RecordingListener& b = *ref.listeners[n];
-    SCOPED_TRACE("node " + std::to_string(n));
-    EXPECT_EQ(a.busy_edges, b.busy_edges);
-    EXPECT_EQ(a.idle_edges, b.idle_edges);
-    EXPECT_EQ(a.tx_ends, b.tx_ends);
-    ASSERT_EQ(a.received.size(), b.received.size());
-    for (std::size_t i = 0; i < a.received.size(); ++i) {
-      SCOPED_TRACE("rx " + std::to_string(i));
-      EXPECT_EQ(a.received[i].frame.true_tx, b.received[i].frame.true_tx);
-      EXPECT_EQ(a.received[i].frame.ta, b.received[i].frame.ta);
-      EXPECT_EQ(a.received[i].info.rss_w, b.received[i].info.rss_w);
-      EXPECT_EQ(a.received[i].info.rssi_dbm, b.received[i].info.rssi_dbm);
-      EXPECT_EQ(a.received[i].info.corrupted, b.received[i].info.corrupted);
-      EXPECT_EQ(a.received[i].info.collided, b.received[i].info.collided);
-      EXPECT_EQ(a.received[i].info.start, b.received[i].info.start);
-      EXPECT_EQ(a.received[i].info.end, b.received[i].info.end);
+  for (const auto& l : listeners) {
+    mix(l->busy_edges);
+    mix(l->idle_edges);
+    mix(l->tx_ends);
+    mix(l->received.size());
+    for (const RecordingListener::Rx& rx : l->received) {
+      mix(rx.frame.true_tx);
+      mix(rx.frame.ta);
+      mix(rx.frame.ra);
+      mix(rx.info.rss_w);
+      mix(rx.info.rssi_dbm);
+      mix(rx.info.corrupted);
+      mix(rx.info.collided);
+      mix(rx.info.addresses_intact);
+      mix(rx.info.start);
+      mix(rx.info.end);
     }
   }
-  // The reference walk must not have touched the link-table cache.
-  EXPECT_EQ(ref.channel.link_tables_rebuilt(), 0u);
-  EXPECT_GT(soa.channel.link_tables_rebuilt(), 0u);
+  return h;
+}
+
+// The link-table fan-out against its specification, on a mixed topology:
+// in comm range, interference band only, and out of sensing range, with
+// overlapping transmissions to exercise the capture rule and RSSI noise
+// left on so RNG draw sequences count too. Each sender's sensed set,
+// decodability and rx power follow from the node positions through
+// Propagation, and every delivered frame carries that power. The digest
+// pins everything the listeners recorded; it was taken when a scalar
+// per-receiver walk (distance and propagation math per frame) still ran
+// beside the link-table sweep and both gave these bits.
+TEST(ChannelFanoutIdentity, SoaMatchesScalarOnMixedTopology) {
+  constexpr double kCommRange = 50.0;
+  constexpr double kCsRange = 100.0;
+  Scheduler sched;
+  Channel channel{sched, WifiParams::b11()};
+  channel.set_ranges(kCommRange, kCsRange);
+  const Position pos[] = {{0, 0},  {10, 0},  {30, 0},
+                          {70, 0},  // interference band: sensed only
+                          {150, 0},  // out of sensing range entirely
+                          {40, 30}};
+  constexpr int kNodes = 6;
+  std::vector<std::unique_ptr<Phy>> phys;
+  std::vector<std::unique_ptr<RecordingListener>> listeners;
+  for (int id = 0; id < kNodes; ++id) {
+    phys.push_back(std::make_unique<Phy>(channel, id, pos[id], Rng(100 + id)));
+    listeners.push_back(std::make_unique<RecordingListener>());
+    phys.back()->set_listener(listeners.back().get());
+  }
+
+  auto frame = [](int ta, int ra) {
+    Frame f;
+    f.type = FrameType::kData;
+    f.ta = ta;
+    f.ra = ra;
+    f.packet = make_packet();
+    f.packet->size_bytes = 1064;
+    return f;
+  };
+  phys[0]->transmit(frame(0, 1), microseconds(400));
+  // Overlaps node 0's frame: capture/collision logic runs at every
+  // receiver that hears both.
+  sched.at(microseconds(100),
+           [&] { phys[2]->transmit(frame(2, 5), microseconds(400)); });
+  // Hidden-ish late joiner, partially overlapping node 2's frame.
+  sched.at(microseconds(450),
+           [&] { phys[5]->transmit(frame(5, 0), microseconds(300)); });
+  // Clean back-to-back frame once the air is quiet again.
+  sched.at(microseconds(900),
+           [&] { phys[1]->transmit(frame(1, 0), microseconds(200)); });
+  sched.run();
+
+  // Every sender's sensed set: the other nodes within carrier-sense range,
+  // in attach order, decodable within comm range, at Propagation's power.
+  for (int tx = 0; tx < kNodes; ++tx) {
+    SCOPED_TRACE("sender " + std::to_string(tx));
+    const NeighborSoA& t = channel.neighbors_of(phys[tx].get());
+    std::size_t k = 0;
+    for (int rx = 0; rx < kNodes; ++rx) {
+      const double d = distance(pos[tx], pos[rx]);
+      if (rx == tx || d > kCsRange) continue;
+      ASSERT_LT(k, t.size());
+      EXPECT_EQ(t.rx[k]->id(), rx);
+      EXPECT_EQ(t.power_w[k], channel.propagation().rx_power_w(d));
+      EXPECT_EQ(t.power_dbm[k], watts_to_dbm(t.power_w[k]));
+      EXPECT_EQ(t.decodable[k] != 0, d <= kCommRange);
+      ++k;
+    }
+    EXPECT_EQ(k, t.size());
+  }
+  // Every delivery came from a sender in comm range, at its true power.
+  for (int rx = 0; rx < kNodes; ++rx) {
+    for (const RecordingListener::Rx& r : listeners[rx]->received) {
+      const double d = distance(pos[r.frame.true_tx], pos[rx]);
+      EXPECT_LE(d, kCommRange);
+      EXPECT_EQ(r.info.rss_w, channel.propagation().rx_power_w(d));
+    }
+  }
+  // The node out of everyone's sensing range never noticed the traffic.
+  EXPECT_EQ(listeners[4]->busy_edges, 0);
+  EXPECT_TRUE(listeners[4]->received.empty());
+  EXPECT_EQ(output_digest(listeners), 0xdda4d060b9fa926bULL);
 }
 
 TEST_F(PhyChannelTest, BackToBackTransmissionsBothDelivered) {

@@ -3,6 +3,7 @@
 // and the ready queue's heap/wheel mode switches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,23 +30,22 @@ struct ItemBefore {
 using ItemWheel = TimingWheel<Item, ItemBefore>;
 using ItemHeap = DaryHeap<Item, ItemBefore>;
 
-// Every scheduler-facing test runs against both ready-queue backends: the
-// heap-only reference and the default queue (a 4-ary heap that spills into
-// a hierarchical timing wheel above 64 entries) must be observationally
-// identical (same dispatch order, same stats) — see scheduler.h.
-class SchedulerSuite : public ::testing::TestWithParam<SchedulerBackend> {};
+// The scheduler-facing cases run once, on the scheduler's one ready queue
+// (a 4-ary heap that spills into a hierarchical timing wheel above 64
+// entries). The one-valued parameter keeps each case's ctest id stable
+// (Backends/SchedulerSuite.<case>/TimingWheel); gtest spells the
+// parameter's bytes into that id, so the value stays 1.
+enum class Queue { kTimingWheel = 1 };
+class SchedulerSuite : public ::testing::TestWithParam<Queue> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, SchedulerSuite,
-    ::testing::Values(SchedulerBackend::kDaryHeap,
-                      SchedulerBackend::kTimingWheel),
-    [](const ::testing::TestParamInfo<SchedulerBackend>& info) {
-      return info.param == SchedulerBackend::kDaryHeap ? "DaryHeap"
-                                                       : "TimingWheel";
-    });
+INSTANTIATE_TEST_SUITE_P(Backends, SchedulerSuite,
+                         ::testing::Values(Queue::kTimingWheel),
+                         [](const ::testing::TestParamInfo<Queue>&) {
+                           return "TimingWheel";
+                         });
 
 TEST_P(SchedulerSuite, RunsEventsInTimeOrder) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   std::vector<int> order;
   s.at(microseconds(30), [&] { order.push_back(3); });
   s.at(microseconds(10), [&] { order.push_back(1); });
@@ -55,7 +55,7 @@ TEST_P(SchedulerSuite, RunsEventsInTimeOrder) {
 }
 
 TEST_P(SchedulerSuite, TiesBreakInInsertionOrder) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     s.at(microseconds(5), [&order, i] { order.push_back(i); });
@@ -65,7 +65,7 @@ TEST_P(SchedulerSuite, TiesBreakInInsertionOrder) {
 }
 
 TEST_P(SchedulerSuite, NowAdvancesToEventTime) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   Time seen = -1;
   s.at(milliseconds(7), [&] { seen = s.now(); });
   s.run();
@@ -74,7 +74,7 @@ TEST_P(SchedulerSuite, NowAdvancesToEventTime) {
 }
 
 TEST_P(SchedulerSuite, RunUntilStopsAtHorizonAndAdvancesClock) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   int fired = 0;
   s.at(seconds(1), [&] { ++fired; });
   s.at(seconds(3), [&] { ++fired; });
@@ -86,7 +86,7 @@ TEST_P(SchedulerSuite, RunUntilStopsAtHorizonAndAdvancesClock) {
 }
 
 TEST_P(SchedulerSuite, EventsScheduledDuringRunExecute) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 5) s.after(microseconds(1), recurse);
@@ -97,7 +97,7 @@ TEST_P(SchedulerSuite, EventsScheduledDuringRunExecute) {
 }
 
 TEST_P(SchedulerSuite, CancelPreventsExecution) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   bool ran = false;
   EventId id = s.at(microseconds(10), [&] { ran = true; });
   EXPECT_TRUE(id.pending());
@@ -111,7 +111,7 @@ TEST_P(SchedulerSuite, CancelAtSameTimestampBeforeDispatchWorks) {
   // An event at time T cancelling another event also at time T (scheduled
   // later in insertion order) must win — the MAC relies on this for
   // same-instant busy-edge vs timer races.
-  Scheduler s{GetParam()};
+  Scheduler s;
   bool second_ran = false;
   EventId second;
   s.at(microseconds(5), [&] { second.cancel(); });
@@ -121,14 +121,14 @@ TEST_P(SchedulerSuite, CancelAtSameTimestampBeforeDispatchWorks) {
 }
 
 TEST_P(SchedulerSuite, PendingReflectsFiredState) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   EventId id = s.at(microseconds(1), [] {});
   s.run();
   EXPECT_FALSE(id.pending());
 }
 
 TEST_P(SchedulerSuite, ExecutedCountsOnlyLiveEvents) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   EventId a = s.at(microseconds(1), [] {});
   s.at(microseconds(2), [] {});
   a.cancel();
@@ -137,7 +137,7 @@ TEST_P(SchedulerSuite, ExecutedCountsOnlyLiveEvents) {
 }
 
 TEST_P(SchedulerSuite, CancelAfterFireIsANoOp) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   int runs = 0;
   EventId id = s.at(microseconds(1), [&] { ++runs; });
   s.run();
@@ -157,7 +157,7 @@ TEST_P(SchedulerSuite, CancelAfterFireIsANoOp) {
 }
 
 TEST_P(SchedulerSuite, PendingAcrossGenerationReuseOfPooledSlot) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   EventId a = s.at(microseconds(1), [] {});
   a.cancel();  // frees the slot immediately
   EXPECT_FALSE(a.pending());
@@ -175,7 +175,7 @@ TEST_P(SchedulerSuite, PendingAcrossGenerationReuseOfPooledSlot) {
 }
 
 TEST_P(SchedulerSuite, CancelledPendingCountsTombstones) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   EventId a = s.at(microseconds(10), [] {});
   s.at(microseconds(20), [] {});
   EXPECT_EQ(s.cancelled_pending(), 0u);
@@ -190,7 +190,7 @@ TEST_P(SchedulerSuite, CancelledPendingCountsTombstones) {
 }
 
 TEST_P(SchedulerSuite, MassCancelStressDoesNotGrowPool) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   constexpr int kRounds = 50;
   constexpr std::size_t kBatch = 256;
   for (int round = 0; round < kRounds; ++round) {
@@ -218,7 +218,7 @@ TEST_P(SchedulerSuite, GoldenEventOrderTrace) {
   // same-time ties fire in insertion order, cancelled events (including a
   // same-instant cancel) drop out, and an event scheduled *during* the
   // current instant runs after everything already queued at that instant.
-  Scheduler s{GetParam()};
+  Scheduler s;
   std::vector<std::string> trace;
   s.at(microseconds(20), [&] { trace.push_back("c1"); });
   s.at(microseconds(10), [&] {
@@ -251,22 +251,17 @@ void spill_with_fillers(Scheduler& s, Time after) {
   }
 }
 
-// After a run that started from spill_with_fillers(): the default queue
-// ran the schedule in wheel mode and collapsed as the fillers drained.
+// After a run that started from spill_with_fillers(): the queue ran the
+// schedule in wheel mode and collapsed as the fillers drained.
 void expect_ran_in_wheel_mode(const Scheduler& s) {
   const ReadyQueueStats& q = s.ready_queue_stats();
-  if (s.backend() == SchedulerBackend::kDaryHeap) {
-    EXPECT_EQ(q.spills, 0u);
-    return;
-  }
   EXPECT_GE(q.spills, 1u);
   EXPECT_GE(q.collapses, 1u);
 }
 
 // Deadlines spanning every wheel level — sub-tick, level 0, the higher
 // windows, and far past the 2^42 ns span (overflow) — plus events
-// scheduled mid-run. The heap backend runs the same schedule, so this also
-// pins backend equivalence at coarse horizons.
+// scheduled mid-run.
 void run_cross_level_times(Scheduler& s) {
   std::vector<int> order;
   const Time times[] = {
@@ -290,12 +285,12 @@ void run_cross_level_times(Scheduler& s) {
 }
 
 TEST_P(SchedulerSuite, CrossLevelTimesFireInOrder) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   run_cross_level_times(s);
 }
 
 TEST_P(SchedulerSuite, CrossLevelTimesFireInOrderInWheelMode) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   spill_with_fillers(s, seconds(9000));
   run_cross_level_times(s);
   expect_ran_in_wheel_mode(s);
@@ -312,12 +307,12 @@ void run_idle_gap_then_late_event(Scheduler& s) {
 }
 
 TEST_P(SchedulerSuite, IdleGapThenLateEventFires) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   run_idle_gap_then_late_event(s);
 }
 
 TEST_P(SchedulerSuite, IdleGapThenLateEventFiresInWheelMode) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   spill_with_fillers(s, seconds(9000));
   run_idle_gap_then_late_event(s);
   expect_ran_in_wheel_mode(s);
@@ -340,67 +335,82 @@ void run_coarse_window_boundary(Scheduler& s) {
 }
 
 TEST_P(SchedulerSuite, CoarseWindowBoundaryDoesNotLeapfrogParkedEntry) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   run_coarse_window_boundary(s);
 }
 
 TEST_P(SchedulerSuite,
        CoarseWindowBoundaryDoesNotLeapfrogParkedEntryInWheelMode) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   spill_with_fillers(s, milliseconds(1));
   run_coarse_window_boundary(s);
   expect_ran_in_wheel_mode(s);
-  if (s.backend() == SchedulerBackend::kTimingWheel) {
-    // The window-edge step cascaded B's level-1 slot.
-    EXPECT_GE(s.ready_queue_stats().cascades, 1u);
-  }
+  // The window-edge step cascaded B's level-1 slot.
+  EXPECT_GE(s.ready_queue_stats().cascades, 1u);
 }
 
 TEST(SchedulerEquivalence, BackendsDispatchIdenticalOrder) {
-  // Differential test: a pseudo-random schedule (bursty times from ns to
-  // hours, nested re-scheduling, interleaved cancels) must dispatch in the
-  // exact same order on both backends.
-  auto run_backend = [](SchedulerBackend backend) {
-    Scheduler s(backend);
-    std::vector<std::pair<int, Time>> fired;
-    std::uint64_t state = 0x2545F4914F6CDD1DULL;
-    auto next = [&state] {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      return state;
-    };
-    std::vector<EventId> cancellable;
-    for (int i = 0; i < 4000; ++i) {
-      // Mix scales so every wheel level and the overflow heap see traffic.
-      const std::uint64_t r = next();
-      Time t = 0;
-      switch (r % 4) {
-        case 0: t = nanoseconds(static_cast<Time>(r % 2000)); break;
-        case 1: t = microseconds(static_cast<Time>(r % 5000)); break;
-        case 2: t = milliseconds(static_cast<Time>(r % 90000)); break;
-        default: t = seconds(static_cast<Time>(r % 9000)); break;
-      }
-      const int id = i;
-      EventId e = s.at(t, [&s, &fired, id, t] {
-        fired.push_back({id, t});
-        if (id % 7 == 0) {
-          s.after(microseconds(static_cast<Time>(id) + 1),
-                  [&fired, id] { fired.push_back({-id, 0}); });
-        }
-      });
-      if (r % 5 == 0) cancellable.push_back(e);
-    }
-    for (std::size_t i = 0; i < cancellable.size(); i += 2) {
-      cancellable[i].cancel();
-    }
-    s.run();
-    return fired;
+  // The dispatch specification on a pseudo-random schedule (bursty times
+  // from ns to hours, nested re-scheduling, interleaved cancels): exactly
+  // the uncancelled events fire, sorted by (when, order of scheduling).
+  Scheduler s;
+  // Every event ever scheduled, indexed by its order of scheduling.
+  std::vector<Time> when;
+  std::vector<bool> cancelled;
+  std::vector<std::size_t> fired;
+  std::uint64_t state = 0x2545F4914F6CDD1DULL;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
   };
-  const auto heap = run_backend(SchedulerBackend::kDaryHeap);
-  const auto wheel = run_backend(SchedulerBackend::kTimingWheel);
-  ASSERT_EQ(heap.size(), wheel.size());
-  EXPECT_EQ(heap, wheel);
+  std::vector<std::pair<EventId, std::size_t>> cancellable;
+  for (int i = 0; i < 4000; ++i) {
+    // Mix scales so every wheel level and the overflow heap see traffic.
+    const std::uint64_t r = next();
+    Time t = 0;
+    switch (r % 4) {
+      case 0: t = nanoseconds(static_cast<Time>(r % 2000)); break;
+      case 1: t = microseconds(static_cast<Time>(r % 5000)); break;
+      case 2: t = milliseconds(static_cast<Time>(r % 90000)); break;
+      default: t = seconds(static_cast<Time>(r % 9000)); break;
+    }
+    const std::size_t id = when.size();
+    when.push_back(t);
+    cancelled.push_back(false);
+    EventId e = s.at(t, [&s, &when, &cancelled, &fired, id, i] {
+      fired.push_back(id);
+      if (i % 7 == 0) {
+        const Time delay = microseconds(static_cast<Time>(i) + 1);
+        const std::size_t nested = when.size();
+        when.push_back(s.now() + delay);
+        cancelled.push_back(false);
+        s.after(delay, [&fired, nested] { fired.push_back(nested); });
+      }
+    });
+    if (r % 5 == 0) cancellable.emplace_back(e, id);
+  }
+  for (std::size_t i = 0; i < cancellable.size(); i += 2) {
+    cancellable[i].first.cancel();
+    cancelled[cancellable[i].second] = true;
+  }
+  s.run();
+
+  std::vector<std::size_t> expected;
+  for (std::size_t id = 0; id < when.size(); ++id) {
+    if (!cancelled[id]) expected.push_back(id);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&when](std::size_t a, std::size_t b) {
+                     return when[a] < when[b];
+                   });
+  EXPECT_GT(when.size(), 4000u) << "nested events were scheduled";
+  ASSERT_EQ(fired.size(), expected.size());
+  EXPECT_EQ(fired, expected);
+  // The schedule crossed the queue's spill threshold both ways.
+  EXPECT_GE(s.ready_queue_stats().spills, 1u);
+  EXPECT_GE(s.ready_queue_stats().collapses, 1u);
 }
 
 // The ready queue against the plain heap, below the scheduler: seeded
@@ -544,7 +554,7 @@ TEST(InplaceFunction, DestroysCaptureExactlyOnce) {
 }
 
 TEST_P(SchedulerSuite, TimerStartCancelRestart) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   int fired = 0;
   Timer t(s, [&] { ++fired; });
   t.start(microseconds(10));
@@ -558,7 +568,7 @@ TEST_P(SchedulerSuite, TimerStartCancelRestart) {
 }
 
 TEST_P(SchedulerSuite, TimerRestartSupersedesPreviousDeadline) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   std::vector<Time> fire_times;
   Timer t(s, [&] { fire_times.push_back(s.now()); });
   t.start(microseconds(10));
@@ -569,7 +579,7 @@ TEST_P(SchedulerSuite, TimerRestartSupersedesPreviousDeadline) {
 }
 
 TEST_P(SchedulerSuite, TimerDestructionCancelsPendingEvent) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   int fired = 0;
   {
     Timer t(s, [&] { ++fired; });
@@ -581,7 +591,7 @@ TEST_P(SchedulerSuite, TimerDestructionCancelsPendingEvent) {
 }
 
 TEST_P(SchedulerSuite, TimerStartAtAbsoluteTime) {
-  Scheduler s{GetParam()};
+  Scheduler s;
   Time fired_at = -1;
   Timer t(s, [&] { fired_at = s.now(); });
   s.at(microseconds(5), [&] { t.start_at(microseconds(42)); });

@@ -9,9 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "src/scenario/spec/parser.h"
 #include "src/scenario/spec/world_builder.h"
 #include "src/scenario/spec/world_spec.h"
+#include "src/sim/rng.h"
 
 using namespace g80211;
 using namespace g80211::spec;
@@ -344,6 +348,137 @@ TEST(SpecSchema, DescribeRoundTripIsLossless) {
   p.window_s = 0.1;  // not exactly representable
   const WorldSpec q = parse_world_spec_text(describe(p), "canon2");
   EXPECT_TRUE(q == p);
+}
+
+// A seeded generator of valid WorldSpecs for the round-trip property. It
+// covers names built from pieces that need escaping, grid and explicit AP
+// placement, one to four traffic classes of every kind, and values at the
+// schema's edges: 1e6 s durations, fractions of 0 and 1, cs_range_m equal
+// to comm_range_m, seeds 0 and 2^63 - 1, payloads of INT_MAX bytes and a
+// world of exactly 2^20 nodes.
+class SpecGenerator {
+ public:
+  explicit SpecGenerator(std::uint64_t seed) : rng_(seed) {}
+
+  WorldSpec next() {
+    WorldSpec s;
+    s.name.clear();
+    static const char* const kPieces[] = {
+        "a\"b\\c", "\"", "\\", "\n", "\t", "tab\there", "line\nbreak",
+        "plain", "# not a comment", "[aps]", "caf\xc3\xa9", " ", "="};
+    for (int n = pick(5); n > 0; --n) {
+      s.name += kPieces[pick(std::size(kPieces))];
+    }
+    static const Standard kStandards[] = {Standard::B80211, Standard::A80211,
+                                          Standard::G80211};
+    s.standard = kStandards[pick(std::size(kStandards))];
+    s.rts_cts = pick(2) == 0;
+    switch (pick(3)) {
+      case 0: s.seed = 0; break;
+      case 1: s.seed = std::numeric_limits<std::int64_t>::max(); break;
+      default: s.seed = rng_.next_u64() >> 1;
+    }
+    s.warmup_s = duration();
+    s.measure_s = duration();
+    s.comm_range_m = positive(500.0);
+    s.cs_range_m = pick(3) == 0 ? s.comm_range_m
+                                : s.comm_range_m + positive(500.0);
+    s.ber = fraction();
+
+    // AP placement; the node total stays within 2^20.
+    if (pick(4) == 0) {
+      s.grid_cols = 1024;  // exactly 2^20 nodes with one station per AP
+      s.grid_rows = 512;
+      s.pitch_m = positive(100.0);
+      s.per_ap = 1;
+    } else if (pick(2) == 0) {
+      s.grid_cols = 1 + pick(40);
+      s.grid_rows = 1 + pick(40);
+      s.pitch_m = positive(100.0);
+      s.per_ap = 1 + pick(16);
+    } else {
+      for (int n = 1 + pick(6); n > 0; --n) {
+        s.positions.push_back({coordinate(), coordinate()});
+      }
+      s.per_ap = 1 + pick(16);
+    }
+    s.grc_coverage = fraction();
+    s.radius_m = pick(2) == 0 ? 0.0 : positive(50.0);
+
+    s.churn_fraction = fraction();
+    s.mean_on_s = duration();
+    s.mean_off_s = duration();
+    s.roam_fraction = fraction();
+    s.speed_mps = positive(10.0);
+    s.hysteresis_m = pick(2) == 0 ? 0.0 : positive(20.0);
+
+    for (int n = 1 + pick(4); n > 0; --n) {
+      TrafficSpec t;
+      static const TrafficClass kClasses[] = {
+          TrafficClass::kCbr, TrafficClass::kWeb, TrafficClass::kTcp};
+      t.cls = kClasses[pick(std::size(kClasses))];
+      t.weight = positive(5.0);
+      t.rate_mbps = positive(54.0);
+      t.payload_bytes = pick(4) == 0 ? std::numeric_limits<int>::max()
+                                     : 1 + pick(2000);
+      t.burst_s = duration();
+      t.idle_s = duration();
+      s.traffic.push_back(t);
+    }
+
+    s.greedy_fraction = fraction();
+    s.mix_nav = positive(1.0);  // keeps the mix's total weight positive
+    s.mix_spoof = pick(2) == 0 ? 0.0 : positive(1.0);
+    s.mix_fake = pick(2) == 0 ? 0.0 : positive(1.0);
+    s.nav_inflation_ms = pick(4) == 0 ? 1e9 : positive(32.767);  // 1e9 ms: 1e6 s
+    s.gp = pick(3) == 0 ? 1.0 : positive(1.0);
+    s.window_s = duration();
+    s.ring_m = positive(100.0);
+    return s;
+  }
+
+ private:
+  // In [0, n); uniform_int(k) is in [0, k].
+  int pick(std::size_t n) {
+    return static_cast<int>(
+        rng_.uniform_int(static_cast<std::int64_t>(n) - 1));
+  }
+  // In (0, scale]: uniform() is in [0, 1).
+  double positive(double scale) { return scale * (1.0 - rng_.uniform()); }
+  double fraction() {
+    switch (pick(4)) {
+      case 0: return 0.0;
+      case 1: return 1.0;
+      default: return rng_.uniform();
+    }
+  }
+  double duration() {
+    switch (pick(4)) {
+      case 0: return 1e6;  // the longest duration a spec may hold
+      case 1: return 1e-9;
+      default: return positive(100.0);
+    }
+  }
+  double coordinate() { return (rng_.uniform() - 0.5) * 2e4; }
+
+  Rng rng_;
+};
+
+TEST(SpecSchema, GeneratedSpecsRoundTripThroughDescribe) {
+  SpecGenerator gen(20260801);
+  for (int i = 0; i < 500; ++i) {
+    const WorldSpec s = gen.next();
+    const std::string text = describe(s);
+    SCOPED_TRACE("spec " + std::to_string(i) + ":\n" + text);
+    WorldSpec back;
+    try {
+      back = parse_world_spec_text(text, "generated");
+    } catch (const SpecError& e) {
+      FAIL() << e.what();
+    }
+    EXPECT_TRUE(back == s);
+    EXPECT_EQ(describe(back), text);
+  }
 }
 
 // --- planning --------------------------------------------------------------

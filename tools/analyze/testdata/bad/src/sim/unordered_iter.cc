@@ -1,7 +1,8 @@
-// Fixture: unordered-container iteration in the three shapes the regex
-// lint cannot or can only partially see. Expected: [nondet-unordered-iter]
-// for the iterator loop, the std::accumulate call, and the range-for over
-// a member (type resolved through the class, not the loop line).
+// Fixture: unordered-container iteration in every shape the rule covers.
+// Expected: [nondet-unordered-iter] for the iterator loop, the
+// std::accumulate call, and the range-for over a member (type resolved
+// through the class, not the loop line), and for the range-for and the
+// iterator loop over a local.
 #include <numeric>
 #include <unordered_map>
 
@@ -31,3 +32,21 @@ struct Stats {
     return total;
   }
 };
+
+int sum_local_range_for() {
+  std::unordered_map<int, int> nav_by_node{{1, 2}, {3, 4}};
+  int sum = 0;
+  for (const auto& entry : nav_by_node) {
+    sum += entry.second;
+  }
+  return sum;
+}
+
+int sum_local_iterator_loop() {
+  std::unordered_map<int, int> nav_by_node{{1, 2}, {3, 4}};
+  int sum = 0;
+  for (auto it = nav_by_node.begin(); it != nav_by_node.end(); ++it) {
+    sum += it->second;
+  }
+  return sum;
+}

@@ -24,13 +24,6 @@ Rules (IDs are stable; tests and NOLINT suppressions reference them):
                         src/runner/ (the campaign runner may measure
                         elapsed host time for progress reporting; the
                         engine may not).
-  nondet-unordered-iter range-for or iterator loop over a
-                        std::unordered_{map,set,...}:
-                        bucket order is implementation-defined, so any
-                        simulation-visible state it feeds breaks
-                        bit-identity. Use an ordered container or sort
-                        first; NOLINT with a reason if provably
-                        order-independent.
   bare-assert           assert( in src/: compiles out under NDEBUG, i.e.
                         in exactly the builds the golden guards run.
                         Use G80211_CHECK / G80211_DCHECK (src/sim/check.h).
@@ -49,6 +42,10 @@ Rules (IDs are stable; tests and NOLINT suppressions reference them):
   self-contained        a header that does not compile on its own
                         (g++ -fsyntax-only on a TU containing just that
                         #include).
+
+Iteration over std::unordered_* containers is checked by the AST
+analyzer's nondet-unordered-iter rule (tools/analyze/g80211_ast.py),
+which also sees member containers and iterator-pair algorithms.
 
 Suppression: append  // NOLINT(<rule-id>): <reason>  to the offending
 line. Only the named rules are suppressed; clang-tidy NOLINTs with other
@@ -71,7 +68,6 @@ RULES = [
     "nondet-random",
     "nondet-wallclock",
     "nondet-steadyclock",
-    "nondet-unordered-iter",
     "bare-assert",
     "packet-arena",
     "pragma-once",
@@ -102,9 +98,6 @@ WALLCLOCK_RE = re.compile(
     r"|\bstrftime\b|(?<![\w.])clock\s*\("
 )
 STEADY_RE = re.compile(r"steady_clock|high_resolution_clock")
-UNORDERED_DECL_RE = re.compile(
-    r"unordered_(?:map|set|multimap|multiset)\s*<[^;{]*>\s+(\w+)\s*[;{=]"
-)
 ASSERT_RE = re.compile(r"(?<![\w.])assert\s*\(")
 GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+\w+_H_?\b")
 # Heap-allocating a Packet bypasses the arena (src/net/packet.h): `new
@@ -263,9 +256,6 @@ def check_layering(rel, raw, stripped, layers, exceptions, out):
 
 
 def check_determinism(rel, raw, stripped, out):
-    unordered_vars = set()
-    for line in stripped:
-        unordered_vars.update(UNORDERED_DECL_RE.findall(line))
     for i, line in enumerate(stripped, 1):
         if not allowed("nondet-random", rel):
             m = RANDOM_RE.search(line)
@@ -284,26 +274,6 @@ def check_determinism(rel, raw, stripped, out):
                 out.add(rel, i, "nondet-steadyclock",
                         f"'{m.group(0)}' outside src/runner/: host timing is for the "
                         "campaign runner only", raw[i - 1])
-        fm = re.search(r"for\s*\([^();]*:\s*([^)]+)\)", line)
-        if fm:
-            range_expr = fm.group(1).strip()
-            tokens = set(re.findall(r"\w+", range_expr))
-            if "unordered_map" in range_expr or "unordered_set" in range_expr \
-                    or tokens & unordered_vars:
-                out.add(rel, i, "nondet-unordered-iter",
-                        f"iteration over unordered container '{range_expr}': bucket "
-                        "order is implementation-defined", raw[i - 1])
-        # Iterator-style loops over the same containers: `for (auto it =
-        # m.begin(); ...)`. This regex is the fast pre-check; the AST
-        # analyzer (tools/analyze/g80211_ast.py) is authoritative and also
-        # catches member containers and std::accumulate-style iterator
-        # pairs that no line regex can see.
-        im = re.search(r"for\s*\([^;:()]*[=(]\s*(\w+)\s*\.\s*c?begin\s*\(",
-                       line)
-        if im and im.group(1) in unordered_vars:
-            out.add(rel, i, "nondet-unordered-iter",
-                    f"iterator loop over unordered container '{im.group(1)}': "
-                    "bucket order is implementation-defined", raw[i - 1])
 
 
 def check_hygiene(rel, raw, stripped, out):
