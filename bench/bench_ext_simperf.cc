@@ -8,11 +8,14 @@
 // compares alternating runs of both trees on one host.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <numbers>
 
 #include "bench/common.h"
 #include "bench/perf_counters.h"
+#include "src/mac/mac_stats.h"
 #include "src/scenario/sharded.h"
 #include "src/sim/dary_heap.h"
 #include "src/sim/rng.h"
@@ -172,6 +175,52 @@ void BM_Hotspot(benchmark::State& state) {
   report_perf(state, pc, events);
 }
 
+// One saturated hotspot (an AP and its station 10 m apart, 12 Mb/s of UDP
+// downlink) plus N idle stations on a 75 m circle around the pair: inside
+// both radios' 99 m carrier-sense range and outside their 55 m
+// communication range, so every frame reaches them as interference only.
+// That is the Fig 23 band where two-thirds of a city frame's receivers
+// sit. time_per_frame is wall time per frame put on the air; while such a
+// receiver costs the channel one carrier-state update per frame edge, it
+// stays near flat in N.
+void BM_InterferenceBand(benchmark::State& state) {
+  const int n_idle = static_cast<int>(state.range(0));
+  std::uint64_t seed = 1;
+  double frames = 0.0;
+  double sim_seconds = 0.0;
+  double total = 0.0;
+  for (auto _ : state) {
+    SimConfig cfg;
+    cfg.comm_range_m = 55.0;
+    cfg.cs_range_m = 99.0;
+    cfg.measure = seconds(1);
+    cfg.warmup = milliseconds(100);
+    cfg.seed = seed++;
+    Sim sim(cfg);
+    Node& ap = sim.add_node({0, 0});
+    Node& sta = sim.add_node({10, 0});
+    for (int i = 0; i < n_idle; ++i) {
+      const double a = 2.0 * std::numbers::pi * i / n_idle;
+      sim.add_node({5.0 + 75.0 * std::cos(a), 75.0 * std::sin(a)});
+    }
+    const Sim::UdpFlow flow = sim.add_udp_flow(ap, sta);
+    sim.run();
+    sim_seconds += sim_span_seconds(cfg);
+    for (int id = 0; id < sim.num_nodes(); ++id) {
+      const MacStats s = sim.node(id).mac().stats();
+      frames += static_cast<double>(s.rts_sent + s.cts_sent + s.data_sent +
+                                    s.acks_sent);
+    }
+    total += flow.goodput_mbps();
+    benchmark::DoNotOptimize(total);
+  }
+  // Wall seconds per frame, printed with its SI prefix (e.g. "450ns").
+  state.counters["time_per_frame"] = benchmark::Counter(
+      frames, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["sim_seconds_per_wall_second"] =
+      benchmark::Counter(sim_seconds, benchmark::Counter::kIsRate);
+}
+
 // Pure scheduler microbench, no PHY/MAC: the dominant MAC pattern of
 // schedule / cancel / reschedule plus a fired ladder. Measures raw
 // events/sec through the slab + heap with zero steady-state allocation.
@@ -323,6 +372,7 @@ void BM_ShardedHotspot(benchmark::State& state) {
 BENCHMARK(BM_SaturatedUdpPairs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TcpPair)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Hotspot)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InterferenceBand)->Arg(0)->Arg(16)->Arg(48)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SchedulerChurn)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TimerRestart)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ShardedHotspot)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);

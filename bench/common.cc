@@ -62,6 +62,9 @@ PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed) {
   }
   out.ready_queue = sim.scheduler().ready_queue_stats();
   out.events = sim.scheduler().executed();
+  out.receptions_sensed = sim.channel().receptions_sensed();
+  out.rx_callbacks = sim.channel().rx_callbacks();
+  out.frames_demodulated = sim.channel().frames_demodulated();
   for (int id = 0; id < sim.num_nodes(); ++id) {
     out.queue_drops += sim.node(id).mac().stats().queue_drops;
   }

@@ -52,6 +52,10 @@ struct PairsResult {
   ReadyQueueStats ready_queue;       // the run's scheduler mode switches
   std::uint64_t events = 0;          // events the run executed
   std::int64_t queue_drops = 0;      // MacStats::queue_drops over all nodes
+  // The channel's fan-out counters (Channel::receptions_sensed etc.).
+  std::uint64_t receptions_sensed = 0;
+  std::uint64_t rx_callbacks = 0;
+  std::uint64_t frames_demodulated = 0;
 };
 
 PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed);

@@ -5,11 +5,11 @@
 namespace g80211 {
 
 void BackoffMonitor::attach(Mac& mac) {
-  auto prev_edge = std::move(mac.channel_observer);
-  mac.channel_observer = [this, prev = std::move(prev_edge)](bool busy) {
-    if (prev) prev(busy);
-    on_edge(busy);
-  };
+  mac.set_channel_observer(
+      [this, prev = mac.channel_observer()](bool busy) {
+        if (prev) prev(busy);
+        on_edge(busy);
+      });
   auto prev_sniffer = std::move(mac.sniffer);
   mac.sniffer = [this, prev = std::move(prev_sniffer)](const Frame& f,
                                                        const RxInfo& info) {

@@ -1,6 +1,7 @@
 #include "src/mac/mac.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace g80211 {
 
@@ -31,6 +32,12 @@ Mac::Mac(Scheduler& sched, Phy& phy, const WifiParams& params, Rng rng)
       }),
       response_timer_(sched, [this] { fire_response(); }) {
   phy.set_listener(this);
+  update_edge_interest();
+}
+
+void Mac::set_channel_observer(std::function<void(bool)> observer) {
+  channel_observer_ = std::move(observer);
+  update_edge_interest();
 }
 
 bool Mac::medium_busy() const {
@@ -130,9 +137,13 @@ void Mac::start_service() {
   current_is_retry_ = false;
   frag_sizes_.clear();
   frag_idx_ = 0;
-  if (queue_.empty()) return;
+  if (queue_.empty()) {
+    update_edge_interest();
+    return;
+  }
   auto [pkt, dest] = queue_.pop();
   current_ = std::move(pkt);
+  update_edge_interest();
   current_dest_ = dest;
   ++mac_seq_;
   if (frag_threshold_ > 0 && current_->size_bytes > frag_threshold_ &&
@@ -647,7 +658,7 @@ void Mac::handle_rx_ack(const Frame& frame, const RxInfo& info) {
 }
 
 void Mac::on_channel_busy() {
-  if (channel_observer) channel_observer(true);
+  if (channel_observer_) channel_observer_(true);
   // Invariant: the defer timer and backoff only ever run on behalf of a
   // frame being served (both start sites are guarded by current_, and
   // current_ is never cleared while either is pending — contention stops
@@ -660,7 +671,7 @@ void Mac::on_channel_busy() {
 }
 
 void Mac::on_channel_idle() {
-  if (channel_observer) channel_observer(false);
+  if (channel_observer_) channel_observer_(false);
   reevaluate();
 }
 

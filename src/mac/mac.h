@@ -98,9 +98,14 @@ class Mac : public PhyListener {
   double backoff_cheat() const { return backoff_cheat_; }
 
   // Observation tap for channel busy/idle edges (true = became busy);
-  // chained like `sniffer`. Backoff monitoring (DOMINO) uses it to measure
-  // how long stations actually waited before transmitting.
-  std::function<void(bool)> channel_observer;
+  // chain it by wrapping the current one, as with `sniffer`. Backoff
+  // monitoring (DOMINO) uses it to measure how long stations actually
+  // waited before transmitting. A setter, because an observer makes every
+  // edge matter to this MAC (see update_edge_interest).
+  void set_channel_observer(std::function<void(bool)> observer);
+  const std::function<void(bool)>& channel_observer() const {
+    return channel_observer_;
+  }
 
   // Auto-rate adaptation (ARF, or AARF when `adaptive`) on DATA frames,
   // per destination. Without it every DATA frame uses the standard's fixed
@@ -190,6 +195,13 @@ class Mac : public PhyListener {
   };
 
   bool medium_busy() const;
+  // Busy/idle edges change nothing here unless a frame is in service or an
+  // observer watches them (on_channel_busy and reevaluate return at once
+  // otherwise), so the PHY is told to skip them in between. Called
+  // wherever current_ or the observer changes.
+  void update_edge_interest() {
+    phy_->set_edge_interest(current_ != nullptr || channel_observer_ != nullptr);
+  }
   // Hot roots (src/sim/hot.h): timer-slab callbacks enter here.
   G80211_HOT void reevaluate();  // (re)start deference if access is wanted
   G80211_HOT void on_defer_done();
@@ -272,6 +284,8 @@ class Mac : public PhyListener {
   Timer response_timer_;
   std::optional<Frame> pending_response_;
   TxKind pending_response_kind_ = TxKind::kNone;
+
+  std::function<void(bool)> channel_observer_;
 
   DedupCache dedup_;
   MacStats stats_;

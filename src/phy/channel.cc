@@ -7,6 +7,7 @@ namespace g80211 {
 void Channel::attach(Phy* phy) {
   phy->channel_index_ = phys_.size();
   phys_.push_back(phy);
+  carrier_.emplace_back();
   tables_.emplace_back();
   invalidate_topology();  // every sender's sensed set may now include `phy`
 }
@@ -18,12 +19,14 @@ const NeighborSoA& Channel::neighbors_of(Phy* sender) {
     t.soa.clear();
     // Every other PHY within sensing range, in attach order: the fan-out
     // order that every event ordering and RNG draw downstream follows.
-    for (Phy* rx : phys_) {
+    for (std::size_t i = 0; i < phys_.size(); ++i) {
+      const Phy* rx = phys_[i];
       if (rx == sender) continue;
       const double d = distance(sender->position(), rx->position());
       if (!sensed_at(d)) continue;
       const double p = propagation_.rx_power_w(d);
-      t.soa.add(rx, p, watts_to_dbm(p), decodable_at(d));
+      t.soa.add(static_cast<std::uint32_t>(i), p, watts_to_dbm(p),
+                decodable_at(d));
     }
     t.topo_gen = topology_gen_;
     t.prop_gen = prop_gen;
@@ -60,7 +63,8 @@ TxRecord* Channel::acquire_record() {
 
 void Channel::release_record(TxRecord* rec) {
   rec->frame.packet.reset();  // drop the payload ref until the next reuse
-  rec->sensed.clear();
+  rec->rx.clear();
+  rec->power_w.clear();
   // NOLINTNEXTLINE(hot-path-alloc): holds at most records_.size() entries,
   // so capacity stops at the record-pool high-water mark.
   free_records_.push_back(rec);
@@ -86,29 +90,72 @@ void Channel::transmit(Phy* sender, const Frame& frame, Time airtime) {
   rec->end = end;
   rec->tx_id = tx_id;
   rec->sender = sender;
-  // One sweep over the sender's SoA arrays: the receiver set lands in
-  // rec->sensed in a single bulk copy, then each receiver's interference
-  // sum and rx-start state are posted from the index-aligned arrays. The
-  // per-receiver body (Phy::incoming_start) is header-inline, so this loop
-  // compiles to one tight pass with no out-of-line call per receiver.
-  const std::size_t n = t.rx.size();
-  Phy* const* rxs = t.rx.data();
+  const std::size_t n = t.size();
+  const std::uint32_t* rxs = t.rx.data();
   const double* pw = t.power_w.data();
   const double* pdbm = t.power_dbm.data();
   const std::uint8_t* dec = t.decodable.data();
-  // NOLINTNEXTLINE(hot-path-alloc): the pooled record's vector reuses its
-  // capacity; it grows only until the fan-out high-water mark.
-  rec->sensed.assign(rxs, rxs + n);
+  // NOLINTNEXTLINE(hot-path-alloc): the pooled record's vectors reuse
+  // their capacity; they grow only until the fan-out high-water mark.
+  rec->rx.assign(rxs, rxs + n);
+  // NOLINTNEXTLINE(hot-path-alloc): as above.
+  rec->power_w.assign(pw, pw + n);
+  receptions_sensed_ += n;
   for (std::size_t i = 0; i < n; ++i) {
-    rxs[i]->incoming_start(*rec, pw[i], pdbm[i], dec[i] != 0, now);
+    const std::uint32_t r = rxs[i];
+    CarrierState& s = carrier_[r];
+    const bool was_busy = s.busy();
+    bool called = false;
+    if (!s.transmitting) {
+      if (s.demod_tx != 0) {
+        phys_[r]->overlap(s, *rec, pw[i], pdbm[i], dec[i] != 0, now);
+        called = true;
+      } else if (dec[i] != 0) {
+        phys_[r]->begin_demod(s, *rec, pw[i], pdbm[i], now);
+        called = true;
+      }
+    }
+    s.interference_w += pw[i];
+    ++s.sensed;
+    if (!was_busy && s.wants_edges) {
+      phys_[r]->listener_->on_channel_busy();
+      called = true;
+    }
+    if (called) ++rx_callbacks_;
   }
   sched_->at(end, [this, rec] { finish(rec); });
 }
 
 void Channel::finish(TxRecord* rec) {
-  // Attach order is insertion order of the old per-receiver end-events, so
-  // receivers observe the end of the frame in exactly the same sequence.
-  for (Phy* rx : rec->sensed) rx->incoming_end(rec->tx_id);
+  // Attach order, as at the frame's start: each receiver's tail and idle
+  // edge run right after its own update, before the next receiver's.
+  const std::size_t n = rec->rx.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t r = rec->rx[k];
+    CarrierState& s = carrier_[r];
+    G80211_DCHECK(s.sensed != 0);
+    s.interference_w -= rec->power_w[k];
+    if (--s.sensed == 0) s.interference_w = 0.0;
+    bool called = false;
+    if (s.demod_tx == rec->tx_id) {
+      // A radio demodulating a frame is not transmitting: keying up
+      // abandons the demodulation (Phy::transmit).
+      const bool collided = s.collided;
+      s.demod_tx = 0;
+      s.collided = false;
+      ++frames_demodulated_;
+      phys_[r]->finish_reception(collided);
+      called = true;
+    }
+    // Read after the tail, which may give the listener work (a MAC that
+    // dequeues a frame there starts wanting edges) or take it away.
+    const CarrierState& after = carrier_[r];
+    if (!after.busy() && after.wants_edges) {
+      phys_[r]->listener_->on_channel_idle();
+      called = true;
+    }
+    if (called) ++rx_callbacks_;
+  }
   // The sender's tx-done used to be its own event scheduled immediately
   // after this one (same timestamp, next sequence number): nothing could
   // ever run between them, so folding it in here drops one scheduler

@@ -28,31 +28,49 @@ namespace g80211 {
 
 class Phy;
 
-// One transmission in flight, shared by every PHY that sensed it. The
-// channel used to hand each receiver its own Frame copy plus its own
-// end-event; now all sensed PHYs reference one record and a single
-// end-event fans the finish out in attach order (identical to the old
-// per-receiver insertion-sequence order, so event ordering is unchanged).
-// Records are pooled by the channel: the Frame assignment reuses the
-// record's storage and only bumps the payload refcount.
+// One radio's carrier state. The channel owns these in one array indexed
+// by attach index, so the fan-out passes keep every receiver's state
+// without touching its Phy; they call into a Phy only when a frame can
+// change what it demodulates or its listener wants the edge (see
+// Channel::transmit).
+struct CarrierState {
+  // Running sum of the rx power of every transmission in the air here,
+  // reset to exactly zero when the last one ends so that no floating-point
+  // residue can pass for interference.
+  double interference_w = 0.0;
+  std::uint64_t demod_tx = 0;  // tx_id being demodulated (0 = none)
+  std::uint32_t sensed = 0;    // transmissions in the air here
+  bool transmitting = false;
+  bool collided = false;       // the demodulated frame is already lost
+  bool wants_edges = false;    // the listener acts on busy/idle edges
+  bool busy() const { return transmitting || sensed != 0; }
+};
+
+// One transmission in flight, shared by every PHY that sensed it: a single
+// end-event fans its finish out to the receivers in attach order. Records
+// are pooled by the channel: the Frame assignment reuses the record's
+// storage and only bumps the payload refcount.
 struct TxRecord {
   Frame frame;
   Time end = 0;
   std::uint64_t tx_id = 0;
   Phy* sender = nullptr;  // keyed radio; told tx-done when the frame ends
-  std::vector<Phy*> sensed;  // receivers, in channel attach order
+  // Receivers' attach indices, in attach order, and the power each took
+  // at the frame's start: the end subtracts exactly that, even when a
+  // move has rebuilt the sender's link table in between.
+  std::vector<std::uint32_t> rx;
+  std::vector<double> power_w;
 };
 
 // A sender's link table in structure-of-arrays form: index-aligned
 // contiguous arrays over every receiver within sensing range, in channel
 // attach order (the fan-out order contract). Strangers outside
 // carrier-sense range never appear, so the transmit fan-out pays zero
-// distance/propagation math per frame — it is one sweep over these arrays
-// posting interference deltas and rx-start state into each receiver. The
-// dBm conversion (a log10 formerly paid per delivered frame in the RSSI
-// path) is precomputed here too and threaded through reception.
+// distance/propagation math per frame. The dBm conversion (a log10
+// formerly paid per delivered frame in the RSSI path) is precomputed here
+// too and threaded through reception.
 struct NeighborSoA {
-  std::vector<Phy*> rx;
+  std::vector<std::uint32_t> rx;  // receivers' attach indices
   std::vector<double> power_w;
   std::vector<double> power_dbm;     // watts_to_dbm(power_w), cached
   std::vector<std::uint8_t> decodable;
@@ -65,7 +83,7 @@ struct NeighborSoA {
     power_dbm.clear();
     decodable.clear();
   }
-  void add(Phy* receiver, double p_w, double p_dbm, bool dec) {
+  void add(std::uint32_t receiver, double p_w, double p_dbm, bool dec) {
     G80211_ALLOC_OK(
         "link-table rebuild runs on topology/propagation change, not per "
         "frame; the arrays re-reach their high-water capacity and stay");
@@ -100,10 +118,25 @@ class Channel {
   double capture_threshold = 10.0;
 
   void attach(Phy* phy);
+  // Attached PHYs, indexed by attach index.
   const std::vector<Phy*>& phys() const { return phys_; }
 
-  // Broadcast `frame` from `sender` for `airtime`. Hot root: the
-  // per-frame fan-out sweep (src/sim/hot.h).
+  // Broadcast `frame` from `sender` for `airtime`: one pass over the
+  // sender's link table updates each receiver's CarrierState and calls
+  // into a PHY only when the frame can change it, in attach order, each
+  // call after that receiver's own update:
+  //   * a decodable frame reaches a radio that is neither transmitting
+  //     nor demodulating (it starts demodulating);
+  //   * a frame starts during a demodulation (the capture rule decides
+  //     between collision, power-through and capture);
+  //   * the busy edge reaches a listener that wants edges.
+  // The frame's end makes the same pass (finish), calling in when the
+  // frame being demodulated ends (the reception tail) or the idle edge
+  // reaches a listener that wants edges. A radio that is not demodulating
+  // gains nothing from a frame it cannot decode, so an interference-only
+  // receiver whose listener ignores edges costs one CarrierState update
+  // per frame edge. Hot root: the per-frame fan-out sweep
+  // (src/sim/hot.h).
   G80211_HOT void transmit(Phy* sender, const Frame& frame, Time airtime);
 
   // Sender's link table (see NeighborSoA). Rebuilt lazily when the
@@ -118,6 +151,14 @@ class Channel {
   std::uint64_t topology_generation() const { return topology_gen_; }
   // Total table rebuilds, for tests/benchmarks asserting cache behaviour.
   std::uint64_t link_tables_rebuilt() const { return tables_rebuilt_; }
+  // Fan-out counters, deterministic like the one above. Receptions sensed:
+  // receiver x frame pairs. Receiver callbacks: the receiver visits of the
+  // start and end passes that called into a PHY or its listener, at most
+  // two per reception sensed. Frames demodulated: reception tails run
+  // (frames that reached their end at a radio demodulating them).
+  std::uint64_t receptions_sensed() const { return receptions_sensed_; }
+  std::uint64_t rx_callbacks() const { return rx_callbacks_; }
+  std::uint64_t frames_demodulated() const { return frames_demodulated_; }
 
   bool decodable_at(double dist_m) const {
     return comm_range_m_ <= 0 || dist_m <= comm_range_m_;
@@ -146,6 +187,7 @@ class Channel {
   ErrorModel error_model_;
   Propagation propagation_;
   std::vector<Phy*> phys_;
+  std::vector<CarrierState> carrier_;  // by attach index, beside phys_
   double comm_range_m_ = 0;  // <= 0: unlimited
   double cs_range_m_ = 0;    // <= 0: same as comm range
   std::uint64_t next_tx_id_ = 1;
@@ -160,11 +202,16 @@ class Channel {
   std::vector<NeighborTable> tables_;
   std::uint64_t topology_gen_ = 1;
   std::uint64_t tables_rebuilt_ = 0;
+  std::uint64_t receptions_sensed_ = 0;
+  std::uint64_t rx_callbacks_ = 0;
+  std::uint64_t frames_demodulated_ = 0;
   // Record pool: records_ owns every record ever created (so teardown with
   // transmissions still in flight leaks nothing); free_records_ lists the
   // idle ones. Steady state allocates no new records.
   std::vector<std::unique_ptr<TxRecord>> records_;
   std::vector<TxRecord*> free_records_;
+
+  friend class Phy;  // a radio reads and keys its own CarrierState
 };
 
 }  // namespace g80211

@@ -14,12 +14,13 @@ double Phy::measured_rssi(double rss_dbm) {
 }
 
 void Phy::transmit(const Frame& frame, Time airtime) {
-  G80211_DCHECK(!transmitting_ && "half-duplex PHY already transmitting");
-  const bool was_busy = carrier_busy();
+  CarrierState& s = carrier();
+  G80211_DCHECK(!s.transmitting && "half-duplex PHY already transmitting");
+  const bool was_busy = s.busy();
   // Half duplex: transmitting stomps any in-progress reception.
-  current_rx_ = 0;
-  current_collided_ = false;
-  transmitting_ = true;
+  s.demod_tx = 0;
+  s.collided = false;
+  s.transmitting = true;
   // No local Frame copy: the channel copies the frame into its TxRecord
   // anyway and stamps true_tx there, so copying here (plus the packet
   // refcount round-trip it implies) would be pure overhead.
@@ -31,13 +32,14 @@ void Phy::transmit(const Frame& frame, Time airtime) {
 }
 
 void Phy::tx_done() {
-  transmitting_ = false;
+  carrier().transmitting = false;
   if (listener_) listener_->on_tx_end();
   // If nothing else is in the air, the medium just went idle for us.
   notify_edges(/*was_busy=*/true);
 }
 
-void Phy::finish_reception(const Ongoing& o, bool collided) {
+void Phy::finish_reception(bool collided) {
+  const Demod& o = demod_;
   const Frame& frame = *o.frame;
   const ErrorModel& em = channel_->error_model();
   // A fragment is only exposed for its own airtime, not the full MSDU's.

@@ -1,26 +1,28 @@
 // Per-node half-duplex transceiver.
 //
-// Tracks every transmission currently in the air at this node, implements
-// physical carrier sensing, reception with a symmetric capture rule, and
-// BER-driven frame corruption. The capture rule follows the paper's
-// Section IV-B setup: of two overlapping frames, the one whose received
-// signal strength exceeds the other's by the capture threshold is
-// demodulated; otherwise both are lost (collision).
+// Implements physical carrier sensing, reception with a symmetric capture
+// rule, and BER-driven frame corruption. The radio's carrier state (the
+// transmissions in the air here, their summed power, the frame being
+// demodulated) lives in the channel's CarrierState array, which the
+// channel's fan-out passes update; the Phy keeps the one frame it
+// demodulates. The capture rule follows the paper's Section IV-B setup: of
+// two overlapping frames, the one whose received signal strength exceeds
+// the other's by the capture threshold is demodulated; otherwise both are
+// lost (collision).
 //
 // RSSI: every delivered frame carries a measured RSSI (dBm) = true received
 // power + Gaussian measurement noise + a rare heavy-tail outlier, matching
 // the paper's testbed observation that ~95% of samples fall within 1 dB of
 // the link median (Fig 21). Detection code sees only this measured value.
 //
-// Hot-path layout: incoming_start/incoming_end are header-inline so the
-// channel's SoA fan-out sweep compiles into one tight loop per frame; only
-// the per-delivery tail (error model, RSSI draw, listener dispatch) stays
-// out of line in finish_reception().
+// Hot-path layout: begin_demod/overlap are header-inline so the channel's
+// fan-out pass compiles into one tight loop per frame; only the
+// per-delivery tail (error model, RSSI draw, listener dispatch) stays out
+// of line in finish_reception().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/mac/frame.h"
 #include "src/phy/channel.h"
@@ -57,11 +59,22 @@ class Phy {
  public:
   Phy(Channel& channel, int node_id, Position pos, Rng rng)
       : channel_(&channel), id_(node_id), pos_(pos), rng_(rng) {
-    ongoing_.reserve(8);  // overlap depth rarely exceeds a few frames
     channel.attach(this);
   }
 
-  void set_listener(PhyListener* l) { listener_ = l; }
+  // Installing a listener turns edge interest on.
+  void set_listener(PhyListener* l) {
+    listener_ = l;
+    carrier().wants_edges = l != nullptr;
+  }
+  // Whether the listener's on_channel_busy/on_channel_idle run. A listener
+  // whose edge handlers are no-ops for a while may turn this off for that
+  // while, and the channel then skips the calls; it must turn it back on
+  // before an edge could do anything (the MAC does so whenever it has a
+  // frame in service or a channel observer).
+  void set_edge_interest(bool wants) {
+    carrier().wants_edges = wants && listener_ != nullptr;
+  }
   int id() const { return id_; }
   const Position& position() const { return pos_; }
   // Moving a node marks every link table in the channel stale (they are
@@ -74,8 +87,8 @@ class Phy {
   }
 
   // Physical carrier sense (includes own transmission).
-  bool carrier_busy() const { return transmitting_ || !ongoing_.empty(); }
-  bool transmitting() const { return transmitting_; }
+  bool carrier_busy() const { return carrier().busy(); }
+  bool transmitting() const { return carrier().transmitting; }
 
   // Standard deviation of RSSI measurement noise in dB, plus a small
   // probability of a multipath outlier drawn with a wider deviation.
@@ -88,102 +101,72 @@ class Phy {
   // (src/sim/hot.h): every frame passes through here.
   G80211_HOT void transmit(const Frame& frame, Time airtime);
 
-  // Channel-facing reception path. `rec` stays valid until this PHY's
-  // incoming_end(rec.tx_id) returns (the channel releases the record after
-  // fanning the end out to every sensed PHY). `rss_dbm` must equal
-  // watts_to_dbm(rss_w); the channel's link table precomputes it so the
-  // RSSI path pays no log10 per frame. Inline: this is the body of the
-  // channel's per-frame fan-out sweep.
-  // `now` is the scheduler clock, hoisted out of the channel's fan-out
-  // loop so the sweep pays the load once per frame, not per receiver.
-  G80211_HOT void incoming_start(const TxRecord& rec, double rss_w,
-                                 double rss_dbm, bool decodable, Time now) {
-    const bool was_busy = carrier_busy();
-
-    if (!transmitting_) {
-      const double cap = channel_->capture_threshold;
-      if (current_rx_ == 0) {
-        if (decodable) {
-          // Interference from transmissions already in the air: the running
-          // sum over ongoing_, maintained instead of rescanned.
-          const double interference = ongoing_power_w_;
-          current_rx_ = rec.tx_id;
-          current_collided_ =
-              interference > 0.0 && (cap <= 0.0 || rss_w < cap * interference);
-        }
-      } else {
-        const Ongoing* cur = find_ongoing(current_rx_);
-        G80211_DCHECK(cur != nullptr);
-        if (cap > 0.0 && cur->rss_w >= cap * rss_w) {
-          // Current frame powers through; newcomer is just interference.
-        } else if (cap > 0.0 && decodable && rss_w >= cap * cur->rss_w) {
-          // Newcomer captures the receiver; the old frame is lost.
-          current_rx_ = rec.tx_id;
-          current_collided_ = false;
-        } else {
-          current_collided_ = true;
-        }
-      }
-    }
-    // NOLINTNEXTLINE(hot-path-alloc): reserve(8) in the ctor; grows only
-    // past 8 concurrent receptions and then holds the high-water capacity.
-    ongoing_.push_back(
-        Ongoing{rec.tx_id, &rec.frame, rss_w, rss_dbm, now, rec.end, decodable});
-    ongoing_power_w_ += rss_w;
-    notify_edges(was_busy);
-  }
-
-  G80211_HOT void incoming_end(std::uint64_t tx_id) {
-    std::size_t i = 0;
-    while (i < ongoing_.size() && ongoing_[i].tx_id != tx_id) ++i;
-    G80211_DCHECK(i < ongoing_.size());
-    const Ongoing o = ongoing_[i];
-    // Stable erase keeps ongoing_ in ascending-tx_id order.
-    ongoing_.erase(ongoing_.begin() + static_cast<std::ptrdiff_t>(i));
-    ongoing_power_w_ -= o.rss_w;
-    // Exact reset: an empty channel must read exactly zero interference,
-    // not an accumulated floating-point residue.
-    if (ongoing_.empty()) ongoing_power_w_ = 0.0;
-
-    if (tx_id == current_rx_) {
-      const bool collided = current_collided_;
-      current_rx_ = 0;
-      current_collided_ = false;
-      if (!transmitting_) finish_reception(o, collided);
-    }
-    notify_edges(/*was_busy=*/true);
-  }
-
  private:
+  CarrierState& carrier() { return channel_->carrier_[channel_index_]; }
+  const CarrierState& carrier() const {
+    return channel_->carrier_[channel_index_];
+  }
+
+  // Channel-facing reception path, called from the channel's start pass
+  // before the frame's power joins s.interference_w. `rec` stays valid
+  // until the channel's end pass for it returns. `rss_dbm` must equal
+  // watts_to_dbm(rss_w); the channel's link table precomputes it so the
+  // RSSI path pays no log10 per frame. `now` is the scheduler clock,
+  // hoisted out of the pass.
+  //
+  // A decodable frame reached this radio while it was neither transmitting
+  // nor demodulating: demodulate it, lost from the start unless it beats
+  // the power already in the air by the capture threshold.
+  G80211_HOT void begin_demod(CarrierState& s, const TxRecord& rec,
+                              double rss_w, double rss_dbm, Time now) {
+    const double cap = channel_->capture_threshold;
+    const double interference = s.interference_w;
+    s.demod_tx = rec.tx_id;
+    s.collided =
+        interference > 0.0 && (cap <= 0.0 || rss_w < cap * interference);
+    demod_ = Demod{&rec.frame, rss_w, rss_dbm, now, rec.end};
+  }
+  // A frame started while this radio demodulates another: the capture rule.
+  G80211_HOT void overlap(CarrierState& s, const TxRecord& rec, double rss_w,
+                          double rss_dbm, bool decodable, Time now) {
+    const double cap = channel_->capture_threshold;
+    if (cap > 0.0 && demod_.rss_w >= cap * rss_w) {
+      // Current frame powers through; newcomer is just interference.
+    } else if (cap > 0.0 && decodable && rss_w >= cap * demod_.rss_w) {
+      // Newcomer captures the receiver; the old frame is lost.
+      s.demod_tx = rec.tx_id;
+      s.collided = false;
+      demod_ = Demod{&rec.frame, rss_w, rss_dbm, now, rec.end};
+    } else {
+      s.collided = true;
+    }
+  }
+
   void tx_done();
+  // Edges of this radio's own transmission (the channel's passes deliver
+  // the edges of received frames).
   void notify_edges(bool was_busy) {
-    const bool busy = carrier_busy();
-    if (!listener_) return;
+    const CarrierState& s = carrier();
+    if (!s.wants_edges) return;
+    const bool busy = s.busy();
     if (!was_busy && busy) listener_->on_channel_busy();
     if (was_busy && !busy) listener_->on_channel_idle();
   }
   double measured_rssi(double rss_dbm);
 
-  struct Ongoing {
-    std::uint64_t tx_id = 0;
+  // The frame being demodulated; valid while carrier().demod_tx != 0.
+  struct Demod {
     const Frame* frame = nullptr;  // into the channel's shared TxRecord
     double rss_w = 0.0;
     double rss_dbm = 0.0;  // watts_to_dbm(rss_w), precomputed by the channel
     Time start = 0;
     Time end = 0;
-    bool decodable = false;
   };
-  const Ongoing* find_ongoing(std::uint64_t tx_id) const {
-    for (const Ongoing& o : ongoing_) {
-      if (o.tx_id == tx_id) return &o;
-    }
-    return nullptr;
-  }
   // Delivery tail for the frame this PHY was demodulating: frame error
   // model, RSSI measurement, listener dispatch. Out of line — it runs once
-  // per addressed frame, not once per (frame, receiver). Hot root
+  // per demodulated frame, not once per (frame, receiver). Hot root
   // (src/sim/hot.h).
-  G80211_HOT void finish_reception(const Ongoing& o, bool collided);
+  G80211_HOT void finish_reception(bool collided);
 
   Channel* channel_;
   int id_;
@@ -191,15 +174,7 @@ class Phy {
   Position pos_;
   Rng rng_;
   PhyListener* listener_ = nullptr;
-
-  // Everything sensed in the air. Transmissions overlap a handful at a
-  // time, so a flat vector beats the old std::map; erases are stable so
-  // iteration order stays ascending-tx_id, exactly as the map's was.
-  std::vector<Ongoing> ongoing_;
-  double ongoing_power_w_ = 0.0;  // running sum of ongoing rss (interference)
-  std::uint64_t current_rx_ = 0;  // tx_id being demodulated (0 = none)
-  bool current_collided_ = false;
-  bool transmitting_ = false;
+  Demod demod_;
 
   friend class Channel;
 };

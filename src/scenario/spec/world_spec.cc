@@ -422,6 +422,15 @@ WorldSpec load_world_spec(const std::string& path) {
 }
 
 std::string describe(const WorldSpec& spec) {
+  // The parser reads `seed` as a TOML integer, signed 64-bit, so [0, 2^63)
+  // is the seed's one domain: a larger seed would describe to text that
+  // does not parse.
+  if (spec.seed >
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
+    throw SpecError("describe", 0,
+                    "[world] seed " + std::to_string(spec.seed) +
+                        " is outside [0, 2^63)");
+  }
   std::string out;
   char buf[256];
   auto line = [&out, &buf](const char* k, const std::string& v) {

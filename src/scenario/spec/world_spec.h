@@ -59,7 +59,7 @@ struct WorldSpec {
   std::string name = "city";
   Standard standard = Standard::B80211;
   bool rts_cts = true;
-  std::uint64_t seed = 1;
+  std::uint64_t seed = 1;  // in [0, 2^63): a TOML integer is signed 64-bit
   double warmup_s = 1.0;
   double measure_s = 10.0;
   double comm_range_m = 55.0;
@@ -120,7 +120,8 @@ WorldSpec parse_world_spec_text(const std::string& text,
 WorldSpec load_world_spec(const std::string& path);
 
 // Canonical TOML with every default resolved. Lossless:
-// parse_world_spec_text(describe(s)) == s.
+// parse_world_spec_text(describe(s)) == s. Throws a SpecError naming
+// `seed` for a seed outside [0, 2^63), which no spec text can hold.
 std::string describe(const WorldSpec& spec);
 
 }  // namespace g80211::spec

@@ -110,6 +110,14 @@ TEST(GoldenCity, SmallWorldBitIdentical) {
 
   EXPECT_EQ(windows, 5);
   EXPECT_GT(queue_drops, 0) << "the world must saturate shared queues";
+  // The fan-out's work, pinned exactly like the output. Two-thirds of a
+  // frame's receivers only sense it (55/99 m ranges), and they cost the
+  // channel no call into their PHY unless it is demodulating or its MAC
+  // wants the edge.
+  const Channel& channel = sim.channel();
+  EXPECT_EQ(channel.receptions_sensed(), 670720u);
+  EXPECT_EQ(channel.rx_callbacks(), 552036u);
+  EXPECT_EQ(channel.frames_demodulated(), 219785u);
   if (h.value() != kGolden) {
     std::printf("hash: 0x%016llx\n",
                 static_cast<unsigned long long>(h.value()));

@@ -57,12 +57,16 @@ void append_pairs_metrics(const bench::PairsResult& r,
 }
 
 // A slice's metric vector plus its ready-queue mode switches, executed
-// events and queue drops, summed over the slice's runs.
+// events, queue drops and channel fan-out counters, summed over the
+// slice's runs.
 struct SliceRun {
   std::vector<double> metrics;
   ReadyQueueStats ready_queue;
   std::uint64_t events = 0;
   std::int64_t queue_drops = 0;
+  std::uint64_t receptions_sensed = 0;
+  std::uint64_t rx_callbacks = 0;
+  std::uint64_t frames_demodulated = 0;
 };
 
 void add_stats(const ReadyQueueStats& run, ReadyQueueStats& total) {
@@ -96,6 +100,9 @@ SliceRun fig1_metric_vector(const std::string& capture_stem) {
       add_stats(r.ready_queue, out.ready_queue);
       out.events += r.events;
       out.queue_drops += r.queue_drops;
+      out.receptions_sensed += r.receptions_sensed;
+      out.rx_callbacks += r.rx_callbacks;
+      out.frames_demodulated += r.frames_demodulated;
     }
   }
   return out;
@@ -143,6 +150,11 @@ TEST(GoldenFig1, MetricVectorBitIdentical) {
   // the same output, and must be deliberate.
   EXPECT_EQ(run.events, 72287u);
   EXPECT_EQ(run.queue_drops, 36774);
+  // Every station decodes every frame here, so nearly every receiver
+  // visit of the fan-out calls into its PHY.
+  EXPECT_EQ(run.receptions_sensed, 78789u);
+  EXPECT_EQ(run.rx_callbacks, 157268u);
+  EXPECT_EQ(run.frames_demodulated, 78479u);
 }
 
 // Fig 1's twin in the dense regime: Fig 4's two TCP pairs with the CTS

@@ -225,6 +225,35 @@ TEST_F(PhyChannelTest, TransmitAbortsInProgressReception) {
   EXPECT_TRUE(listener(1).received.empty()) << "own tx stomped the rx";
 }
 
+TEST_F(PhyChannelTest, EdgeInterestIsReadAfterTheReceptionTail) {
+  // A listener with edge interest off gets no busy/idle edges. One that
+  // turns it on inside its reception tail (as a MAC does when the tail
+  // hands it a frame to send) gets the idle edge that follows the tail.
+  struct WakeOnRx : RecordingListener {
+    Phy* phy = nullptr;
+    void on_rx_end(const Frame& f, const RxInfo& i) override {
+      RecordingListener::on_rx_end(f, i);
+      phy->set_edge_interest(true);
+    }
+  };
+  Phy& tx = add_phy(0, {0, 0});
+  Phy& rx = add_phy(1, {5, 0});
+  WakeOnRx l;
+  l.phy = &rx;
+  rx.set_listener(&l);
+  rx.set_edge_interest(false);
+  tx.transmit(data_frame(0, 1), microseconds(500));
+  sched_.run();
+  ASSERT_EQ(l.received.size(), 1u);
+  EXPECT_EQ(l.busy_edges, 0);
+  EXPECT_EQ(l.idle_edges, 1);
+  // Interest stays on: the next frame brings both edges.
+  tx.transmit(data_frame(0, 1), microseconds(500));
+  sched_.run();
+  EXPECT_EQ(l.busy_edges, 1);
+  EXPECT_EQ(l.idle_edges, 2);
+}
+
 TEST_F(PhyChannelTest, BerCorruptionIsDeliveredAsCorrupted) {
   channel_.error_model().set_default_ber(1.0);  // every frame corrupts
   Phy& tx = add_phy(0, {0, 0});
@@ -333,7 +362,7 @@ TEST_F(PhyChannelTest, MovedNodeMatchesFreshlyBuiltChannel) {
   const auto& fresh = chan2.neighbors_of(&t2);
   ASSERT_EQ(cached.size(), fresh.size());
   for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(cached.rx[i]->id(), fresh.rx[i]->id());
+    EXPECT_EQ(channel_.phys()[cached.rx[i]]->id(), chan2.phys()[fresh.rx[i]]->id());
     EXPECT_EQ(cached.power_w[i], fresh.power_w[i]);
     EXPECT_EQ(cached.power_dbm[i], fresh.power_dbm[i]);
     EXPECT_EQ(cached.decodable[i], fresh.decodable[i]);
@@ -463,7 +492,7 @@ TEST(ChannelFanoutIdentity, SoaMatchesScalarOnMixedTopology) {
       const double d = distance(pos[tx], pos[rx]);
       if (rx == tx || d > kCsRange) continue;
       ASSERT_LT(k, t.size());
-      EXPECT_EQ(t.rx[k]->id(), rx);
+      EXPECT_EQ(channel.phys()[t.rx[k]]->id(), rx);
       EXPECT_EQ(t.power_w[k], channel.propagation().rx_power_w(d));
       EXPECT_EQ(t.power_dbm[k], watts_to_dbm(t.power_w[k]));
       EXPECT_EQ(t.decodable[k] != 0, d <= kCommRange);
@@ -483,6 +512,115 @@ TEST(ChannelFanoutIdentity, SoaMatchesScalarOnMixedTopology) {
   EXPECT_EQ(listeners[4]->busy_edges, 0);
   EXPECT_TRUE(listeners[4]->received.empty());
   EXPECT_EQ(output_digest(listeners), 0xdda4d060b9fa926bULL);
+}
+
+// The fan-out's twin with capture on (threshold 10) and the overlaps that
+// the receivers' carrier state must get exactly right: an interference-only
+// frame starting during a demodulation, which the demodulated frame powers
+// through at one receiver and is lost to at another; a receiver that keys
+// up mid-reception; a strong frame capturing a receiver; and a sender moved
+// mid-frame, whose link table is rebuilt before its frame ends. That frame
+// must leave each receiver's interference sum by the power it added at its
+// start: a stale residue would mark the clean frame that follows collided.
+// The digest was recorded on the engine that kept a list of every sensed
+// transmission in each PHY.
+TEST(ChannelFanoutIdentity, CaptureOverlapsMovesAndKeyUps) {
+  Scheduler sched;
+  Channel channel{sched, WifiParams::b11()};
+  channel.set_ranges(50.0, 100.0);
+  channel.capture_threshold = 10.0;
+  enum { kR, kA, kB, kI, kK, kM, kFar, kNodes };
+  const Position pos[kNodes] = {
+      {0, 0},     // R: the receiver every phase aims at
+      {10, 0},    // A: strong sender, 10 m from R
+      {-38, 0},   // B: weak sender, 38 m from R, 48 m from A
+      {0, 70},    // I: sensed-only at every other node
+      {5, 5},     // K: keys up while demodulating A
+      {20, 0},    // M: moved while its frame is in the air
+      {150, 0}};  // out of everyone's sensing range
+  std::vector<std::unique_ptr<Phy>> phys;
+  std::vector<std::unique_ptr<RecordingListener>> listeners;
+  for (int id = 0; id < kNodes; ++id) {
+    phys.push_back(std::make_unique<Phy>(channel, id, pos[id], Rng(300 + id)));
+    listeners.push_back(std::make_unique<RecordingListener>());
+    phys.back()->set_listener(listeners.back().get());
+  }
+  auto send = [&](Time at, int tx, int ra, Time airtime) {
+    sched.at(at, [&phys, tx, ra, airtime] {
+      Frame f;
+      f.type = FrameType::kData;
+      f.ta = tx;
+      f.ra = ra;
+      f.packet = make_packet();
+      f.packet->size_bytes = 1064;
+      phys[static_cast<std::size_t>(tx)]->transmit(f, airtime);
+    });
+  };
+
+  // Phase 1: I's frame starts while A's is being demodulated. At R (A at
+  // 10 m, I at 70 m) A powers through; at B (A at 48 m, I at 80 m) the
+  // two collide.
+  send(0, kA, kR, microseconds(400));
+  send(microseconds(100), kI, kR, microseconds(200));
+  // Phase 2: K keys up while demodulating A, and I's frame reaches A while
+  // A transmits.
+  send(microseconds(1000), kA, kR, microseconds(400));
+  send(microseconds(1050), kI, kB, microseconds(100));
+  send(microseconds(1150), kK, kA, microseconds(100));
+  // Phase 3: M's frame to R; M moves and its table is rebuilt mid-frame.
+  // I's frame overlaps it at R (M at 20 m powers through), then A's frame
+  // starts at R after M's ended but while I's is still in the air.
+  const std::uint64_t rebuilds_before = channel.link_tables_rebuilt();
+  send(microseconds(2000), kM, kR, microseconds(400));
+  sched.at(microseconds(2050), [&] {
+    phys[kM]->set_position({60, 0});
+    channel.neighbors_of(phys[kM].get());
+  });
+  send(microseconds(2100), kI, kR, microseconds(500));
+  send(microseconds(2450), kA, kR, microseconds(100));
+  // Phase 4: B's frame to R is captured by A's, 16 times stronger at R.
+  send(microseconds(3000), kB, kR, microseconds(400));
+  send(microseconds(3100), kA, kR, microseconds(200));
+  // Phase 5: I alone, sensed-only everywhere; then a clean frame.
+  send(microseconds(4000), kI, kR, microseconds(200));
+  send(microseconds(4500), kB, kR, microseconds(200));
+  sched.run();
+
+  EXPECT_GT(channel.link_tables_rebuilt(), rebuilds_before + 1)
+      << "M's table must be rebuilt while its frame is in the air";
+  auto from = [&](int rx, int tx) {
+    std::vector<RxInfo> out;
+    for (const RecordingListener::Rx& r : listeners[rx]->received) {
+      if (r.frame.true_tx == tx) out.push_back(r.info);
+    }
+    return out;
+  };
+  // Phase 1 (and phase 2's first frame at R, hit by K's key-up frame).
+  ASSERT_GE(from(kR, kA).size(), 2u);
+  EXPECT_FALSE(from(kR, kA)[0].corrupted) << "A powers through I at R";
+  EXPECT_TRUE(from(kR, kA)[1].collided) << "K's frame collides with A's";
+  ASSERT_GE(from(kB, kA).size(), 1u);
+  EXPECT_TRUE(from(kB, kA)[0].collided) << "I's frame ruins A's at B";
+  // Phase 2: K abandoned A's second frame when it keyed up.
+  ASSERT_EQ(from(kK, kA).size(), 3u);
+  for (const RxInfo& info : from(kK, kA)) {
+    EXPECT_NE(info.start, microseconds(1000));
+  }
+  // Phase 3: M's frame and A's clean third frame.
+  ASSERT_EQ(from(kR, kM).size(), 1u);
+  EXPECT_FALSE(from(kR, kM)[0].corrupted);
+  ASSERT_GE(from(kR, kA).size(), 3u);
+  EXPECT_FALSE(from(kR, kA)[2].corrupted)
+      << "M's frame must leave R's interference sum exactly";
+  // Phase 4: A captured R from B; B's frame is never delivered there.
+  ASSERT_EQ(from(kR, kA).size(), 4u);
+  EXPECT_FALSE(from(kR, kA)[3].corrupted);
+  // Phase 5: B's only delivery at R is its clean frame.
+  ASSERT_EQ(from(kR, kB).size(), 1u);
+  EXPECT_FALSE(from(kR, kB)[0].corrupted);
+  EXPECT_TRUE(from(kR, kI).empty()) << "I is never decodable at R";
+  EXPECT_EQ(listeners[kFar]->busy_edges, 0);
+  EXPECT_EQ(output_digest(listeners), 0x2ef95f889d2227c2ULL);
 }
 
 TEST_F(PhyChannelTest, BackToBackTransmissionsBothDelivered) {

@@ -348,6 +348,25 @@ TEST(SpecSchema, DescribeRoundTripIsLossless) {
   p.window_s = 0.1;  // not exactly representable
   const WorldSpec q = parse_world_spec_text(describe(p), "canon2");
   EXPECT_TRUE(q == p);
+
+  // [0, 2^63) is the seed's one domain: its top round-trips, and describe()
+  // refuses anything above it, naming the seed, rather than print text that
+  // would not parse.
+  WorldSpec top = s;
+  top.seed = std::numeric_limits<std::uint64_t>::max() >> 1;  // 2^63 - 1
+  EXPECT_TRUE(parse_world_spec_text(describe(top), "top") == top);
+  for (const std::uint64_t seed :
+       {std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()}) {
+    WorldSpec big = s;
+    big.seed = seed;
+    try {
+      describe(big);
+      ADD_FAILURE() << "seed " << seed << " described";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("[world] seed"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // A seeded generator of valid WorldSpecs for the round-trip property. It
