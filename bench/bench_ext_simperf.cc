@@ -176,14 +176,10 @@ void BM_Hotspot(benchmark::State& state) {
 }
 
 // One saturated hotspot (an AP and its station 10 m apart, 12 Mb/s of UDP
-// downlink) plus N idle stations on a 75 m circle around the pair: inside
-// both radios' 99 m carrier-sense range and outside their 55 m
-// communication range, so every frame reaches them as interference only.
-// That is the Fig 23 band where two-thirds of a city frame's receivers
-// sit. time_per_frame is wall time per frame put on the air; while such a
-// receiver costs the channel one carrier-state update per frame edge, it
-// stays near flat in N.
-void BM_InterferenceBand(benchmark::State& state) {
+// downlink) in the paper's 55/99 m ranges, plus N idle stations on a ring
+// of `ring_m` around the pair. time_per_frame is wall time per frame put
+// on the air, so its slope in N is what one idle receiver costs a frame.
+void run_idle_ring(benchmark::State& state, double ring_m) {
   const int n_idle = static_cast<int>(state.range(0));
   std::uint64_t seed = 1;
   double frames = 0.0;
@@ -201,7 +197,7 @@ void BM_InterferenceBand(benchmark::State& state) {
     Node& sta = sim.add_node({10, 0});
     for (int i = 0; i < n_idle; ++i) {
       const double a = 2.0 * std::numbers::pi * i / n_idle;
-      sim.add_node({5.0 + 75.0 * std::cos(a), 75.0 * std::sin(a)});
+      sim.add_node({5.0 + ring_m * std::cos(a), ring_m * std::sin(a)});
     }
     const Sim::UdpFlow flow = sim.add_udp_flow(ap, sta);
     sim.run();
@@ -219,6 +215,23 @@ void BM_InterferenceBand(benchmark::State& state) {
       frames, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
   state.counters["sim_seconds_per_wall_second"] =
       benchmark::Counter(sim_seconds, benchmark::Counter::kIsRate);
+}
+
+// The idle stations on a 75 m ring: inside both radios' 99 m
+// carrier-sense range and outside their 55 m communication range, so
+// every frame reaches them as interference only. That is the Fig 23 band
+// where two-thirds of a city frame's receivers sit. While such a receiver
+// costs the channel one carrier-state update per frame edge,
+// time_per_frame stays near flat in N.
+void BM_InterferenceBand(benchmark::State& state) { run_idle_ring(state, 75.0); }
+
+// The idle stations on a 30 m ring, where they decode every frame: each
+// runs the reception tail and its MAC's on_rx_end per frame. No hook
+// reads their measurements and the world has no bit errors, so their
+// radios skip the RSSI draws; the slope against BM_InterferenceBand is
+// the rest of a decoding bystander's cost.
+void BM_DecodingBystanders(benchmark::State& state) {
+  run_idle_ring(state, 30.0);
 }
 
 // Pure scheduler microbench, no PHY/MAC: the dominant MAC pattern of
@@ -373,6 +386,7 @@ BENCHMARK(BM_SaturatedUdpPairs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark:
 BENCHMARK(BM_TcpPair)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Hotspot)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_InterferenceBand)->Arg(0)->Arg(16)->Arg(48)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecodingBystanders)->Arg(0)->Arg(16)->Arg(48)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SchedulerChurn)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TimerRestart)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ShardedHotspot)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);

@@ -40,8 +40,10 @@ PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed) {
   if (spec.customize) spec.customize(sim, senders, receivers);
   // Per-run capture at the first sender's vantage (the station GRC
   // detectors attach to in the paper's scenarios). Attached after
-  // customize() so the capture also journals detector-driven behaviour;
-  // attaching draws no randomness, so the run itself is unperturbed.
+  // customize() so the capture also journals detector-driven behaviour.
+  // Attaching makes the vantage radio draw its own RSSI noise (a radio
+  // nobody observes skips it); that stream feeds nothing else, so the run
+  // itself is unperturbed.
   std::unique_ptr<CaptureWriter> capture;
   if (!spec.capture_stem.empty() && !senders.empty()) {
     capture = std::make_unique<CaptureWriter>(
@@ -65,6 +67,7 @@ PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed) {
   out.receptions_sensed = sim.channel().receptions_sensed();
   out.rx_callbacks = sim.channel().rx_callbacks();
   out.frames_demodulated = sim.channel().frames_demodulated();
+  out.measurements_drawn = sim.channel().measurements_drawn();
   for (int id = 0; id < sim.num_nodes(); ++id) {
     out.queue_drops += sim.node(id).mac().stats().queue_drops;
   }

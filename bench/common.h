@@ -56,6 +56,7 @@ struct PairsResult {
   std::uint64_t receptions_sensed = 0;
   std::uint64_t rx_callbacks = 0;
   std::uint64_t frames_demodulated = 0;
+  std::uint64_t measurements_drawn = 0;
 };
 
 PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed);

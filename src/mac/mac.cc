@@ -483,12 +483,13 @@ void Mac::on_rx_end(const Frame& frame, const RxInfo& info) {
         schedule_response(ack, TxKind::kSpoofAck);
       }
     }
-  // No reevaluate() here: on_rx_end runs inside Phy::incoming_end, after
-  // the frame left the air and before the PHY's edge notification. If the
-  // medium is now idle, the idle edge that immediately follows re-enters
-  // reevaluate() with no scheduler activity in between (any defer it
-  // starts gets the very seq a call here would have produced); if it is
-  // still busy, the busy branch's work was already done on the busy edge.
+  // No reevaluate() here: on_rx_end runs inside the channel's end pass
+  // (Channel::finish), after the frame left the air and before this
+  // radio's idle edge. If the medium is now idle, the idle edge that
+  // immediately follows re-enters reevaluate() with no scheduler activity
+  // in between (any defer it starts gets the very seq a call here would
+  // have produced); if it is still busy, the busy branch's work was
+  // already done on the busy edge.
     return;
   }
 
@@ -535,12 +536,13 @@ void Mac::on_rx_end(const Frame& frame, const RxInfo& info) {
       handle_rx_ack(frame, info);
       break;
   }
-  // No reevaluate() here: on_rx_end runs inside Phy::incoming_end, after
-  // the frame left the air and before the PHY's edge notification. If the
-  // medium is now idle, the idle edge that immediately follows re-enters
-  // reevaluate() with no scheduler activity in between (any defer it
-  // starts gets the very seq a call here would have produced); if it is
-  // still busy, the busy branch's work was already done on the busy edge.
+  // No reevaluate() here: on_rx_end runs inside the channel's end pass
+  // (Channel::finish), after the frame left the air and before this
+  // radio's idle edge. If the medium is now idle, the idle edge that
+  // immediately follows re-enters reevaluate() with no scheduler activity
+  // in between (any defer it starts gets the very seq a call here would
+  // have produced); if it is still busy, the busy branch's work was
+  // already done on the busy edge.
 }
 
 void Mac::handle_rx_rts(const Frame& frame) {

@@ -56,6 +56,9 @@ class MacUpper {
   virtual ~MacUpper() = default;
   // A non-duplicate, uncorrupted DATA packet addressed to this station.
   virtual void on_packet(const PacketPtr& packet, const RxInfo& info) = 0;
+  // Whether on_packet reads the RxInfo's measurements (see
+  // PhyListener::reads_measurements). Default true.
+  virtual bool reads_measurements() const { return true; }
 };
 
 class Mac : public PhyListener {
@@ -67,6 +70,7 @@ class Mac : public PhyListener {
 
   // --- configuration ------------------------------------------------------
   void set_upper(MacUpper* upper) { upper_ = upper; }
+  // A greedy policy reads measurements (see nav_filter below).
   void set_greedy_policy(GreedyPolicy* policy) { greedy_ = policy; }
   void set_rts_cts(bool enabled) { use_rts_cts_ = enabled; }
   bool rts_cts() const { return use_rts_cts_; }
@@ -121,10 +125,20 @@ class Mac : public PhyListener {
   // GRC hooks. nav_filter: given an overheard frame, return the Duration to
   // use for the NAV update (identity when detection is off). ack_filter:
   // return true to IGNORE the ACK (treat as not received -> retransmit).
+  //
+  // These two, `sniffer` and a greedy policy are the MAC's measurement
+  // readers: while one is set, the radio draws RSSI noise (and address
+  // survival) for every frame it demodulates; while none is, a loss-free
+  // world skips those draws (reads_measurements()). A hook attached after
+  // the radio's first reception therefore sees samples of the same
+  // distribution, from a stream that skipped the unread draws. Attach it
+  // before the first reception to see the samples a build-time attach
+  // would.
   std::function<Time(const Frame&, const RxInfo&)> nav_filter;
   std::function<bool(const Frame&, const RxInfo&, int expected_peer)> ack_filter;
   // Observation tap: every decodable frame this station hears (including
   // its own ACKs' triggers); used by detectors that learn RSSI profiles.
+  // A measurement reader (see above): attach before the first reception.
   std::function<void(const Frame&, const RxInfo&)> sniffer;
   // Transmit-side tap: every frame this station keys onto the air, with its
   // transmission start/end times. Chained like `sniffer`. Together the two
@@ -184,6 +198,13 @@ class Mac : public PhyListener {
   G80211_HOT void on_channel_busy() override;
   G80211_HOT void on_channel_idle() override;
   G80211_HOT void on_tx_end() override;
+  // True while a sniffer, ack_filter, nav_filter or greedy policy is set,
+  // or the upper layer reads measurements. Answered per reception, since
+  // the hooks are public members.
+  bool reads_measurements() const override {
+    return sniffer || ack_filter || nav_filter || greedy_ != nullptr ||
+           (upper_ != nullptr && upper_->reads_measurements());
+  }
 
  private:
   enum class TxState { kIdle, kWaitCts, kWaitAck };

@@ -53,6 +53,8 @@ class Node : public MacUpper {
 
   // MacUpper:
   void on_packet(const PacketPtr& packet, const RxInfo& info) override;
+  // on_packet routes by the packet alone; it never reads the RxInfo.
+  bool reads_measurements() const override { return false; }
 
   std::int64_t probes_echoed() const { return probes_echoed_; }
 

@@ -156,9 +156,12 @@ class Channel {
   // start and end passes that called into a PHY or its listener, at most
   // two per reception sensed. Frames demodulated: reception tails run
   // (frames that reached their end at a radio demodulating them).
+  // Measurements drawn: the tails among those that drew RSSI noise; the
+  // rest skipped it because nothing read it (Phy::finish_reception).
   std::uint64_t receptions_sensed() const { return receptions_sensed_; }
   std::uint64_t rx_callbacks() const { return rx_callbacks_; }
   std::uint64_t frames_demodulated() const { return frames_demodulated_; }
+  std::uint64_t measurements_drawn() const { return measurements_drawn_; }
 
   bool decodable_at(double dist_m) const {
     return comm_range_m_ <= 0 || dist_m <= comm_range_m_;
@@ -205,13 +208,16 @@ class Channel {
   std::uint64_t receptions_sensed_ = 0;
   std::uint64_t rx_callbacks_ = 0;
   std::uint64_t frames_demodulated_ = 0;
+  std::uint64_t measurements_drawn_ = 0;  // bumped by Phy::finish_reception
   // Record pool: records_ owns every record ever created (so teardown with
   // transmissions still in flight leaks nothing); free_records_ lists the
   // idle ones. Steady state allocates no new records.
   std::vector<std::unique_ptr<TxRecord>> records_;
   std::vector<TxRecord*> free_records_;
 
-  friend class Phy;  // a radio reads and keys its own CarrierState
+  // A radio reads and keys its own CarrierState and counts its drawn
+  // measurements.
+  friend class Phy;
 };
 
 }  // namespace g80211

@@ -99,6 +99,15 @@ class ErrorModel {
     return frame_error_prob_slow(tx, rx, type, packet_bytes, rate_mbps);
   }
 
+  // True while frame_error_prob is identically 0.0 (see trivial_). A
+  // reception then draws no frame-error chance, so a radio's Rng feeds
+  // only the measurements that Phy::finish_reception skips where nothing
+  // reads them. It never re-arms. A BER or rate limit set after a radio's
+  // first reception meets that radio's stream at another point than in a
+  // world built with it (samples of the same distribution); every caller
+  // sets them at build time.
+  bool trivial() const { return trivial_; }
+
   // Given that a frame was corrupted by bit errors, the probability its
   // 12 address bytes are all intact:
   //   P(addr ok | >=1 error) = ((1-ber)^12 - (1-ber)^L) / (1 - (1-ber)^L).

@@ -49,25 +49,33 @@ void Phy::finish_reception(bool collided) {
 
   RxInfo info;
   info.rss_w = o.rss_w;
-  info.rssi_dbm = measured_rssi(o.rss_dbm);
   info.start = o.start;
   info.end = o.end;
   info.collided = collided;
   info.corrupted = collided || bit_errors;
-  if (!info.corrupted) {
-    info.addresses_intact = true;
+  // With a trivial error model the chance above drew nothing, so this
+  // radio's Rng feeds only the measurements below. Where nothing reads
+  // them the whole stream is dead: skipping it moves no other draw.
+  if (em.trivial() &&
+      (listener_ == nullptr || !listener_->reads_measurements())) {
+    info.rssi_dbm = o.rss_dbm;
+    info.measured = false;
   } else {
-    // ber/len are only needed on this (rare) corrupted path; both are pure
-    // lookups, so deferring them here changes no RNG draw.
-    const double ber = em.ber(frame.true_tx, id_);
-    if (collided || ber <= 0.0) {
-      // Collision- or rate-cliff-induced corruption: header survival is
-      // governed by the overlap/fade geometry, not per-bit independence.
-      info.addresses_intact = rng_.chance(em.collision_addr_intact_prob);
-    } else {
-      const int len = ErrorModel::error_len(frame.type, pkt_bytes);
-      info.addresses_intact =
-          rng_.chance(ErrorModel::addr_intact_given_corrupt(ber, len));
+    ++channel_->measurements_drawn_;
+    info.rssi_dbm = measured_rssi(o.rss_dbm);
+    if (info.corrupted) {
+      // ber/len are only needed on this (rare) corrupted path; both are
+      // pure lookups, so deferring them here changes no RNG draw.
+      const double ber = em.ber(frame.true_tx, id_);
+      if (collided || ber <= 0.0) {
+        // Collision- or rate-cliff-induced corruption: header survival is
+        // governed by the overlap/fade geometry, not per-bit independence.
+        info.addresses_intact = rng_.chance(em.collision_addr_intact_prob);
+      } else {
+        const int len = ErrorModel::error_len(frame.type, pkt_bytes);
+        info.addresses_intact =
+            rng_.chance(ErrorModel::addr_intact_given_corrupt(ber, len));
+      }
     }
   }
   if (listener_) listener_->on_rx_end(frame, info);

@@ -10,15 +10,23 @@
 // the other's by the capture threshold is demodulated; otherwise both are
 // lost (collision).
 //
-// RSSI: every delivered frame carries a measured RSSI (dBm) = true received
+// RSSI: a delivered frame carries a measured RSSI (dBm) = true received
 // power + Gaussian measurement noise + a rare heavy-tail outlier, matching
 // the paper's testbed observation that ~95% of samples fall within 1 dB of
 // the link median (Fig 21). Detection code sees only this measured value.
+// The radio draws it only where something reads it. In a world whose
+// error model can draw nothing (ErrorModel::trivial()), the frame-error
+// chance draws nothing either, so a radio's Rng feeds only measurements;
+// a radio with no listener, or whose listener reads none
+// (PhyListener::reads_measurements()), then skips the RSSI and
+// address-survival draws and delivers RxInfo::measured == false with the
+// noiseless power. No other draw in the run moves. With bit errors, or at
+// an observed radio, every reception draws as it always has.
 //
 // Hot-path layout: begin_demod/overlap are header-inline so the channel's
 // fan-out pass compiles into one tight loop per frame; only the
-// per-delivery tail (error model, RSSI draw, listener dispatch) stays out
-// of line in finish_reception().
+// per-delivery tail (error model, the measurement draws where they are
+// read, listener dispatch) stays out of line in finish_reception().
 #pragma once
 
 #include <cstddef>
@@ -36,10 +44,16 @@ namespace g80211 {
 
 struct RxInfo {
   double rss_w = 0.0;        // true received power (watts)
-  double rssi_dbm = 0.0;     // measured RSSI (noisy, what detectors see)
+  // Measured RSSI (noisy, what detectors see); the noiseless received
+  // power when !measured.
+  double rssi_dbm = 0.0;
   bool corrupted = false;    // bit errors or collision
   bool collided = false;     // corruption was due to overlap
-  bool addresses_intact = true;  // meaningful when corrupted
+  bool addresses_intact = true;  // meaningful when corrupted and measured
+  // False when the radio skipped its measurement draws because nothing
+  // read them (see the RSSI paragraph above): rssi_dbm carries no noise
+  // and addresses_intact was not drawn.
+  bool measured = true;
   Time start = 0;
   Time end = 0;
 };
@@ -50,6 +64,12 @@ class PhyListener {
   // A frame finished arriving (possibly corrupted). Promiscuous: called for
   // every decodable frame regardless of addressing.
   virtual void on_rx_end(const Frame& frame, const RxInfo& info) = 0;
+  // Whether anything behind this listener reads a reception's
+  // measurements (RxInfo::rssi_dbm, and addresses_intact on a corrupted
+  // frame). Asked at every reception tail; in a world whose error model
+  // can draw nothing, false lets the radio skip those draws. Default
+  // true, so a listener that does not answer keeps drawing.
+  virtual bool reads_measurements() const { return true; }
   virtual void on_channel_busy() = 0;
   virtual void on_channel_idle() = 0;
   virtual void on_tx_end() = 0;
@@ -163,9 +183,9 @@ class Phy {
     Time end = 0;
   };
   // Delivery tail for the frame this PHY was demodulating: frame error
-  // model, RSSI measurement, listener dispatch. Out of line — it runs once
-  // per demodulated frame, not once per (frame, receiver). Hot root
-  // (src/sim/hot.h).
+  // model, RSSI measurement (where read), listener dispatch. Out of line —
+  // it runs once per demodulated frame, not once per (frame, receiver).
+  // Hot root (src/sim/hot.h).
   G80211_HOT void finish_reception(bool collided);
 
   Channel* channel_;

@@ -67,6 +67,7 @@ struct SliceRun {
   std::uint64_t receptions_sensed = 0;
   std::uint64_t rx_callbacks = 0;
   std::uint64_t frames_demodulated = 0;
+  std::uint64_t measurements_drawn = 0;
 };
 
 void add_stats(const ReadyQueueStats& run, ReadyQueueStats& total) {
@@ -103,6 +104,7 @@ SliceRun fig1_metric_vector(const std::string& capture_stem) {
       out.receptions_sensed += r.receptions_sensed;
       out.rx_callbacks += r.rx_callbacks;
       out.frames_demodulated += r.frames_demodulated;
+      out.measurements_drawn += r.measurements_drawn;
     }
   }
   return out;
@@ -133,8 +135,9 @@ void expect_golden(const std::vector<double>& metrics, std::uint64_t golden,
 
 TEST(GoldenFig1, MetricVectorBitIdentical) {
   // Record a capture during the first sweep point (both seeds). The hash
-  // must not move: attaching a capture draws no randomness and must leave
-  // the simulated run bit-identical. The files double as CI artifacts —
+  // must not move: attaching a capture makes the vantage radio draw its
+  // own RSSI noise, a stream that feeds nothing else, and must leave the
+  // simulated run bit-identical. The files double as CI artifacts —
   // the workflow uploads capture_test_artifacts/ when this test (or the
   // capture suite) fails, so a red run ships its evidence.
   const std::filesystem::path dir =
@@ -155,6 +158,9 @@ TEST(GoldenFig1, MetricVectorBitIdentical) {
   EXPECT_EQ(run.receptions_sensed, 78789u);
   EXPECT_EQ(run.rx_callbacks, 157268u);
   EXPECT_EQ(run.frames_demodulated, 78479u);
+  // Loss-free: only the captured sender (first point) and the NAV
+  // inflator (the other two) draw RSSI noise.
+  EXPECT_EQ(run.measurements_drawn, 15309u);
 }
 
 // Fig 1's twin in the dense regime: Fig 4's two TCP pairs with the CTS

@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "src/analysis/stats.h"
 #include "src/detect/backoff_monitor.h"
+#include "src/detect/grc.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
 
@@ -308,6 +310,137 @@ TEST(CarrierFanoutIdentity, MacWorldInInterferenceBand) {
                 static_cast<unsigned long long>(digest.value()));
   }
   EXPECT_EQ(digest.value(), 0x1d45c5f48c39f4f4ULL);
+}
+
+// Who observes the world in ObservationIsFree: nobody, station X alone,
+// or every MAC (X recording, the rest passive).
+enum class Watch { kNone, kX, kAll };
+
+struct ObservedRun {
+  std::uint64_t digest = 0;  // MacStats, sinks, GRC, delivered packets
+  std::vector<double> x_rssi;  // X's sniffed RSSI sequence
+  bool x_measured = true;      // every RxInfo X's sniffer saw was measured
+  std::int64_t fake_acks = 0;
+  std::int64_t corrupted = 0;  // MacStats::rx_corrupted over all nodes
+  std::uint64_t demodulated = 0;
+  std::uint64_t drawn = 0;
+};
+
+// Cell 1: an AP with GRC, a UDP and a TCP receiver, a fake-ACKing UDP
+// receiver and an idle station X. Cell 2, 95 m away, is in the 55/99 m
+// interference band of cell 1 and runs its own UDP flow.
+ObservedRun observed_world(double ber, Watch watch) {
+  SimConfig cfg;
+  cfg.comm_range_m = 55.0;
+  cfg.cs_range_m = 99.0;
+  cfg.capture_threshold = 10.0;
+  cfg.default_ber = ber;
+  cfg.warmup = milliseconds(200);
+  cfg.measure = seconds(4);
+  cfg.seed = 23;
+  Sim sim(cfg);
+  Node& ap = sim.add_node({0, 0});
+  Node& udp_rx = sim.add_node({15, 0});
+  Node& tcp_rx = sim.add_node({0, 15});
+  Node& greedy = sim.add_node({-15, 0});
+  Node& x = sim.add_node({10, 10});
+  Node& ap2 = sim.add_node({95, 0});
+  Node& sta2 = sim.add_node({110, 0});
+  const Sim::UdpFlow udp = sim.add_udp_flow(ap, udp_rx, 1.0);
+  const Sim::TcpFlow tcp = sim.add_tcp_flow(ap, tcp_rx);
+  const Sim::UdpFlow greedy_udp = sim.add_udp_flow(ap, greedy, 1.0);
+  const Sim::UdpFlow far = sim.add_udp_flow(sta2, ap2, 1.0);
+  const FakeAckPolicy& fake = sim.make_fake_acker(greedy);
+  Grc grc(sim.scheduler(), sim.params());
+  grc.protect(ap.mac());
+
+  ObservedRun out;
+  if (watch != Watch::kNone) {
+    for (int id = 0; id < sim.num_nodes(); ++id) {
+      Mac& mac = sim.node(id).mac();
+      const bool record = id == x.id();
+      if (!record && watch == Watch::kX) continue;
+      mac.sniffer = [&out, record, prev = std::move(mac.sniffer)](
+                        const Frame& f, const RxInfo& i) {
+        if (prev) prev(f, i);
+        if (!record) return;
+        out.x_rssi.push_back(i.rssi_dbm);
+        out.x_measured = out.x_measured && i.measured;
+      };
+    }
+  }
+
+  Digest digest;
+  DeliveryLog udp_log(sim, udp_rx, *udp.sink, digest);
+  DeliveryLog tcp_data_log(sim, tcp_rx, *tcp.sink, digest);
+  DeliveryLog tcp_ack_log(sim, ap, *tcp.sender, digest);
+  DeliveryLog greedy_log(sim, greedy, *greedy_udp.sink, digest);
+  DeliveryLog far_log(sim, ap2, *far.sink, digest);
+  udp_rx.register_sink(udp.flow_id, &udp_log);
+  tcp_rx.register_sink(tcp.flow_id, &tcp_data_log);
+  ap.register_sink(tcp.flow_id, &tcp_ack_log);
+  greedy.register_sink(greedy_udp.flow_id, &greedy_log);
+  ap2.register_sink(far.flow_id, &far_log);
+  sim.run();
+
+  for (int id = 0; id < sim.num_nodes(); ++id) {
+    const MacStats s = sim.node(id).mac().stats();
+    for (const std::int64_t v :
+         {s.rts_sent, s.data_sent, s.data_retries, s.data_success,
+          s.data_dropped, s.cts_timeouts, s.ack_timeouts, s.queue_drops,
+          s.acks_ignored, s.cts_sent, s.acks_sent, s.spoofed_acks_sent,
+          s.fake_acks_sent, s.cts_suppressed_by_nav, s.rx_data_ok,
+          s.rx_data_dup, s.rx_corrupted, s.nav_updates}) {
+      digest.add(v);
+    }
+    out.corrupted += s.rx_corrupted;
+  }
+  for (const double mbps :
+       {udp.goodput_mbps(), tcp.goodput_mbps(), greedy_udp.goodput_mbps(),
+        far.goodput_mbps()}) {
+    digest.add(mbps);
+  }
+  digest.add(grc.nav_detections());
+  digest.add(grc.spoof_detections());
+  out.digest = digest.value();
+  out.fake_acks = fake.fakes();
+  out.demodulated = sim.channel().frames_demodulated();
+  out.drawn = sim.channel().measurements_drawn();
+  return out;
+}
+
+// Observing a station must not change the world it observes. In a
+// loss-free world a radio draws RSSI noise only while something on its
+// MAC reads it, so attaching sniffers changes which radios draw; the
+// run's outputs, and X's own samples, must not move. With bit errors
+// every radio draws, observed or not.
+TEST(ObservationIsFree, SniffersChangeNoOutputAndNoSample) {
+  for (const double ber : {0.0, 1e-5}) {
+    SCOPED_TRACE(ber);
+    const ObservedRun none = observed_world(ber, Watch::kNone);
+    const ObservedRun one = observed_world(ber, Watch::kX);
+    const ObservedRun all = observed_world(ber, Watch::kAll);
+    EXPECT_EQ(one.digest, none.digest);
+    EXPECT_EQ(all.digest, none.digest);
+    EXPECT_GT(one.x_rssi.size(), 500u);
+    EXPECT_EQ(one.x_rssi, all.x_rssi)
+        << "X's samples must not depend on who else observes";
+    EXPECT_TRUE(one.x_measured);
+    EXPECT_TRUE(all.x_measured);
+    EXPECT_EQ(none.demodulated, all.demodulated);
+    if (ber == 0.0) {
+      EXPECT_GT(none.corrupted, 0)
+          << "collisions must exercise the address-survival draw";
+      EXPECT_LT(none.drawn, one.drawn);
+      EXPECT_LT(one.drawn, all.drawn);
+      EXPECT_EQ(all.drawn, all.demodulated);
+    } else {
+      EXPECT_GT(none.fake_acks, 0) << "bit errors must give fakes to send";
+      for (const ObservedRun* r : {&none, &one, &all}) {
+        EXPECT_EQ(r->drawn, r->demodulated);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -456,6 +456,36 @@ TEST_F(MacTest, NavFilterRewritesNavUpdate) {
   EXPECT_FALSE(bystander.mac().nav().busy(sched_.now()));
 }
 
+TEST_F(MacTest, ReadsMeasurementsOnlyThroughAReader) {
+  // Each hook and a greedy policy make the station a measurement reader;
+  // Node, the upper layer, ignores the RxInfo, and an upper layer that
+  // does not say so counts as a reader.
+  Node& n = add_node({0, 0});
+  Mac& mac = n.mac();
+  EXPECT_FALSE(mac.reads_measurements());
+  FakeAckPolicy policy(1.0);
+  mac.set_greedy_policy(&policy);
+  EXPECT_TRUE(mac.reads_measurements());
+  mac.set_greedy_policy(nullptr);
+  mac.sniffer = [](const Frame&, const RxInfo&) {};
+  EXPECT_TRUE(mac.reads_measurements());
+  mac.sniffer = nullptr;
+  mac.nav_filter = [](const Frame& f, const RxInfo&) { return f.duration; };
+  EXPECT_TRUE(mac.reads_measurements());
+  mac.nav_filter = nullptr;
+  mac.ack_filter = [](const Frame&, const RxInfo&, int) { return false; };
+  EXPECT_TRUE(mac.reads_measurements());
+  mac.ack_filter = nullptr;
+  EXPECT_FALSE(mac.reads_measurements());
+  struct Upper : MacUpper {
+    void on_packet(const PacketPtr&, const RxInfo&) override {}
+  } upper;
+  mac.set_upper(&upper);
+  EXPECT_TRUE(mac.reads_measurements());
+  mac.set_upper(&n);
+  EXPECT_FALSE(mac.reads_measurements());
+}
+
 TEST_F(MacTest, SaturatedPairSustainsThroughput) {
   Node& tx = add_node({0, 0});
   Node& rx = add_node({5, 0});

@@ -24,10 +24,12 @@ struct RecordingListener : PhyListener {
   int busy_edges = 0;
   int idle_edges = 0;
   int tx_ends = 0;
+  bool reads = true;  // the answer to reads_measurements()
 
   void on_rx_end(const Frame& f, const RxInfo& i) override {
     received.push_back({f, i});
   }
+  bool reads_measurements() const override { return reads; }
   void on_channel_busy() override { ++busy_edges; }
   void on_channel_idle() override { ++idle_edges; }
   void on_tx_end() override { ++tx_ends; }
@@ -318,6 +320,88 @@ TEST_F(PhyChannelTest, InterferenceSumSurvivesOverlapChurn) {
   EXPECT_FALSE(l.received[1].info.corrupted)
       << "clean frame after the channel drained must decode";
   EXPECT_EQ(l.received[1].frame.true_tx, 0);
+}
+
+TEST_F(PhyChannelTest, InterferenceSumResetsExactlyAtCaptureThresholdZero) {
+  // The churn above at powers whose floating-point sum does not cancel:
+  // +a+b+c-a-b-c leaves +3.4e-21 W, and with capture off any positive
+  // interference marks a frame collided. Only the exact reset to zero
+  // when the last transmission ends lets the lone frame decode.
+  channel_.capture_threshold = 0.0;
+  Phy& a = add_phy(0, {0, 0});
+  Phy& b = add_phy(1, {18, 0});
+  Phy& c = add_phy(2, {10, 3});
+  add_phy(3, {10, 0});
+  a.transmit(data_frame(0, 3), microseconds(500));
+  sched_.at(microseconds(100), [&] {
+    b.transmit(data_frame(1, 3), microseconds(500));
+  });
+  sched_.at(microseconds(200), [&] {
+    c.transmit(data_frame(2, 3), microseconds(500));
+  });
+  sched_.at(milliseconds(2), [&] {
+    a.transmit(data_frame(0, 3), microseconds(500));
+  });
+  sched_.run();
+  auto& l = listener(3);
+  ASSERT_EQ(l.received.size(), 2u);
+  EXPECT_TRUE(l.received[0].info.collided) << "triple overlap must collide";
+  EXPECT_FALSE(l.received[1].info.corrupted)
+      << "clean frame after the channel drained must decode";
+  EXPECT_EQ(l.received[1].frame.true_tx, 0);
+}
+
+TEST_F(PhyChannelTest, UnreadMeasurementsAreNotDrawn) {
+  // A loss-free channel: a radio whose listener reads no measurements,
+  // like one with no listener at all, skips its RSSI draws and reports
+  // the noiseless power of its link.
+  Phy& tx = add_phy(0, {0, 0});
+  Phy& rx = add_phy(1, {7, 0});
+  rx.rssi_noise_db = 0.4;  // a drawn sample then differs from the power
+  listener(1).reads = false;
+  Phy bare(channel_, 2, {9, 0}, Rng(102));
+  tx.transmit(data_frame(0, 1), microseconds(300));
+  sched_.run();
+  const NeighborSoA& link = channel_.neighbors_of(&tx);
+  ASSERT_EQ(link.size(), 2u);
+  auto& got = listener(1).received;
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_FALSE(got[0].info.measured);
+  EXPECT_EQ(got[0].info.rssi_dbm, link.power_dbm[0]);
+  EXPECT_EQ(channel_.frames_demodulated(), 2u);
+  EXPECT_EQ(channel_.measurements_drawn(), 0u);
+
+  // Interest back on: the radio draws again. Its stream skipped the
+  // unread draws, so this is the first sample of Rng(101) (add_phy's seed
+  // for id 1; the fixture turns outliers off, so one normal is the draw).
+  listener(1).reads = true;
+  tx.transmit(data_frame(0, 1), microseconds(300));
+  sched_.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE(got[1].info.measured);
+  Rng fresh(101);
+  EXPECT_EQ(got[1].info.rssi_dbm,
+            link.power_dbm[0] + fresh.normal(0.0, rx.rssi_noise_db));
+  EXPECT_NE(got[1].info.rssi_dbm, link.power_dbm[0]);
+  EXPECT_EQ(channel_.frames_demodulated(), 4u);
+  EXPECT_EQ(channel_.measurements_drawn(), 1u);
+}
+
+TEST_F(PhyChannelTest, AnyBitErrorRateMakesEveryRadioDraw) {
+  // One nonzero BER, even on a link no frame here uses, makes the
+  // frame-error chance a live draw on every radio's stream, so every
+  // radio draws its measurements too: read or not, listener or none.
+  Phy& tx = add_phy(0, {0, 0});
+  add_phy(1, {5, 0});
+  listener(1).reads = false;
+  Phy bare(channel_, 2, {6, 0}, Rng(102));
+  channel_.error_model().set_link_ber(1, 0, 1e-6);
+  tx.transmit(data_frame(0, 1), microseconds(300));
+  sched_.run();
+  ASSERT_EQ(listener(1).received.size(), 1u);
+  EXPECT_TRUE(listener(1).received[0].info.measured);
+  EXPECT_EQ(channel_.frames_demodulated(), 2u);
+  EXPECT_EQ(channel_.measurements_drawn(), 2u);
 }
 
 TEST_F(PhyChannelTest, LinkTableServedFromCacheUntilTopologyChanges) {
