@@ -177,9 +177,10 @@ void BM_Hotspot(benchmark::State& state) {
 
 // One saturated hotspot (an AP and its station 10 m apart, 12 Mb/s of UDP
 // downlink) in the paper's 55/99 m ranges, plus N idle stations on a ring
-// of `ring_m` around the pair. time_per_frame is wall time per frame put
-// on the air, so its slope in N is what one idle receiver costs a frame.
-void run_idle_ring(benchmark::State& state, double ring_m) {
+// of `ring_m` around the pair, each with a no-op sniffer when `observed`.
+// time_per_frame is wall time per frame put on the air, so its slope in N
+// is what one idle receiver costs a frame.
+void run_idle_ring(benchmark::State& state, double ring_m, bool observed) {
   const int n_idle = static_cast<int>(state.range(0));
   std::uint64_t seed = 1;
   double frames = 0.0;
@@ -197,7 +198,9 @@ void run_idle_ring(benchmark::State& state, double ring_m) {
     Node& sta = sim.add_node({10, 0});
     for (int i = 0; i < n_idle; ++i) {
       const double a = 2.0 * std::numbers::pi * i / n_idle;
-      sim.add_node({5.0 + ring_m * std::cos(a), ring_m * std::sin(a)});
+      Node& idle =
+          sim.add_node({5.0 + ring_m * std::cos(a), ring_m * std::sin(a)});
+      if (observed) idle.mac().sniffer = [](const Frame&, const RxInfo&) {};
     }
     const Sim::UdpFlow flow = sim.add_udp_flow(ap, sta);
     sim.run();
@@ -223,15 +226,24 @@ void run_idle_ring(benchmark::State& state, double ring_m) {
 // where two-thirds of a city frame's receivers sit. While such a receiver
 // costs the channel one carrier-state update per frame edge,
 // time_per_frame stays near flat in N.
-void BM_InterferenceBand(benchmark::State& state) { run_idle_ring(state, 75.0); }
+void BM_InterferenceBand(benchmark::State& state) {
+  run_idle_ring(state, 75.0, /*observed=*/false);
+}
 
-// The idle stations on a 30 m ring, where they decode every frame: each
-// runs the reception tail and its MAC's on_rx_end per frame. No hook
-// reads their measurements and the world has no bit errors, so their
-// radios skip the RSSI draws; the slope against BM_InterferenceBand is
-// the rest of a decoding bystander's cost.
+// The idle stations on a 30 m ring, where they decode every frame. No
+// hook reads their measurements and the world has no bit errors, so the
+// channel records each frame in their RxState and skips the rest of the
+// reception tail (Channel::finish); the slope against BM_InterferenceBand
+// is the rest of a decoding bystander's cost.
 void BM_DecodingBystanders(benchmark::State& state) {
-  run_idle_ring(state, 30.0);
+  run_idle_ring(state, 30.0, /*observed=*/false);
+}
+
+// BM_DecodingBystanders with a no-op sniffer on every idle station, which
+// makes each a measurement reader: every tail runs in full, drawing its
+// RSSI noise and calling the MAC's on_rx_end.
+void BM_ObservedBystanders(benchmark::State& state) {
+  run_idle_ring(state, 30.0, /*observed=*/true);
 }
 
 // Pure scheduler microbench, no PHY/MAC: the dominant MAC pattern of
@@ -387,6 +399,7 @@ BENCHMARK(BM_TcpPair)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Hotspot)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_InterferenceBand)->Arg(0)->Arg(16)->Arg(48)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecodingBystanders)->Arg(0)->Arg(16)->Arg(48)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ObservedBystanders)->Arg(0)->Arg(16)->Arg(48)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SchedulerChurn)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TimerRestart)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ShardedHotspot)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);

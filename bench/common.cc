@@ -68,6 +68,7 @@ PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed) {
   out.rx_callbacks = sim.channel().rx_callbacks();
   out.frames_demodulated = sim.channel().frames_demodulated();
   out.measurements_drawn = sim.channel().measurements_drawn();
+  out.tails_skipped = sim.channel().tails_skipped();
   for (int id = 0; id < sim.num_nodes(); ++id) {
     out.queue_drops += sim.node(id).mac().stats().queue_drops;
   }

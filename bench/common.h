@@ -57,6 +57,7 @@ struct PairsResult {
   std::uint64_t rx_callbacks = 0;
   std::uint64_t frames_demodulated = 0;
   std::uint64_t measurements_drawn = 0;
+  std::uint64_t tails_skipped = 0;
 };
 
 PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed);

@@ -19,7 +19,7 @@ Mac::Mac(Scheduler& sched, Phy& phy, const WifiParams& params, Rng rng)
                          // 9.2.5.4: the RTS-reserved exchange never
                          // happened; release the NAV.
                          if (!phy_->carrier_busy()) {
-                           nav_.reset();
+                           phy_->rx_state().nav.reset();
                            reevaluate();
                          }
                        }),
@@ -32,16 +32,22 @@ Mac::Mac(Scheduler& sched, Phy& phy, const WifiParams& params, Rng rng)
       }),
       response_timer_(sched, [this] { fire_response(); }) {
   phy.set_listener(this);
-  update_edge_interest();
+  update_interest();
+}
+
+void Mac::set_nav_rts_reset(bool enabled) {
+  nav_rts_reset_ = enabled;
+  if (!enabled) nav_reset_timer_.cancel();
+  update_interest();
 }
 
 void Mac::set_channel_observer(std::function<void(bool)> observer) {
   channel_observer_ = std::move(observer);
-  update_edge_interest();
+  update_interest();
 }
 
 bool Mac::medium_busy() const {
-  return phy_->carrier_busy() || nav_.busy(sched_->now());
+  return phy_->carrier_busy() || nav().busy(sched_->now());
 }
 
 Time Mac::adjusted_duration(FrameType type, Time duration) {
@@ -109,6 +115,9 @@ double Mac::data_rate_to(int dest) const {
 MacStats Mac::stats() const {
   MacStats s = stats_;
   s.queue_drops = queue_.drops();
+  const RxState& rx = phy_->rx_state();
+  s.rx_corrupted = rx.rx_corrupted;
+  s.nav_updates = rx.nav_updates;
   return s;
 }
 
@@ -138,12 +147,12 @@ void Mac::start_service() {
   frag_sizes_.clear();
   frag_idx_ = 0;
   if (queue_.empty()) {
-    update_edge_interest();
+    update_interest();
     return;
   }
   auto [pkt, dest] = queue_.pop();
   current_ = std::move(pkt);
-  update_edge_interest();
+  update_interest();
   current_dest_ = dest;
   ++mac_seq_;
   if (frag_threshold_ > 0 && current_->size_bytes > frag_threshold_ &&
@@ -209,8 +218,8 @@ void Mac::reevaluate() {
     // Active stations keep their timer restarted at every NAV extension,
     // so a pending wakeup is never earlier than the work requires.
     if (current_ != nullptr && !phy_->carrier_busy() &&
-        nav_.busy(sched_->now()) && !nav_timer_.pending()) {
-      nav_timer_.start_at(nav_.expiry());
+        nav().busy(sched_->now()) && !nav_timer_.pending()) {
+      nav_timer_.start_at(nav().expiry());
     }
     return;
   }
@@ -218,11 +227,11 @@ void Mac::reevaluate() {
       backoff_running_ || defer_timer_.pending()) {
     return;
   }
-  defer_timer_.start(use_eifs_ ? params_.eifs() : params_.difs);
+  defer_timer_.start(phy_->rx_state().eifs ? params_.eifs() : params_.difs);
 }
 
 void Mac::on_defer_done() {
-  use_eifs_ = false;
+  phy_->rx_state().eifs = false;
   if (medium_busy() || tx_state_ != TxState::kIdle || !current_) return;
   if (backoff_slots_ <= 0) {
     transmit_current();
@@ -465,9 +474,18 @@ void Mac::finish_drop() {
 void Mac::on_rx_end(const Frame& frame, const RxInfo& info) {
   if (sniffer) sniffer(frame, info);
 
+  // The record every reception makes (RxState::record): EIFS after an
+  // unintelligible frame, and virtual carrier sense from an intact one
+  // not addressed to this station, possibly through the GRC validator.
+  // The channel makes it alone for the tails it skips.
+  const bool overheard = frame.ra != id();
+  const Time duration = !info.corrupted && overheard && nav_filter
+                            ? nav_filter(frame, info)
+                            : frame.duration;
+  const bool nav_moved =
+      phy_->rx_state().record(info.corrupted, overheard, sched_->now(), duration);
+
   if (info.corrupted) {
-    ++stats_.rx_corrupted;
-    use_eifs_ = eifs_enabled_;  // EIFS deference after an unintelligible frame
     if (frame.type == FrameType::kData && info.addresses_intact && greedy_) {
       if (frame.ra == id() && greedy_->fake_ack_for(frame, info, rng_)) {
         Frame ack;
@@ -493,14 +511,8 @@ void Mac::on_rx_end(const Frame& frame, const RxInfo& info) {
     return;
   }
 
-  use_eifs_ = false;
-
-  // Virtual carrier sense: frames not addressed to this station update the
-  // NAV (possibly through the GRC validator).
-  if (frame.ra != id()) {
-    const Time dur = nav_filter ? nav_filter(frame, info) : frame.duration;
-    if (nav_.update(sched_->now(), dur)) {
-      ++stats_.nav_updates;
+  if (overheard) {
+    if (nav_moved) {
       // The expiry wakeup exists so a station with a frame to contend for
       // re-enters reevaluate() the instant virtual carrier sense releases.
       // A pure sink (nothing queued — the common case for every bystander
@@ -509,7 +521,7 @@ void Mac::on_rx_end(const Frame& frame, const RxInfo& info) {
       // NAV runs, reevaluate()'s busy branch arms the same wakeup at the
       // same expiry (see below), keeping the defer timing bit-identical.
       if (current_ != nullptr) {
-        nav_timer_.start_at(nav_.expiry());
+        nav_timer_.start_at(nav().expiry());
       }
       if (nav_rts_reset_ && frame.type == FrameType::kRts) {
         nav_reset_timer_.start(2 * params_.sifs + params_.cts_tx_time() +
@@ -549,7 +561,7 @@ void Mac::handle_rx_rts(const Frame& frame) {
   if (frame.ra != id()) return;
   // Per the standard a station responds to an RTS only if its NAV is idle —
   // the rule an inflated NAV exploits to mute receivers (paper Fig 10).
-  if (nav_.busy(sched_->now())) {
+  if (nav().busy(sched_->now())) {
     ++stats_.cts_suppressed_by_nav;
     return;
   }

@@ -23,6 +23,12 @@
 // testbed emulations: disable_retransmissions_to() (Table VIII) and
 // clamp_cw_to() (Table IX).
 //
+// The record every reception makes (the NAV, the EIFS flag and their
+// rx_corrupted/nav_updates counts) lives in the radio's channel entry,
+// RxState (src/phy/channel.h), and is made by RxState::record. While the
+// MAC is idle and unobserved (skips_overheard_tails()), the channel makes
+// it alone for a frame addressed elsewhere and on_rx_end does not run.
+//
 // Collision fidelity: backoff countdowns are slot-aligned, and a countdown
 // that reaches zero in the same instant another station starts transmitting
 // still fires (stations need a slot to sense a transmission), so two
@@ -34,6 +40,8 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/greedy/policy.h"
@@ -42,9 +50,9 @@
 #include "src/mac/durations.h"
 #include "src/mac/frame.h"
 #include "src/mac/mac_stats.h"
-#include "src/mac/nav.h"
 #include "src/mac/rate_control.h"
 #include "src/net/queue.h"
+#include "src/phy/nav.h"
 #include "src/phy/phy.h"
 #include "src/sim/hot.h"
 #include "src/sim/scheduler.h"
@@ -63,27 +71,87 @@ class MacUpper {
 
 class Mac : public PhyListener {
  public:
+  // A std::function-like hook that the MAC watches: assigning to it, or
+  // moving from it, re-evaluates what the MAC's radio may skip
+  // (update_interest), so a hook attached mid-run sees the very next
+  // frame. A copy of a hook, or one move-constructed from it, is a plain
+  // callable detached from the MAC.
+  template <typename Sig>
+  class Hook;
+  template <typename R, typename... Args>
+  class Hook<R(Args...)> {
+   public:
+    explicit Hook(Mac* owner) : owner_(owner) {}
+    Hook(const Hook& other) : fn_(other.fn_) {}
+    Hook(Hook&& other) : fn_(std::move(other.fn_)) { other.clear(); }
+    Hook& operator=(const Hook& other) {
+      fn_ = other.fn_;
+      changed();
+      return *this;
+    }
+    Hook& operator=(Hook&& other) {
+      if (&other == this) return *this;
+      fn_ = std::move(other.fn_);
+      other.clear();
+      changed();
+      return *this;
+    }
+    // Any callable (or nullptr) a std::function<R(Args...)> takes.
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, Hook> &&
+                  std::is_assignable_v<std::function<R(Args...)>&, F&&>>>
+    Hook& operator=(F&& fn) {
+      fn_ = std::forward<F>(fn);
+      changed();
+      return *this;
+    }
+    explicit operator bool() const { return static_cast<bool>(fn_); }
+    R operator()(Args... args) const { return fn_(std::forward<Args>(args)...); }
+
+   private:
+    void clear() {
+      fn_ = nullptr;
+      changed();
+    }
+    void changed() {
+      if (owner_ != nullptr) owner_->update_interest();
+    }
+    std::function<R(Args...)> fn_;
+    Mac* owner_ = nullptr;  // null: detached
+  };
+
   Mac(Scheduler& sched, Phy& phy, const WifiParams& params, Rng rng);
 
   int id() const { return phy_->id(); }
   const WifiParams& params() const { return params_; }
 
   // --- configuration ------------------------------------------------------
-  void set_upper(MacUpper* upper) { upper_ = upper; }
-  // A greedy policy reads measurements (see nav_filter below).
-  void set_greedy_policy(GreedyPolicy* policy) { greedy_ = policy; }
+  // The upper layer, if it reads measurements (MacUpper), and a greedy
+  // policy (see nav_filter below) keep the radio's tails from skipping.
+  void set_upper(MacUpper* upper) {
+    upper_ = upper;
+    update_interest();
+  }
+  void set_greedy_policy(GreedyPolicy* policy) {
+    greedy_ = policy;
+    update_interest();
+  }
   void set_rts_cts(bool enabled) { use_rts_cts_ = enabled; }
   bool rts_cts() const { return use_rts_cts_; }
   // Ablation knob: disable the EIFS deference after corrupted receptions
   // (stations then use plain DIFS, as if unable to tell garbage from noise).
-  void set_eifs_enabled(bool enabled) { eifs_enabled_ = enabled; }
+  void set_eifs_enabled(bool enabled) {
+    phy_->rx_state().eifs_enabled = enabled;
+  }
 
   // IEEE 802.11 9.2.5.4 NAV-reset rule: a station that set its NAV from an
   // RTS may reset it if no PHY activity follows within
   // 2*SIFS + T_CTS + 2*slot (the reserved exchange evidently died).
   // Off by default: ns-2's MAC — the paper's substrate — does not
-  // implement it, and the calibration follows ns-2.
-  void set_nav_rts_reset(bool enabled) { nav_rts_reset_ = enabled; }
+  // implement it, and the calibration follows ns-2. Turning it off
+  // cancels a pending reset, so the NAV then runs its full term.
+  void set_nav_rts_reset(bool enabled);
 
   // Fragmentation: MSDUs larger than the threshold are transmitted as a
   // burst of SIFS-separated, individually acknowledged fragments. The
@@ -105,7 +173,7 @@ class Mac : public PhyListener {
   // chain it by wrapping the current one, as with `sniffer`. Backoff
   // monitoring (DOMINO) uses it to measure how long stations actually
   // waited before transmitting. A setter, because an observer makes every
-  // edge matter to this MAC (see update_edge_interest).
+  // edge matter to this MAC (see update_interest).
   void set_channel_observer(std::function<void(bool)> observer);
   const std::function<void(bool)>& channel_observer() const {
     return channel_observer_;
@@ -128,18 +196,20 @@ class Mac : public PhyListener {
   //
   // These two, `sniffer` and a greedy policy are the MAC's measurement
   // readers: while one is set, the radio draws RSSI noise (and address
-  // survival) for every frame it demodulates; while none is, a loss-free
-  // world skips those draws (reads_measurements()). A hook attached after
-  // the radio's first reception therefore sees samples of the same
-  // distribution, from a stream that skipped the unread draws. Attach it
-  // before the first reception to see the samples a build-time attach
-  // would.
-  std::function<Time(const Frame&, const RxInfo&)> nav_filter;
-  std::function<bool(const Frame&, const RxInfo&, int expected_peer)> ack_filter;
+  // survival) for every frame it demodulates, and runs every reception
+  // tail; while none is, a loss-free world skips those draws
+  // (reads_measurements()) and, while the MAC is idle, the tails of frames
+  // addressed elsewhere (skips_overheard_tails()). Each is a Hook, so one
+  // attached mid-run sees the very next frame. Its samples then come from
+  // a stream that skipped the unread draws: the same distribution, but
+  // not the samples a build-time attach would see, so attach before the
+  // first reception for those.
+  Hook<Time(const Frame&, const RxInfo&)> nav_filter{this};
+  Hook<bool(const Frame&, const RxInfo&, int expected_peer)> ack_filter{this};
   // Observation tap: every decodable frame this station hears (including
   // its own ACKs' triggers); used by detectors that learn RSSI profiles.
   // A measurement reader (see above): attach before the first reception.
-  std::function<void(const Frame&, const RxInfo&)> sniffer;
+  Hook<void(const Frame&, const RxInfo&)> sniffer{this};
   // Transmit-side tap: every frame this station keys onto the air, with its
   // transmission start/end times. Chained like `sniffer`. Together the two
   // taps give a capture the complete frame stream at this vantage point
@@ -172,10 +242,13 @@ class Mac : public PhyListener {
 
   // --- stats --------------------------------------------------------------
   // A snapshot. queue_drops is the interface queue's drops(), which counts
-  // the ticks of sources asleep on it up to now.
+  // the ticks of sources asleep on it up to now; rx_corrupted and
+  // nav_updates are the radio's RxState counts, which the channel also
+  // keeps for the tails it skips.
   MacStats stats() const;
   const Backoff& backoff() const { return backoff_; }
-  const Nav& nav() const { return nav_; }
+  // The NAV lives in the radio's RxState, with the EIFS flag.
+  const Nav& nav() const { return phy_->rx_state().nav; }
 
   // Per-destination transmission accounting (the fake-ACK detector compares
   // per-receiver MAC loss against probed application loss).
@@ -199,11 +272,17 @@ class Mac : public PhyListener {
   G80211_HOT void on_channel_idle() override;
   G80211_HOT void on_tx_end() override;
   // True while a sniffer, ack_filter, nav_filter or greedy policy is set,
-  // or the upper layer reads measurements. Answered per reception, since
-  // the hooks are public members.
+  // or the upper layer reads measurements.
   bool reads_measurements() const override {
     return sniffer || ack_filter || nav_filter || greedy_ != nullptr ||
            (upper_ != nullptr && upper_->reads_measurements());
+  }
+  // True while no frame is in service, nothing reads measurements and the
+  // NAV-reset rule is off: a frame addressed elsewhere then changes
+  // nothing here but the RxState record (on_rx_end). Cached in
+  // RxState::skip_tail by update_interest().
+  bool skips_overheard_tails() const override {
+    return current_ == nullptr && !reads_measurements() && !nav_rts_reset_;
   }
 
  private:
@@ -216,12 +295,16 @@ class Mac : public PhyListener {
   };
 
   bool medium_busy() const;
-  // Busy/idle edges change nothing here unless a frame is in service or an
-  // observer watches them (on_channel_busy and reevaluate return at once
-  // otherwise), so the PHY is told to skip them in between. Called
-  // wherever current_ or the observer changes.
-  void update_edge_interest() {
+  // What the radio may skip. Busy/idle edges change nothing here unless a
+  // frame is in service or an observer watches them (on_channel_busy and
+  // reevaluate return at once otherwise), so the PHY is told to skip them
+  // in between; and an overheard frame's tail while
+  // skips_overheard_tails(). Called wherever current_, the observer, a
+  // hook, the greedy policy, the upper layer or the NAV-reset rule
+  // changes.
+  void update_interest() {
     phy_->set_edge_interest(current_ != nullptr || channel_observer_ != nullptr);
+    phy_->rx_state().skip_tail = skips_overheard_tails();
   }
   // Hot roots (src/sim/hot.h): timer-slab callbacks enter here.
   G80211_HOT void reevaluate();  // (re)start deference if access is wanted
@@ -289,9 +372,6 @@ class Mac : public PhyListener {
   int backoff_slots_ = 0;      // remaining slots (valid when !backoff_running_)
   bool backoff_running_ = false;
   Time backoff_started_ = 0;   // when the running countdown began
-  bool use_eifs_ = false;
-  bool eifs_enabled_ = true;
-  Nav nav_;
   bool nav_rts_reset_ = false;
   Timer defer_timer_;
   Timer backoff_timer_;

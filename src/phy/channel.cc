@@ -8,6 +8,7 @@ void Channel::attach(Phy* phy) {
   phy->channel_index_ = phys_.size();
   phys_.push_back(phy);
   carrier_.emplace_back();
+  rx_.emplace_back().self = phy->id();
   tables_.emplace_back();
   invalidate_topology();  // every sender's sensed set may now include `phy`
 }
@@ -87,6 +88,7 @@ void Channel::transmit(Phy* sender, const Frame& frame, Time airtime) {
   TxRecord* rec = acquire_record();
   rec->frame = frame;
   rec->frame.true_tx = sender->id();
+  rec->start = now;
   rec->end = end;
   rec->tx_id = tx_id;
   rec->sender = sender;
@@ -108,10 +110,11 @@ void Channel::transmit(Phy* sender, const Frame& frame, Time airtime) {
     bool called = false;
     if (!s.transmitting) {
       if (s.demod_tx != 0) {
-        phys_[r]->overlap(s, *rec, pw[i], pdbm[i], dec[i] != 0, now);
+        Phy::overlap(s, rx_[r], tx_id, pw[i], pdbm[i], dec[i] != 0,
+                     capture_threshold);
         called = true;
       } else if (dec[i] != 0) {
-        phys_[r]->begin_demod(s, *rec, pw[i], pdbm[i], now);
+        Phy::begin_demod(s, rx_[r], tx_id, pw[i], pdbm[i], capture_threshold);
         called = true;
       }
     }
@@ -129,6 +132,8 @@ void Channel::transmit(Phy* sender, const Frame& frame, Time airtime) {
 void Channel::finish(TxRecord* rec) {
   // Attach order, as at the frame's start: each receiver's tail and idle
   // edge run right after its own update, before the next receiver's.
+  const Time now = sched_->now();
+  const Frame& frame = rec->frame;
   const std::size_t n = rec->rx.size();
   for (std::size_t k = 0; k < n; ++k) {
     const std::uint32_t r = rec->rx[k];
@@ -144,8 +149,20 @@ void Channel::finish(TxRecord* rec) {
       s.demod_tx = 0;
       s.collided = false;
       ++frames_demodulated_;
-      phys_[r]->finish_reception(collided);
-      called = true;
+      RxState& x = rx_[r];
+      // The skip (see transmit). trivial() is read per tail: a listener
+      // may set a BER inside its own tail.
+      if (x.skip_tail && frame.ra != x.self && frame.ra != kBroadcast &&
+          error_model_.trivial()) {
+        G80211_DCHECK(phys_[r]->listener_ != nullptr &&
+                      phys_[r]->listener_->skips_overheard_tails() &&
+                      "stale RxState::skip_tail");
+        x.record(collided, /*overheard=*/true, now, frame.duration);
+        ++tails_skipped_;
+      } else {
+        phys_[r]->finish_reception(*rec, collided);
+        called = true;
+      }
     }
     // Read after the tail, which may give the listener work (a MAC that
     // dequeues a frame there starts wanting edges) or take it away.

@@ -19,6 +19,7 @@
 
 #include "src/mac/frame.h"
 #include "src/phy/error_model.h"
+#include "src/phy/nav.h"
 #include "src/phy/propagation.h"
 #include "src/phy/wifi_params.h"
 #include "src/sim/hot.h"
@@ -32,7 +33,8 @@ class Phy;
 // by attach index, so the fan-out passes keep every receiver's state
 // without touching its Phy; they call into a Phy only when a frame can
 // change what it demodulates or its listener wants the edge (see
-// Channel::transmit).
+// Channel::transmit). What a reception tail needs sits beside it, in
+// RxState.
 struct CarrierState {
   // Running sum of the rx power of every transmission in the air here,
   // reset to exactly zero when the last one ends so that no floating-point
@@ -46,12 +48,56 @@ struct CarrierState {
   bool busy() const { return transmitting || sensed != 0; }
 };
 
+// One radio's reception state, in a second channel-owned array beside its
+// CarrierState: the power of the frame it demodulates, and the part of
+// its MAC's state that every reception tail updates, addressed or not
+// (the NAV, the EIFS flag and their counters). A skipped tail touches
+// only this entry and the CarrierState; the start and end passes of an
+// interference-only frame never touch it.
+struct RxState {
+  // The frame being demodulated, valid while the CarrierState's demod_tx
+  // is set (the frame itself and its times are its TxRecord's).
+  double rss_w = 0.0;
+  double rss_dbm = 0.0;  // watts_to_dbm(rss_w), from the link table
+  // The MAC's record of the frames it demodulates.
+  Nav nav;
+  std::int64_t rx_corrupted = 0;
+  std::int64_t nav_updates = 0;
+  int self = 0;               // the radio's node id (Phy::id)
+  bool eifs = false;          // the next deference is an EIFS
+  bool eifs_enabled = true;
+  // Set while the listener does nothing with a frame addressed elsewhere
+  // but record() it (Mac::skips_overheard_tails). The channel then
+  // records such a frame itself and calls no PHY or listener, in a world
+  // whose error model can draw nothing (Channel::finish).
+  bool skip_tail = false;
+
+  // The bystander half of a reception tail (IEEE 802.11 9.2.3.4 and
+  // 9.2.5.4): a corrupted frame is counted and makes the next deference
+  // an EIFS, where enabled; an intact one cancels the EIFS and, when
+  // `overheard` (addressed elsewhere), offers `duration` to the NAV.
+  // Returns whether the NAV moved. Mac::on_rx_end and the channel's
+  // skipped tails both run it, so the rule has one home.
+  bool record(bool corrupted, bool overheard, Time now, Time duration) {
+    if (corrupted) {
+      ++rx_corrupted;
+      eifs = eifs_enabled;
+      return false;
+    }
+    eifs = false;
+    if (!overheard || !nav.update(now, duration)) return false;
+    ++nav_updates;
+    return true;
+  }
+};
+
 // One transmission in flight, shared by every PHY that sensed it: a single
 // end-event fans its finish out to the receivers in attach order. Records
 // are pooled by the channel: the Frame assignment reuses the record's
 // storage and only bumps the payload refcount.
 struct TxRecord {
   Frame frame;
+  Time start = 0;
   Time end = 0;
   std::uint64_t tx_id = 0;
   Phy* sender = nullptr;  // keyed radio; told tx-done when the frame ends
@@ -135,8 +181,17 @@ class Channel {
   // reaches a listener that wants edges. A radio that is not demodulating
   // gains nothing from a frame it cannot decode, so an interference-only
   // receiver whose listener ignores edges costs one CarrierState update
-  // per frame edge. Hot root: the per-frame fan-out sweep
-  // (src/sim/hot.h).
+  // per frame edge.
+  //
+  // A tail is skipped, the channel applying RxState::record itself, when
+  // the frame is addressed neither to the radio nor to broadcast, the
+  // radio's skip_tail bit is set and the error model is trivial(). That
+  // is exact: with nothing to draw the frame-error chance draws nothing,
+  // with nothing reading measurements the PHY draws none either, and a
+  // MAC with no frame in service, no measurement reader and the NAV-reset
+  // rule off does nothing with an overheard frame but record it. Checked
+  // builds ask the listener at every skipped tail whether it agrees.
+  // Hot root: the per-frame fan-out sweep (src/sim/hot.h).
   G80211_HOT void transmit(Phy* sender, const Frame& frame, Time airtime);
 
   // Sender's link table (see NeighborSoA). Rebuilt lazily when the
@@ -158,10 +213,13 @@ class Channel {
   // (frames that reached their end at a radio demodulating them).
   // Measurements drawn: the tails among those that drew RSSI noise; the
   // rest skipped it because nothing read it (Phy::finish_reception).
+  // Tails skipped: the tails the channel recorded itself, calling no PHY
+  // (see transmit); none of them drew.
   std::uint64_t receptions_sensed() const { return receptions_sensed_; }
   std::uint64_t rx_callbacks() const { return rx_callbacks_; }
   std::uint64_t frames_demodulated() const { return frames_demodulated_; }
   std::uint64_t measurements_drawn() const { return measurements_drawn_; }
+  std::uint64_t tails_skipped() const { return tails_skipped_; }
 
   bool decodable_at(double dist_m) const {
     return comm_range_m_ <= 0 || dist_m <= comm_range_m_;
@@ -191,6 +249,7 @@ class Channel {
   Propagation propagation_;
   std::vector<Phy*> phys_;
   std::vector<CarrierState> carrier_;  // by attach index, beside phys_
+  std::vector<RxState> rx_;            // likewise
   double comm_range_m_ = 0;  // <= 0: unlimited
   double cs_range_m_ = 0;    // <= 0: same as comm range
   std::uint64_t next_tx_id_ = 1;
@@ -209,14 +268,15 @@ class Channel {
   std::uint64_t rx_callbacks_ = 0;
   std::uint64_t frames_demodulated_ = 0;
   std::uint64_t measurements_drawn_ = 0;  // bumped by Phy::finish_reception
+  std::uint64_t tails_skipped_ = 0;
   // Record pool: records_ owns every record ever created (so teardown with
   // transmissions still in flight leaks nothing); free_records_ lists the
   // idle ones. Steady state allocates no new records.
   std::vector<std::unique_ptr<TxRecord>> records_;
   std::vector<TxRecord*> free_records_;
 
-  // A radio reads and keys its own CarrierState and counts its drawn
-  // measurements.
+  // A radio reads and keys its own CarrierState and RxState and counts
+  // its drawn measurements.
   friend class Phy;
 };
 

@@ -38,9 +38,9 @@ void Phy::tx_done() {
   notify_edges(/*was_busy=*/true);
 }
 
-void Phy::finish_reception(bool collided) {
-  const Demod& o = demod_;
-  const Frame& frame = *o.frame;
+void Phy::finish_reception(const TxRecord& rec, bool collided) {
+  const RxState& d = rx_state();
+  const Frame& frame = rec.frame;
   const ErrorModel& em = channel_->error_model();
   // A fragment is only exposed for its own airtime, not the full MSDU's.
   const int pkt_bytes = frame.air_bytes();
@@ -48,9 +48,9 @@ void Phy::finish_reception(bool collided) {
       frame.true_tx, id_, frame.type, pkt_bytes, frame.rate_mbps));
 
   RxInfo info;
-  info.rss_w = o.rss_w;
-  info.start = o.start;
-  info.end = o.end;
+  info.rss_w = d.rss_w;
+  info.start = rec.start;
+  info.end = rec.end;
   info.collided = collided;
   info.corrupted = collided || bit_errors;
   // With a trivial error model the chance above drew nothing, so this
@@ -58,11 +58,11 @@ void Phy::finish_reception(bool collided) {
   // them the whole stream is dead: skipping it moves no other draw.
   if (em.trivial() &&
       (listener_ == nullptr || !listener_->reads_measurements())) {
-    info.rssi_dbm = o.rss_dbm;
+    info.rssi_dbm = d.rss_dbm;
     info.measured = false;
   } else {
     ++channel_->measurements_drawn_;
-    info.rssi_dbm = measured_rssi(o.rss_dbm);
+    info.rssi_dbm = measured_rssi(d.rss_dbm);
     if (info.corrupted) {
       // ber/len are only needed on this (rare) corrupted path; both are
       // pure lookups, so deferring them here changes no RNG draw.

@@ -1,11 +1,12 @@
 // Per-node half-duplex transceiver.
 //
 // Implements physical carrier sensing, reception with a symmetric capture
-// rule, and BER-driven frame corruption. The radio's carrier state (the
-// transmissions in the air here, their summed power, the frame being
-// demodulated) lives in the channel's CarrierState array, which the
-// channel's fan-out passes update; the Phy keeps the one frame it
-// demodulates. The capture rule follows the paper's Section IV-B setup: of
+// rule, and BER-driven frame corruption. The radio's state lives in the
+// channel's per-radio arrays, which the channel's fan-out passes update:
+// its carrier state (the transmissions in the air here, their summed
+// power, the tx_id being demodulated) in CarrierState, and the power of
+// the frame it demodulates in RxState, beside its listener's NAV/EIFS
+// record. The capture rule follows the paper's Section IV-B setup: of
 // two overlapping frames, the one whose received signal strength exceeds
 // the other's by the capture threshold is demodulated; otherwise both are
 // lost (collision).
@@ -23,10 +24,13 @@
 // noiseless power. No other draw in the run moves. With bit errors, or at
 // an observed radio, every reception draws as it always has.
 //
-// Hot-path layout: begin_demod/overlap are header-inline so the channel's
-// fan-out pass compiles into one tight loop per frame; only the
-// per-delivery tail (error model, the measurement draws where they are
-// read, listener dispatch) stays out of line in finish_reception().
+// Hot-path layout: begin_demod/overlap are header-inline and static, so
+// the channel's fan-out pass compiles into one tight loop per frame that
+// touches only the channel's arrays; only the per-delivery tail (error
+// model, the measurement draws where they are read, listener dispatch)
+// stays out of line in finish_reception(). The channel skips even that
+// for an overheard frame at a radio whose listener only records it (see
+// Channel::transmit).
 #pragma once
 
 #include <cstddef>
@@ -62,14 +66,20 @@ class PhyListener {
  public:
   virtual ~PhyListener() = default;
   // A frame finished arriving (possibly corrupted). Promiscuous: called for
-  // every decodable frame regardless of addressing.
+  // every decodable frame regardless of addressing, except the overheard
+  // frames that a listener lets the channel record (skips_overheard_tails).
   virtual void on_rx_end(const Frame& frame, const RxInfo& info) = 0;
   // Whether anything behind this listener reads a reception's
   // measurements (RxInfo::rssi_dbm, and addresses_intact on a corrupted
-  // frame). Asked at every reception tail; in a world whose error model
-  // can draw nothing, false lets the radio skip those draws. Default
-  // true, so a listener that does not answer keeps drawing.
+  // frame). Asked at every reception tail that runs; in a world whose
+  // error model can draw nothing, false lets the radio skip those draws.
+  // Default true, so a listener that does not answer keeps drawing.
   virtual bool reads_measurements() const { return true; }
+  // Whether this listener does nothing with a frame addressed elsewhere
+  // but RxState::record it. A listener that answers true may set its
+  // radio's RxState::skip_tail, and must keep it equal to this answer;
+  // checked builds compare the two at every skipped tail. Default false.
+  virtual bool skips_overheard_tails() const { return false; }
   virtual void on_channel_busy() = 0;
   virtual void on_channel_idle() = 0;
   virtual void on_tx_end() = 0;
@@ -82,10 +92,11 @@ class Phy {
     channel.attach(this);
   }
 
-  // Installing a listener turns edge interest on.
+  // Installing a listener turns edge interest on and tail skipping off.
   void set_listener(PhyListener* l) {
     listener_ = l;
     carrier().wants_edges = l != nullptr;
+    rx_state().skip_tail = false;
   }
   // Whether the listener's on_channel_busy/on_channel_idle run. A listener
   // whose edge handlers are no-ops for a while may turn this off for that
@@ -109,6 +120,11 @@ class Phy {
   // Physical carrier sense (includes own transmission).
   bool carrier_busy() const { return carrier().busy(); }
   bool transmitting() const { return carrier().transmitting; }
+  // This radio's channel entry: its listener keeps its NAV/EIFS record
+  // and skip_tail bit there (see RxState). A reference into the channel's
+  // array, so valid only until the next Phy attaches.
+  RxState& rx_state() { return channel_->rx_[channel_index_]; }
+  const RxState& rx_state() const { return channel_->rx_[channel_index_]; }
 
   // Standard deviation of RSSI measurement noise in dB, plus a small
   // probability of a multipath outlier drawn with a wider deviation.
@@ -128,35 +144,36 @@ class Phy {
   }
 
   // Channel-facing reception path, called from the channel's start pass
-  // before the frame's power joins s.interference_w. `rec` stays valid
-  // until the channel's end pass for it returns. `rss_dbm` must equal
-  // watts_to_dbm(rss_w); the channel's link table precomputes it so the
-  // RSSI path pays no log10 per frame. `now` is the scheduler clock,
-  // hoisted out of the pass.
+  // on a receiver's entries before the frame's power joins
+  // s.interference_w. `rss_dbm` must equal watts_to_dbm(rss_w); the
+  // channel's link table precomputes it so the RSSI path pays no log10
+  // per frame. `cap` is the channel's capture threshold.
   //
   // A decodable frame reached this radio while it was neither transmitting
   // nor demodulating: demodulate it, lost from the start unless it beats
   // the power already in the air by the capture threshold.
-  G80211_HOT void begin_demod(CarrierState& s, const TxRecord& rec,
-                              double rss_w, double rss_dbm, Time now) {
-    const double cap = channel_->capture_threshold;
+  G80211_HOT static void begin_demod(CarrierState& s, RxState& d,
+                                     std::uint64_t tx_id, double rss_w,
+                                     double rss_dbm, double cap) {
     const double interference = s.interference_w;
-    s.demod_tx = rec.tx_id;
+    s.demod_tx = tx_id;
     s.collided =
         interference > 0.0 && (cap <= 0.0 || rss_w < cap * interference);
-    demod_ = Demod{&rec.frame, rss_w, rss_dbm, now, rec.end};
+    d.rss_w = rss_w;
+    d.rss_dbm = rss_dbm;
   }
   // A frame started while this radio demodulates another: the capture rule.
-  G80211_HOT void overlap(CarrierState& s, const TxRecord& rec, double rss_w,
-                          double rss_dbm, bool decodable, Time now) {
-    const double cap = channel_->capture_threshold;
-    if (cap > 0.0 && demod_.rss_w >= cap * rss_w) {
+  G80211_HOT static void overlap(CarrierState& s, RxState& d,
+                                 std::uint64_t tx_id, double rss_w,
+                                 double rss_dbm, bool decodable, double cap) {
+    if (cap > 0.0 && d.rss_w >= cap * rss_w) {
       // Current frame powers through; newcomer is just interference.
-    } else if (cap > 0.0 && decodable && rss_w >= cap * demod_.rss_w) {
+    } else if (cap > 0.0 && decodable && rss_w >= cap * d.rss_w) {
       // Newcomer captures the receiver; the old frame is lost.
-      s.demod_tx = rec.tx_id;
+      s.demod_tx = tx_id;
       s.collided = false;
-      demod_ = Demod{&rec.frame, rss_w, rss_dbm, now, rec.end};
+      d.rss_w = rss_w;
+      d.rss_dbm = rss_dbm;
     } else {
       s.collided = true;
     }
@@ -174,19 +191,11 @@ class Phy {
   }
   double measured_rssi(double rss_dbm);
 
-  // The frame being demodulated; valid while carrier().demod_tx != 0.
-  struct Demod {
-    const Frame* frame = nullptr;  // into the channel's shared TxRecord
-    double rss_w = 0.0;
-    double rss_dbm = 0.0;  // watts_to_dbm(rss_w), precomputed by the channel
-    Time start = 0;
-    Time end = 0;
-  };
-  // Delivery tail for the frame this PHY was demodulating: frame error
-  // model, RSSI measurement (where read), listener dispatch. Out of line —
-  // it runs once per demodulated frame, not once per (frame, receiver).
-  // Hot root (src/sim/hot.h).
-  G80211_HOT void finish_reception(bool collided);
+  // Delivery tail for `rec`, the frame this PHY was demodulating: frame
+  // error model, RSSI measurement (where read), listener dispatch. Out of
+  // line — it runs once per demodulated frame that the channel does not
+  // skip, not once per (frame, receiver). Hot root (src/sim/hot.h).
+  G80211_HOT void finish_reception(const TxRecord& rec, bool collided);
 
   Channel* channel_;
   int id_;
@@ -194,7 +203,6 @@ class Phy {
   Position pos_;
   Rng rng_;
   PhyListener* listener_ = nullptr;
-  Demod demod_;
 
   friend class Channel;
 };

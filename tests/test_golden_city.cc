@@ -116,12 +116,15 @@ TEST(GoldenCity, SmallWorldBitIdentical) {
   // wants the edge.
   const Channel& channel = sim.channel();
   EXPECT_EQ(channel.receptions_sensed(), 670720u);
-  EXPECT_EQ(channel.rx_callbacks(), 552036u);
+  EXPECT_EQ(channel.rx_callbacks(), 395331u);
   EXPECT_EQ(channel.frames_demodulated(), 219785u);
   // The world has no bit errors, so only radios whose MAC reads
   // measurements (greedy stations, GRC-protected APs) draw RSSI noise:
   // 13.4% of reception tails, the rest skip it.
   EXPECT_EQ(channel.measurements_drawn(), 29400u);
+  // 71.3% of tails are frames addressed elsewhere at an idle, unobserved
+  // station, which the channel records without calling its PHY.
+  EXPECT_EQ(channel.tails_skipped(), 156705u);
   if (h.value() != kGolden) {
     std::printf("hash: 0x%016llx\n",
                 static_cast<unsigned long long>(h.value()));

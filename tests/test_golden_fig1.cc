@@ -68,6 +68,7 @@ struct SliceRun {
   std::uint64_t rx_callbacks = 0;
   std::uint64_t frames_demodulated = 0;
   std::uint64_t measurements_drawn = 0;
+  std::uint64_t tails_skipped = 0;
 };
 
 void add_stats(const ReadyQueueStats& run, ReadyQueueStats& total) {
@@ -105,6 +106,7 @@ SliceRun fig1_metric_vector(const std::string& capture_stem) {
       out.rx_callbacks += r.rx_callbacks;
       out.frames_demodulated += r.frames_demodulated;
       out.measurements_drawn += r.measurements_drawn;
+      out.tails_skipped += r.tails_skipped;
     }
   }
   return out;
@@ -153,14 +155,19 @@ TEST(GoldenFig1, MetricVectorBitIdentical) {
   // the same output, and must be deliberate.
   EXPECT_EQ(run.events, 72287u);
   EXPECT_EQ(run.queue_drops, 36774);
-  // Every station decodes every frame here, so nearly every receiver
-  // visit of the fan-out calls into its PHY.
+  // Every station decodes every frame here, so every receiver visit of
+  // the fan-out calls into its PHY, except at the tails the channel
+  // skips.
   EXPECT_EQ(run.receptions_sensed, 78789u);
-  EXPECT_EQ(run.rx_callbacks, 157268u);
+  EXPECT_EQ(run.rx_callbacks, 131110u);
   EXPECT_EQ(run.frames_demodulated, 78479u);
   // Loss-free: only the captured sender (first point) and the NAV
   // inflator (the other two) draw RSSI noise.
   EXPECT_EQ(run.measurements_drawn, 15309u);
+  // An idle, unobserved receiver skips the tails of the other pair's
+  // frames: both receivers in the first point, the honest one in the
+  // other two (the NAV inflator is a greedy receiver).
+  EXPECT_EQ(run.tails_skipped, 26158u);
 }
 
 // Fig 1's twin in the dense regime: Fig 4's two TCP pairs with the CTS

@@ -320,15 +320,21 @@ struct ObservedRun {
   std::uint64_t digest = 0;  // MacStats, sinks, GRC, delivered packets
   std::vector<double> x_rssi;  // X's sniffed RSSI sequence
   bool x_measured = true;      // every RxInfo X's sniffer saw was measured
+  std::int64_t x_delivered = 0;  // X's uplink packets at the AP
   std::int64_t fake_acks = 0;
   std::int64_t corrupted = 0;  // MacStats::rx_corrupted over all nodes
   std::uint64_t demodulated = 0;
   std::uint64_t drawn = 0;
+  std::uint64_t skipped = 0;
 };
 
 // Cell 1: an AP with GRC, a UDP and a TCP receiver, a fake-ACKing UDP
-// receiver and an idle station X. Cell 2, 95 m away, is in the 55/99 m
-// interference band of cell 1 and runs its own UDP flow.
+// receiver and a station X with on/off uplink traffic (a web session).
+// Cell 2, 95 m away, is in the 55/99 m interference band of cell 1 and
+// runs its own UDP flow, its sender also on/off. The sessions make
+// stations switch between idle, when they skip the tails of frames
+// addressed elsewhere, and busy, when they run every tail, often while
+// a NAV recorded by skipped tails still runs.
 ObservedRun observed_world(double ber, Watch watch) {
   SimConfig cfg;
   cfg.comm_range_m = 55.0;
@@ -350,9 +356,34 @@ ObservedRun observed_world(double ber, Watch watch) {
   const Sim::TcpFlow tcp = sim.add_tcp_flow(ap, tcp_rx);
   const Sim::UdpFlow greedy_udp = sim.add_udp_flow(ap, greedy, 1.0);
   const Sim::UdpFlow far = sim.add_udp_flow(sta2, ap2, 1.0);
+  const Sim::UdpFlow x_up = sim.add_udp_flow(x, ap, 2.0);
   const FakeAckPolicy& fake = sim.make_fake_acker(greedy);
   Grc grc(sim.scheduler(), sim.params());
   grc.protect(ap.mac());
+
+  // Exponential on/off periods, 150 ms on and 250 ms off on average.
+  struct Session {
+    Session(Scheduler& sched, CbrSource* src, Rng r)
+        : source(src), rng(r), timer(sched, [this, &sched] {
+            if (on) {
+              source->stop(sched.now());
+            } else {
+              source->start(sched.now());
+            }
+            on = !on;
+            const double mean_ms = on ? 150.0 : 250.0;
+            timer.start(microseconds(
+                1000 + static_cast<std::int64_t>(1e3 * rng.exponential(mean_ms))));
+          }) {
+      timer.start(milliseconds(100));
+    }
+    CbrSource* source;
+    Rng rng;
+    bool on = true;
+    Timer timer;
+  };
+  Session x_session(sim.scheduler(), x_up.source, Rng(71));
+  Session far_session(sim.scheduler(), far.source, Rng(72));
 
   ObservedRun out;
   if (watch != Watch::kNone) {
@@ -376,11 +407,13 @@ ObservedRun observed_world(double ber, Watch watch) {
   DeliveryLog tcp_ack_log(sim, ap, *tcp.sender, digest);
   DeliveryLog greedy_log(sim, greedy, *greedy_udp.sink, digest);
   DeliveryLog far_log(sim, ap2, *far.sink, digest);
+  DeliveryLog x_log(sim, ap, *x_up.sink, digest);
   udp_rx.register_sink(udp.flow_id, &udp_log);
   tcp_rx.register_sink(tcp.flow_id, &tcp_data_log);
   ap.register_sink(tcp.flow_id, &tcp_ack_log);
   greedy.register_sink(greedy_udp.flow_id, &greedy_log);
   ap2.register_sink(far.flow_id, &far_log);
+  ap.register_sink(x_up.flow_id, &x_log);
   sim.run();
 
   for (int id = 0; id < sim.num_nodes(); ++id) {
@@ -397,7 +430,7 @@ ObservedRun observed_world(double ber, Watch watch) {
   }
   for (const double mbps :
        {udp.goodput_mbps(), tcp.goodput_mbps(), greedy_udp.goodput_mbps(),
-        far.goodput_mbps()}) {
+        far.goodput_mbps(), x_up.goodput_mbps()}) {
     digest.add(mbps);
   }
   digest.add(grc.nav_detections());
@@ -406,14 +439,18 @@ ObservedRun observed_world(double ber, Watch watch) {
   out.fake_acks = fake.fakes();
   out.demodulated = sim.channel().frames_demodulated();
   out.drawn = sim.channel().measurements_drawn();
+  out.skipped = sim.channel().tails_skipped();
+  out.x_delivered = x_log.delivered();
   return out;
 }
 
 // Observing a station must not change the world it observes. In a
 // loss-free world a radio draws RSSI noise only while something on its
-// MAC reads it, so attaching sniffers changes which radios draw; the
-// run's outputs, and X's own samples, must not move. With bit errors
-// every radio draws, observed or not.
+// MAC reads it, and an idle, unobserved station skips the tails of frames
+// addressed elsewhere, so attaching sniffers changes which radios draw
+// and which tails run; the run's outputs, and X's own samples, must not
+// move. With bit errors every radio draws and every tail runs, observed
+// or not.
 TEST(ObservationIsFree, SniffersChangeNoOutputAndNoSample) {
   for (const double ber : {0.0, 1e-5}) {
     SCOPED_TRACE(ber);
@@ -428,19 +465,173 @@ TEST(ObservationIsFree, SniffersChangeNoOutputAndNoSample) {
     EXPECT_TRUE(one.x_measured);
     EXPECT_TRUE(all.x_measured);
     EXPECT_EQ(none.demodulated, all.demodulated);
+    EXPECT_GT(none.x_delivered, 50) << "X's sessions must carry traffic";
+    EXPECT_EQ(all.skipped, 0u) << "a sniffed station runs every tail";
     if (ber == 0.0) {
       EXPECT_GT(none.corrupted, 0)
           << "collisions must exercise the address-survival draw";
       EXPECT_LT(none.drawn, one.drawn);
       EXPECT_LT(one.drawn, all.drawn);
       EXPECT_EQ(all.drawn, all.demodulated);
+      EXPECT_GT(one.skipped, 0u);
+      EXPECT_LT(one.skipped, none.skipped)
+          << "X skips some tails between its sessions";
     } else {
       EXPECT_GT(none.fake_acks, 0) << "bit errors must give fakes to send";
       for (const ObservedRun* r : {&none, &one, &all}) {
         EXPECT_EQ(r->drawn, r->demodulated);
+        EXPECT_EQ(r->skipped, 0u);
       }
     }
   }
+}
+
+// Station S idles beside stations A, B and C, with or without a no-op
+// sniffer; nothing else differs. What S overhears is put straight onto
+// the air: an RTS from A that B answers with a CTS (no DATA follows, so
+// only the NAV keeps S off the idle medium), or two frames from A and C
+// that collide at S. Then S gets a packet and contends for the medium.
+enum class Overheard { kRtsCts, kCollision };
+
+struct IdleStationRun {
+  Time guard = 0;     // the NAV expiry, or the end of the collision
+  Time first_tx = -1;  // when S first keyed its radio
+  std::vector<std::int64_t> stats;  // every node's MacStats
+  std::uint64_t skipped = 0;
+};
+
+IdleStationRun idle_station(Overheard what, bool sniffed, bool eifs = true) {
+  const WifiParams p = WifiParams::b11();
+  Scheduler sched;
+  Channel channel(sched, p);
+  Node a(sched, channel, 0, {0, 0}, Rng(41));
+  Node b(sched, channel, 1, {5, 0}, Rng(42));
+  Node c(sched, channel, 2, {10, 0}, Rng(43));
+  Node s(sched, channel, 3, {5, 5}, Rng(44));
+  if (sniffed) s.mac().sniffer = [](const Frame&, const RxInfo&) {};
+  s.mac().set_eifs_enabled(eifs);
+  IdleStationRun out;
+  s.mac().tx_sniffer = [&out](const Frame&, Time start, Time) {
+    if (out.first_tx < 0) out.first_tx = start;
+  };
+
+  Frame rts;
+  rts.type = FrameType::kRts;
+  rts.ta = 0;
+  rts.ra = 1;
+  rts.duration = milliseconds(10);
+  Frame data;
+  data.type = FrameType::kData;
+  data.ra = 9;  // nobody
+  data.packet = make_packet();
+  data.packet->size_bytes = 1064;
+  data.duration = microseconds(400);
+  const Time data_air = p.data_tx_time(1064);
+  Time packet_at = 0;
+  if (what == Overheard::kRtsCts) {
+    sched.at(0, [&] { a.phy().transmit(rts, p.rts_tx_time()); });
+    out.guard = p.rts_tx_time() + rts.duration;
+    packet_at = p.rts_tx_time() + milliseconds(2);
+  } else {
+    // S and B sit midway between A and C: neither frame captures.
+    sched.at(0, [&] {
+      data.ta = 0;
+      a.phy().transmit(data, data_air);
+      data.ta = 2;
+      c.phy().transmit(data, data_air);
+    });
+    out.guard = data_air;
+    packet_at = data_air + microseconds(10);
+  }
+  sched.at(packet_at, [&] {
+    auto pkt = make_packet();
+    pkt->flow_id = 1;
+    pkt->size_bytes = 1064;
+    pkt->src_node = s.id();
+    pkt->dst_node = a.id();
+    s.send_packet(pkt);
+  });
+  sched.run_until(milliseconds(40));
+
+  out.skipped = channel.tails_skipped();
+  for (Node* n : {&a, &b, &c, &s}) {
+    const MacStats m = n->mac().stats();
+    for (const std::int64_t v :
+         {m.rts_sent, m.data_sent, m.data_retries, m.data_success,
+          m.data_dropped, m.cts_timeouts, m.ack_timeouts, m.queue_drops,
+          m.acks_ignored, m.cts_sent, m.acks_sent, m.spoofed_acks_sent,
+          m.fake_acks_sent, m.cts_suppressed_by_nav, m.rx_data_ok,
+          m.rx_data_dup, m.rx_corrupted, m.nav_updates}) {
+      out.stats.push_back(v);
+    }
+  }
+  return out;
+}
+
+TEST(TailSkipping, NavFromSkippedTailsDefersLikeFullTails) {
+  const WifiParams p = WifiParams::b11();
+  const IdleStationRun plain = idle_station(Overheard::kRtsCts, false);
+  const IdleStationRun sniffed = idle_station(Overheard::kRtsCts, true);
+  ASSERT_GE(plain.first_tx, 0);
+  EXPECT_EQ(plain.first_tx, sniffed.first_tx);
+  EXPECT_GE(plain.first_tx, plain.guard + p.difs)
+      << "the NAV that the RTS and CTS set must hold S";
+  EXPECT_EQ(plain.stats, sniffed.stats);
+  EXPECT_GT(plain.skipped, sniffed.skipped)
+      << "only the unobserved S skips the RTS and CTS tails";
+}
+
+TEST(TailSkipping, EifsFromSkippedTailsDefersLikeFullTails) {
+  const WifiParams p = WifiParams::b11();
+  const IdleStationRun plain = idle_station(Overheard::kCollision, false);
+  const IdleStationRun sniffed = idle_station(Overheard::kCollision, true);
+  const IdleStationRun difs =
+      idle_station(Overheard::kCollision, false, /*eifs=*/false);
+  ASSERT_GE(plain.first_tx, 0);
+  EXPECT_EQ(plain.first_tx, sniffed.first_tx);
+  EXPECT_GE(plain.first_tx, plain.guard + p.eifs());
+  EXPECT_EQ(plain.first_tx - difs.first_tx, p.eifs() - p.difs)
+      << "the collision S skipped must arm its EIFS";
+  EXPECT_EQ(plain.stats, sniffed.stats);
+  EXPECT_GT(plain.skipped, sniffed.skipped);
+}
+
+TEST(TailSkipping, SnifferAttachedBetweenFramesSeesTheNext) {
+  // A chained sniffer attached to an idle station mid-run sees the very
+  // next frame, and the station skips again once it is removed.
+  const WifiParams p = WifiParams::b11();
+  Scheduler sched;
+  Channel channel(sched, p);
+  Node a(sched, channel, 0, {0, 0}, Rng(41));
+  Node s(sched, channel, 1, {5, 0}, Rng(42));
+  std::vector<Frame> frames(3);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    Frame& f = frames[i];
+    f.type = FrameType::kData;
+    f.ta = 0;
+    f.ra = 9;  // nobody
+    f.uid = i + 1;
+    f.packet = make_packet();
+    f.packet->size_bytes = 1064;
+    sched.at(milliseconds(2 * static_cast<std::int64_t>(f.uid)), [&a, &f, &p] {
+      a.phy().transmit(f, p.data_tx_time(1064));
+    });
+  }
+  std::vector<std::uint64_t> seen;
+  sched.at(milliseconds(3), [&] {
+    Mac& mac = s.mac();
+    auto prev = std::move(mac.sniffer);
+    mac.sniffer = [&seen, prev = std::move(prev)](const Frame& g,
+                                                 const RxInfo& i) {
+      if (prev) prev(g, i);
+      seen.push_back(g.uid);
+    };
+  });
+  sched.at(milliseconds(5), [&] { s.mac().sniffer = nullptr; });
+  sched.run();
+  EXPECT_EQ(seen, std::vector<std::uint64_t>{2});
+  EXPECT_EQ(channel.frames_demodulated(), 3u);
+  EXPECT_EQ(channel.tails_skipped(), 2u);
 }
 
 }  // namespace

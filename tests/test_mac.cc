@@ -486,6 +486,81 @@ TEST_F(MacTest, ReadsMeasurementsOnlyThroughAReader) {
   EXPECT_FALSE(mac.reads_measurements());
 }
 
+TEST_F(MacTest, TailSkipBitTracksIdleUnobservedStations) {
+  // RxState::skip_tail is set exactly while the MAC has no frame in
+  // service, nothing reads measurements and the NAV-reset rule is off,
+  // and always equals the MAC's live answer.
+  Node& n = add_node({0, 0});
+  add_node({5, 0});
+  Mac& mac = n.mac();
+  auto skips = [&] {
+    EXPECT_EQ(n.phy().rx_state().skip_tail, mac.skips_overheard_tails());
+    return n.phy().rx_state().skip_tail;
+  };
+  EXPECT_TRUE(skips()) << "an idle, unobserved MAC skips";
+
+  // A frame in service, until it is delivered.
+  n.send_packet(packet(1, 0, 1));
+  EXPECT_FALSE(skips());
+  sched_.run_until(seconds(1));
+  ASSERT_EQ(mac.stats().data_success, 1);
+  EXPECT_TRUE(skips());
+
+  // Each hook, assigned and cleared.
+  mac.sniffer = [](const Frame&, const RxInfo&) {};
+  EXPECT_FALSE(skips());
+  mac.sniffer = nullptr;
+  EXPECT_TRUE(skips());
+  mac.nav_filter = [](const Frame& f, const RxInfo&) { return f.duration; };
+  EXPECT_FALSE(skips());
+  mac.nav_filter = nullptr;
+  EXPECT_TRUE(skips());
+  mac.ack_filter = [](const Frame&, const RxInfo&, int) { return false; };
+  EXPECT_FALSE(skips());
+  mac.ack_filter = nullptr;
+  EXPECT_TRUE(skips());
+
+  // Moved from, as chaining attachers do; the moved-to hook is detached,
+  // so neither a copy of it nor assigning to one reaches the MAC.
+  mac.sniffer = [](const Frame&, const RxInfo&) {};
+  auto prev = std::move(mac.sniffer);
+  EXPECT_FALSE(static_cast<bool>(mac.sniffer));
+  EXPECT_TRUE(static_cast<bool>(prev));
+  EXPECT_TRUE(skips());
+  auto copy = prev;
+  copy = nullptr;
+  EXPECT_TRUE(static_cast<bool>(prev));
+  EXPECT_TRUE(skips());
+  mac.sniffer = prev;  // copy-assigned into the MAC's hook
+  EXPECT_FALSE(skips());
+  mac.sniffer = std::move(copy);  // move-assigned (empty)
+  EXPECT_TRUE(skips());
+  mac.sniffer = [chained = std::move(prev)](const Frame& f, const RxInfo& i) {
+    chained(f, i);
+  };
+  EXPECT_FALSE(skips());
+  mac.sniffer = nullptr;
+  EXPECT_TRUE(skips());
+
+  // A greedy policy, a reading upper layer, the NAV-reset rule.
+  FakeAckPolicy policy(1.0);
+  mac.set_greedy_policy(&policy);
+  EXPECT_FALSE(skips());
+  mac.set_greedy_policy(nullptr);
+  EXPECT_TRUE(skips());
+  struct Upper : MacUpper {
+    void on_packet(const PacketPtr&, const RxInfo&) override {}
+  } upper;
+  mac.set_upper(&upper);
+  EXPECT_FALSE(skips());
+  mac.set_upper(&n);
+  EXPECT_TRUE(skips());
+  mac.set_nav_rts_reset(true);
+  EXPECT_FALSE(skips());
+  mac.set_nav_rts_reset(false);
+  EXPECT_TRUE(skips());
+}
+
 TEST_F(MacTest, SaturatedPairSustainsThroughput) {
   Node& tx = add_node({0, 0});
   Node& rx = add_node({5, 0});

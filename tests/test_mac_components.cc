@@ -4,7 +4,7 @@
 
 #include "src/mac/backoff.h"
 #include "src/mac/dedup.h"
-#include "src/mac/nav.h"
+#include "src/phy/nav.h"
 
 namespace g80211 {
 namespace {

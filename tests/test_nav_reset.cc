@@ -57,6 +57,26 @@ TEST_F(NavResetTest, EnabledReleasesDeadReservation) {
       << "no CTS followed: the reservation is released";
 }
 
+TEST_F(NavResetTest, DisablingTheRuleCancelsItsPendingReset) {
+  // The rule armed a reset on hearing the RTS; turning the rule off before
+  // it fires drops it, so the NAV runs its full term as if the rule had
+  // never been on.
+  Node& jammer = add_node({0, 0});
+  Node& victim = add_node({5, 0});
+  victim.mac().set_nav_rts_reset(true);
+  inject_rts(jammer, 0, 99, milliseconds(20));
+  const Time expiry = params_.rts_tx_time() + milliseconds(20);
+  sched_.run_until(params_.rts_tx_time() + microseconds(100));
+  ASSERT_TRUE(victim.mac().nav().busy(sched_.now()));
+  victim.mac().set_nav_rts_reset(false);
+  sched_.run_until(expiry - microseconds(1));
+  EXPECT_TRUE(victim.mac().nav().busy(sched_.now()))
+      << "a reset scheduled while the rule was on must not fire after it";
+  EXPECT_EQ(victim.mac().nav().expiry(), expiry);
+  sched_.run_until(expiry);
+  EXPECT_FALSE(victim.mac().nav().busy(sched_.now()));
+}
+
 TEST_F(NavResetTest, LiveExchangeIsNotReset) {
   // A real exchange: the CTS (and data) keep the medium busy through the
   // probe window, so the NAV holds.

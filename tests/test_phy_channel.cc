@@ -24,12 +24,14 @@ struct RecordingListener : PhyListener {
   int busy_edges = 0;
   int idle_edges = 0;
   int tx_ends = 0;
-  bool reads = true;  // the answer to reads_measurements()
+  bool reads = true;   // the answer to reads_measurements()
+  bool skips = false;  // the answer to skips_overheard_tails()
 
   void on_rx_end(const Frame& f, const RxInfo& i) override {
     received.push_back({f, i});
   }
   bool reads_measurements() const override { return reads; }
+  bool skips_overheard_tails() const override { return skips; }
   void on_channel_busy() override { ++busy_edges; }
   void on_channel_idle() override { ++idle_edges; }
   void on_tx_end() override { ++tx_ends; }
@@ -402,6 +404,83 @@ TEST_F(PhyChannelTest, AnyBitErrorRateMakesEveryRadioDraw) {
   EXPECT_TRUE(listener(1).received[0].info.measured);
   EXPECT_EQ(channel_.frames_demodulated(), 2u);
   EXPECT_EQ(channel_.measurements_drawn(), 2u);
+}
+
+// Makes `l`, the listener of `phy`, one that only records the frames it
+// overhears, and sets the radio's skip bit to match.
+void only_records(Phy& phy, RecordingListener& l) {
+  l.reads = false;
+  l.skips = true;
+  phy.rx_state().skip_tail = true;
+}
+
+TEST_F(PhyChannelTest, SkippedTailsRecordWithoutCallingTheRadio) {
+  // At a radio whose skip bit is set, in a loss-free world, the channel
+  // records a frame addressed elsewhere itself (RxState::record) and
+  // calls no PHY or listener; the radio's edges still run.
+  Phy& a = add_phy(0, {0, 0});
+  Phy& b = add_phy(1, {5, 0});
+  Phy& c = add_phy(2, {10, 0});
+  only_records(b, listener(1));
+  const Time air = microseconds(500);
+  Frame away = data_frame(0, 7);
+  away.duration = microseconds(300);
+  a.transmit(away, air);
+  sched_.run();
+  auto& got = listener(1).received;
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(channel_.tails_skipped(), 1u);
+  EXPECT_EQ(b.rx_state().nav.expiry(), air + microseconds(300));
+  EXPECT_EQ(b.rx_state().nav_updates, 1);
+  EXPECT_EQ(listener(1).busy_edges, 1);
+  EXPECT_EQ(listener(1).idle_edges, 1);
+  // c's listener does not answer, so c runs the full tail.
+  EXPECT_EQ(listener(2).received.size(), 1u);
+
+  // A frame addressed to the radio, and a broadcast, run the full tail.
+  sched_.at(sched_.now(), [&] { a.transmit(data_frame(0, 1), air); });
+  sched_.run();
+  sched_.at(sched_.now(), [&] { a.transmit(data_frame(0, kBroadcast), air); });
+  sched_.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].frame.ra, 1);
+  EXPECT_EQ(got[1].frame.ra, kBroadcast);
+  EXPECT_EQ(channel_.tails_skipped(), 1u);
+
+  // Two equal-power frames collide at b: a skipped corrupted tail counts
+  // the corruption and arms the EIFS; it leaves the NAV alone.
+  const Time nav_before = b.rx_state().nav.expiry();
+  sched_.at(sched_.now(), [&] {
+    a.transmit(away, air);
+    c.transmit(data_frame(2, 7), air);
+  });
+  sched_.run();
+  EXPECT_EQ(got.size(), 2u);
+  EXPECT_EQ(channel_.tails_skipped(), 2u);
+  EXPECT_EQ(b.rx_state().rx_corrupted, 1);
+  EXPECT_TRUE(b.rx_state().eifs);
+  EXPECT_EQ(b.rx_state().nav.expiry(), nav_before);
+}
+
+TEST_F(PhyChannelTest, AnyBitErrorRateStopsTailSkipping) {
+  // With a BER anywhere in the world the frame-error chance draws, so a
+  // skipped tail would shift the radio's stream: every tail runs.
+  for (const double ber : {1e-12, 1e-6, 1.0}) {
+    SCOPED_TRACE(ber);
+    Scheduler sched;
+    Channel channel(sched, WifiParams::b11());
+    Phy a(channel, 0, {0, 0}, Rng(100));
+    Phy b(channel, 1, {5, 0}, Rng(101));
+    RecordingListener lb;
+    b.set_listener(&lb);
+    only_records(b, lb);
+    channel.error_model().set_link_ber(5, 6, ber);  // a link no frame uses
+    a.transmit(data_frame(0, 7), microseconds(300));
+    sched.run();
+    EXPECT_EQ(channel.tails_skipped(), 0u);
+    ASSERT_EQ(lb.received.size(), 1u);
+    EXPECT_TRUE(lb.received[0].info.measured);
+  }
 }
 
 TEST_F(PhyChannelTest, LinkTableServedFromCacheUntilTopologyChanges) {
