@@ -11,11 +11,16 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <numbers>
+#include <type_traits>
+#include <vector>
 
 #include "bench/common.h"
 #include "bench/perf_counters.h"
 #include "src/mac/mac_stats.h"
+#include "src/phy/channel.h"
+#include "src/phy/phy.h"
 #include "src/scenario/sharded.h"
 #include "src/sim/dary_heap.h"
 #include "src/sim/rng.h"
@@ -246,6 +251,64 @@ void BM_ObservedBystanders(benchmark::State& state) {
   run_idle_ring(state, 30.0, /*observed=*/true);
 }
 
+// Link-table upkeep under mobility, on the channel alone: N static radios
+// on a 10 m grid, each sensing about 40 others (20 m communication, 36 m
+// carrier-sense range), put frames on the air in turn, back to back, while
+// one silent roamer walks across the grid a metre per step, stepping once
+// per 500 frames (every 50 ms on a channel carrying a frame per 100 us).
+// time_per_frame is wall time per frame; rebuilds_per_move and
+// links_patched_per_move are the link work each step causes. Where a move
+// makes every sender rebuild its table, a frame's cost grows with N; where
+// it patches the moved radio's entry, a frame's cost stays about flat.
+void BM_RoamingLinkUpkeep(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int cols = static_cast<int>(std::ceil(std::sqrt(n)));
+  constexpr int kFramesPerMove = 500;
+  constexpr int kMovesPerIteration = 20;
+  Scheduler sched;
+  Channel channel(sched, WifiParams::b11());
+  channel.set_ranges(20.0, 36.0);
+  std::vector<std::unique_ptr<Phy>> radios;
+  for (int i = 0; i < n; ++i) {
+    const Position at{10.0 * (i % cols), 10.0 * (i / cols)};
+    radios.push_back(std::make_unique<Phy>(channel, i, at, Rng(1 + i)));
+  }
+  Phy roamer(channel, n, {0.0, 5.0}, Rng(1 + n));
+  const double width = 10.0 * cols;
+  Frame frame;
+  frame.type = FrameType::kAck;
+  frame.ra = kBroadcast;
+  int sender = 0;
+  int step = 0;
+  auto send = [&] {
+    radios[static_cast<std::size_t>(sender)]->transmit(frame,
+                                                        microseconds(50));
+    sched.run();
+    sender = (sender + 1) % n;
+  };
+  for (int i = 0; i < n; ++i) send();  // every table built once
+  const std::uint64_t rebuilds0 = channel.link_tables_rebuilt();
+  const std::uint64_t patched0 = channel.links_patched();
+  double frames = 0.0;
+  double moves = 0.0;
+  for (auto _ : state) {
+    for (int m = 0; m < kMovesPerIteration; ++m) {
+      ++step;
+      roamer.set_position({std::fmod(1.0 * step, width), 5.0});
+      for (int k = 0; k < kFramesPerMove; ++k) send();
+    }
+    benchmark::DoNotOptimize(channel.receptions_sensed());
+    frames += kMovesPerIteration * kFramesPerMove;
+    moves += kMovesPerIteration;
+  }
+  state.counters["time_per_frame"] = benchmark::Counter(
+      frames, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["rebuilds_per_move"] = benchmark::Counter(
+      static_cast<double>(channel.link_tables_rebuilt() - rebuilds0) / moves);
+  state.counters["links_patched_per_move"] = benchmark::Counter(
+      static_cast<double>(channel.links_patched() - patched0) / moves);
+}
+
 // Pure scheduler microbench, no PHY/MAC: the dominant MAC pattern of
 // schedule / cancel / reschedule plus a fired ladder. Measures raw
 // events/sec through the slab + heap with zero steady-state allocation.
@@ -302,10 +365,10 @@ void BM_TimerRestart(benchmark::State& state) {
 
 // The hold model behind the ready queue's spill threshold
 // (src/sim/timing_wheel.h): n pending entries; each step pops the minimum
-// and pushes now + uniform(0, 2 * gap). Runs the containers directly —
-// the plain 4-ary heap and the scheduler's ready queue, which is that heap
-// up to 64 entries and a timing wheel above — at a mean gap of 0.5 ms (a
-// saturated MAC) and 5 ms (sparse traffic).
+// and pushes now + uniform(0, 2 * gap). Runs both modes of the scheduler's
+// ready queue directly at every n — the plain 4-ary heap, and the timing
+// wheel, which entries parked far past its span hold in wheel mode — at a
+// mean gap of 0.5 ms (a saturated MAC) and 5 ms (sparse traffic).
 struct HoldEntry {
   Time when = 0;
   std::uint64_t seq = 0;
@@ -317,7 +380,7 @@ struct HoldBefore {
   }
 };
 using HoldHeap = DaryHeap<HoldEntry, HoldBefore>;
-using HoldReadyQueue = TimingWheel<HoldEntry, HoldBefore>;
+using HoldWheel = TimingWheel<HoldEntry, HoldBefore>;
 
 template <typename Queue>
 void BM_ReadyQueueHold(benchmark::State& state) {
@@ -328,6 +391,14 @@ void BM_ReadyQueueHold(benchmark::State& state) {
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < n; ++i) {
     q.push({rng.uniform_int(span), seq++});
+  }
+  if constexpr (std::is_same_v<Queue, HoldWheel>) {
+    // The push that takes the wheel above kSpillAbove spills it, with its
+    // cursor at the earliest of the n entries; these sit in its overflow
+    // heap, which the hold never reaches, and keep it above kCollapseBelow.
+    for (std::size_t i = 0; i <= HoldWheel::kSpillAbove; ++i) {
+      q.push({Time{1} << 60, seq++});
+    }
   }
   for (auto _ : state) {
     const Time now = q.top().when;
@@ -400,13 +471,14 @@ BENCHMARK(BM_Hotspot)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_InterferenceBand)->Arg(0)->Arg(16)->Arg(48)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecodingBystanders)->Arg(0)->Arg(16)->Arg(48)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ObservedBystanders)->Arg(0)->Arg(16)->Arg(48)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoamingLinkUpkeep)->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SchedulerChurn)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TimerRestart)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ShardedHotspot)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_ReadyQueueHold, HoldHeap)
     ->ArgsProduct({{4, 8, 16, 32, 64, 128, 256, 1024}, {500, 5000}})
     ->ArgNames({"n", "gap_us"});
-BENCHMARK_TEMPLATE(BM_ReadyQueueHold, HoldReadyQueue)
+BENCHMARK_TEMPLATE(BM_ReadyQueueHold, HoldWheel)
     ->ArgsProduct({{4, 8, 16, 32, 64, 128, 256, 1024}, {500, 5000}})
     ->ArgNames({"n", "gap_us"});
 

@@ -1,5 +1,8 @@
 #include "src/phy/channel.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "src/phy/phy.h"
 
 namespace g80211 {
@@ -10,29 +13,92 @@ void Channel::attach(Phy* phy) {
   carrier_.emplace_back();
   rx_.emplace_back().self = phy->id();
   tables_.emplace_back();
+  moved_at_.push_back(0);
   invalidate_topology();  // every sender's sensed set may now include `phy`
 }
 
-const NeighborSoA& Channel::neighbors_of(Phy* sender) {
-  NeighborTable& t = tables_[sender->channel_index_];
-  const std::uint64_t prop_gen = propagation_.generation();
-  if (t.topo_gen != topology_gen_ || t.prop_gen != prop_gen) {
-    t.soa.clear();
-    // Every other PHY within sensing range, in attach order: the fan-out
-    // order that every event ordering and RNG draw downstream follows.
-    for (std::size_t i = 0; i < phys_.size(); ++i) {
-      const Phy* rx = phys_[i];
-      if (rx == sender) continue;
-      const double d = distance(sender->position(), rx->position());
-      if (!sensed_at(d)) continue;
-      const double p = propagation_.rx_power_w(d);
-      t.soa.add(static_cast<std::uint32_t>(i), p, watts_to_dbm(p),
-                decodable_at(d));
+std::optional<LinkEntry> Channel::link(const Phy& sender, const Phy& rx) const {
+  const double d = distance(sender.position(), rx.position());
+  if (!sensed_at(d)) return std::nullopt;
+  const double p = propagation_.rx_power_w(d);
+  return LinkEntry{p, watts_to_dbm(p), decodable_at(d)};
+}
+
+void Channel::rebuild(NeighborSoA& soa, const Phy& sender) const {
+  soa.clear();
+  // Every other PHY within sensing range, in attach order: the fan-out
+  // order that every event ordering and RNG draw downstream follows.
+  for (std::size_t i = 0; i < phys_.size(); ++i) {
+    if (phys_[i] == &sender) continue;
+    if (const auto e = link(sender, *phys_[i])) {
+      soa.add(static_cast<std::uint32_t>(i), *e);
     }
+  }
+}
+
+void Channel::patch(NeighborSoA& soa, const Phy& sender, std::uint32_t r) const {
+  // The table is sorted by attach index, so r's place is where it is or
+  // would be.
+  const auto at = std::lower_bound(soa.rx.begin(), soa.rx.end(), r);
+  const auto k = static_cast<std::size_t>(at - soa.rx.begin());
+  const bool listed = at != soa.rx.end() && *at == r;
+  if (const auto e = link(sender, *phys_[r])) {
+    if (listed) {
+      soa.set(k, *e);
+    } else {
+      soa.insert(k, r, *e);
+    }
+  } else if (listed) {
+    soa.erase(k);
+  }
+}
+
+bool Channel::matches_rebuild(const NeighborSoA& soa, const Phy& sender) {
+  rebuild(scratch_, sender);
+  const auto same = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  return same(soa.rx, scratch_.rx) && same(soa.power_w, scratch_.power_w) &&
+         same(soa.power_dbm, scratch_.power_dbm) &&
+         same(soa.decodable, scratch_.decodable);
+}
+
+void Channel::note_move(std::size_t i) {
+  G80211_ALLOC_OK(
+      "the move log holds one entry per radio that ever moved: it grows to "
+      "at most the radio count and stays");
+  const auto r = static_cast<std::uint32_t>(i);
+  if (moved_at_[i] != 0) {
+    move_log_.erase(std::find(move_log_.begin(), move_log_.end(), r));
+  }
+  moved_at_[i] = ++moves_;
+  move_log_.push_back(r);
+}
+
+const NeighborSoA& Channel::neighbors_of(Phy* sender) {
+  const std::size_t s = sender->channel_index_;
+  NeighborTable& t = tables_[s];
+  const std::uint64_t prop_gen = propagation_.generation();
+  const bool same_gens = t.topo_gen == topology_gen_ && t.prop_gen == prop_gen;
+  if (same_gens && t.moves == moves_) return t.soa;
+  if (!same_gens || moved_at_[s] > t.moves) {
+    rebuild(t.soa, *sender);
     t.topo_gen = topology_gen_;
     t.prop_gen = prop_gen;
     ++tables_rebuilt_;
+  } else {
+    // The radios that moved since the table was last brought up to date:
+    // the log's tail. The log lists each radio once, so a pass re-derives
+    // at most the entries a rebuild would.
+    std::size_t j = move_log_.size();
+    while (j > 0 && moved_at_[move_log_[j - 1]] > t.moves) --j;
+    links_patched_ += move_log_.size() - j;
+    for (; j < move_log_.size(); ++j) patch(t.soa, *sender, move_log_[j]);
+    G80211_DCHECK(matches_rebuild(t.soa, *sender) &&
+                  "a patched link table differs from its rebuild");
   }
+  t.moves = moves_;
   return t.soa;
 }
 

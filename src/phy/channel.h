@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/mac/frame.h"
@@ -103,9 +104,17 @@ struct TxRecord {
   Phy* sender = nullptr;  // keyed radio; told tx-done when the frame ends
   // Receivers' attach indices, in attach order, and the power each took
   // at the frame's start: the end subtracts exactly that, even when a
-  // move has rebuilt the sender's link table in between.
+  // move has patched or rebuilt the sender's link table in between.
   std::vector<std::uint32_t> rx;
   std::vector<double> power_w;
+};
+
+// One entry of a sender's link table: what a receiver within sensing
+// range takes from the sender's frames.
+struct LinkEntry {
+  double power_w = 0.0;
+  double power_dbm = 0.0;  // watts_to_dbm(power_w)
+  bool decodable = false;
 };
 
 // A sender's link table in structure-of-arrays form: index-aligned
@@ -129,14 +138,37 @@ struct NeighborSoA {
     power_dbm.clear();
     decodable.clear();
   }
-  void add(std::uint32_t receiver, double p_w, double p_dbm, bool dec) {
+  void add(std::uint32_t receiver, const LinkEntry& e) {
     G80211_ALLOC_OK(
         "link-table rebuild runs on topology/propagation change, not per "
         "frame; the arrays re-reach their high-water capacity and stay");
     rx.push_back(receiver);
-    power_w.push_back(p_w);
-    power_dbm.push_back(p_dbm);
-    decodable.push_back(dec ? 1 : 0);
+    power_w.push_back(e.power_w);
+    power_dbm.push_back(e.power_dbm);
+    decodable.push_back(e.decodable ? 1 : 0);
+  }
+  // The patch operations (Channel::neighbors_of), at position k.
+  void set(std::size_t k, const LinkEntry& e) {
+    power_w[k] = e.power_w;
+    power_dbm[k] = e.power_dbm;
+    decodable[k] = e.decodable ? 1 : 0;
+  }
+  void insert(std::size_t k, std::uint32_t receiver, const LinkEntry& e) {
+    G80211_ALLOC_OK(
+        "a patch inserts only when a moved radio enters sensing range; the "
+        "arrays grow to the most receivers the sender ever sensed and stay");
+    const auto at = static_cast<std::ptrdiff_t>(k);
+    rx.insert(rx.begin() + at, receiver);
+    power_w.insert(power_w.begin() + at, e.power_w);
+    power_dbm.insert(power_dbm.begin() + at, e.power_dbm);
+    decodable.insert(decodable.begin() + at, e.decodable ? 1 : 0);
+  }
+  void erase(std::size_t k) {
+    const auto at = static_cast<std::ptrdiff_t>(k);
+    rx.erase(rx.begin() + at);
+    power_w.erase(power_w.begin() + at);
+    power_dbm.erase(power_dbm.begin() + at);
+    decodable.erase(decodable.begin() + at);
   }
 };
 
@@ -194,18 +226,31 @@ class Channel {
   // Hot root: the per-frame fan-out sweep (src/sim/hot.h).
   G80211_HOT void transmit(Phy* sender, const Frame& frame, Time airtime);
 
-  // Sender's link table (see NeighborSoA). Rebuilt lazily when the
-  // topology generation moved (attach, set_position, set_ranges) or
-  // propagation parameters changed.
+  // Sender's link table (see NeighborSoA), brought up to date lazily, on
+  // the sender's next transmit:
+  //   * rebuilt in full after attach, set_ranges or a propagation change,
+  //     or when the sender itself moved;
+  //   * otherwise patched: each radio that moved since the table was last
+  //     brought up to date has its entry updated in place, inserted in
+  //     attach order or erased.
+  // An entry is a pure function of the two positions, the ranges and the
+  // propagation parameters, and both ways derive it with the same link(),
+  // so a patched table equals a rebuilt one bit for bit; checked builds
+  // rebuild one after every patch pass and compare. A move thus costs each
+  // sender one entry, not a rebuild of its whole table.
   const NeighborSoA& neighbors_of(Phy* sender);
 
-  // Marks every link table stale. Cheap (one counter bump): callers may
-  // invoke it per mobility tick; tables rebuild lazily on the next
-  // transmit, amortised over the frames between moves.
+  // Marks every link table stale, for a rebuild on each sender's next
+  // transmit (attach and set_ranges; a move marks only the moved radio).
   void invalidate_topology() { ++topology_gen_; }
   std::uint64_t topology_generation() const { return topology_gen_; }
-  // Total table rebuilds, for tests/benchmarks asserting cache behaviour.
+  // Full table rebuilds, and the links that patch passes re-derived (one
+  // per moved radio per table brought up to date), for tests and
+  // benchmarks asserting cache behaviour.
   std::uint64_t link_tables_rebuilt() const { return tables_rebuilt_; }
+  std::uint64_t links_patched() const { return links_patched_; }
+  // Radios in the move log: those that ever moved, at most every radio.
+  std::size_t move_log_size() const { return move_log_.size(); }
   // Fan-out counters, deterministic like the one above. Receptions sensed:
   // receiver x frame pairs. Receiver callbacks: the receiver visits of the
   // start and end passes that called into a PHY or its listener, at most
@@ -243,6 +288,15 @@ class Channel {
   void release_record(TxRecord* rec);
   void finish(TxRecord* rec);
 
+  // `sender`'s link to `rx`, or nothing outside sensing range.
+  std::optional<LinkEntry> link(const Phy& sender, const Phy& rx) const;
+  void rebuild(NeighborSoA& soa, const Phy& sender) const;
+  void patch(NeighborSoA& soa, const Phy& sender, std::uint32_t r) const;
+  // Checked builds: whether `soa` equals a rebuild bit for bit.
+  bool matches_rebuild(const NeighborSoA& soa, const Phy& sender);
+  // Called by Phy::set_position for the radio at attach index `i`.
+  void note_move(std::size_t i);
+
   Scheduler* sched_;
   WifiParams params_;
   ErrorModel error_model_;
@@ -254,16 +308,28 @@ class Channel {
   double cs_range_m_ = 0;    // <= 0: same as comm range
   std::uint64_t next_tx_id_ = 1;
   // Per-sender link tables, indexed by the sender's attach index. A table
-  // is valid while both generation stamps match; topology_gen_ starts at 1
-  // so a freshly attached (zero-stamped) table is always stale.
+  // reflects every move up to its `moves` stamp; it is rebuilt unless both
+  // generation stamps match. topology_gen_ starts at 1 so a freshly
+  // attached (zero-stamped) table is always stale.
   struct NeighborTable {
     std::uint64_t topo_gen = 0;
     std::uint64_t prop_gen = 0;
+    std::uint64_t moves = 0;
     NeighborSoA soa;
   };
   std::vector<NeighborTable> tables_;
   std::uint64_t topology_gen_ = 1;
+  // Moves (Phy::set_position calls that changed a position), numbered from
+  // 1. moved_at_ holds each radio's last move (0: never moved), by attach
+  // index; move_log_ lists every radio that moved, once, in the order of
+  // their last moves, so the radios that moved since a table's stamp are
+  // its tail, and it never holds more entries than there are radios.
+  std::uint64_t moves_ = 0;
+  std::vector<std::uint64_t> moved_at_;
+  std::vector<std::uint32_t> move_log_;
+  NeighborSoA scratch_;  // matches_rebuild's table
   std::uint64_t tables_rebuilt_ = 0;
+  std::uint64_t links_patched_ = 0;
   std::uint64_t receptions_sensed_ = 0;
   std::uint64_t rx_callbacks_ = 0;
   std::uint64_t frames_demodulated_ = 0;
@@ -275,8 +341,8 @@ class Channel {
   std::vector<std::unique_ptr<TxRecord>> records_;
   std::vector<TxRecord*> free_records_;
 
-  // A radio reads and keys its own CarrierState and RxState and counts
-  // its drawn measurements.
+  // A radio reads and keys its own CarrierState and RxState, counts its
+  // drawn measurements and reports its moves.
   friend class Phy;
 };
 

@@ -108,13 +108,14 @@ class Phy {
   }
   int id() const { return id_; }
   const Position& position() const { return pos_; }
-  // Moving a node marks every link table in the channel stale (they are
-  // rebuilt lazily on the next transmit). A no-op move — a mobility tick
-  // with zero velocity — keeps the caches warm.
+  // Moving a node re-derives only its own links: each sender's table
+  // patches this radio's entry on the sender's next transmit, and this
+  // radio's own table is rebuilt on its next (Channel::neighbors_of). A
+  // no-op move — a mobility tick with zero velocity — changes nothing.
   void set_position(Position p) {
     if (p.x == pos_.x && p.y == pos_.y) return;
     pos_ = p;
-    channel_->invalidate_topology();
+    channel_->note_move(channel_index_);
   }
 
   // Physical carrier sense (includes own transmission).

@@ -15,26 +15,39 @@
 //
 // Why 64: a hold model (N pending entries; each step pops the minimum and
 // pushes now + uniform(0, 2 * mean gap)), -O2, ns per pop+push, best of 5
-// (bench_ext_simperf's BM_ReadyQueueHold re-measures it):
+// (bench_ext_simperf's BM_ReadyQueueHold re-measures both rows; its wheel
+// stays in wheel mode at every N):
 //
 //   N                     4    8   16   32   64  128  256  1024
-//   heap,  0.5 ms gap    34   47   49   62   64   71   75    93
-//   wheel, 0.5 ms gap    76   58   62   60   56   58   61    66
-//   heap,  5 ms gap      38   48   52   65   63   72   63    90
-//   wheel, 5 ms gap      99   92   90   85   61   51   48    48
+//   heap,  0.5 ms gap    12   15   15   20   19   23   22    25
+//   wheel, 0.5 ms gap    16   14   13   12   13   14   15    16
+//   heap,  5 ms gap      12   15   16   20   18   23   21    25
+//   wheel, 5 ms gap      28   25   21   19   16   15   15    16
 //
-// The crossover sits at 32-64. A sparse wheel loses because level 0 spans
-// only 262 us, shorter than the MAC's usual gaps, so most pops cascade
-// from level 1. The paper's own 2-8-station worlds hold 2-31 entries and
-// run as a heap; city-scale worlds hold 64-255 and run as a wheel.
+// A sparse wheel loses to a heap where most pops cascade from a coarser
+// level, which is where the gaps outrun level 0. The wheel wins from 8
+// entries at the saturated MAC's 0.5 ms gap and from 32 at 5 ms, by 1 ns
+// there, so the model alone would allow a spill above 32. 64 stays: a
+// spill at 32 would halve the 4x band between the thresholds, or need a
+// collapse at 8, where the wheel loses by 10 ns at 5 ms; and no end-to-end
+// run has measured a lower spill. The paper's own 2-8-station worlds hold
+// 2-31 entries and run as a heap; city-scale worlds hold 64-255 and run as
+// a wheel.
 //
-// Wheel layout: 4 levels of 256 slots over a tick of 2^10 ns (1.024 us).
-// Level k spans 256^(k+1) ticks, so the wheel covers 2^42 ns (~73
-// simulated minutes) ahead of the cursor; anything further sits in a
-// small overflow heap and is re-placed when the cursor approaches. Push is
-// O(1): two shifts and a vector push_back into the destination slot. Pop
-// drains the cursor's level-0 slot into ready_, which orders the (rarely
-// more than a handful of) entries sharing one 1.024 us tick.
+// Wheel layout: 4 levels of 256 slots over a tick of 2^12 ns (4.096 us).
+// The tick sets level 0 to the MAC's timescale: its 1.05 ms window holds
+// 802.11b's EIFS (364 us), RTS/CTS/ACK airtimes (304-352 us) and response
+// timeouts (354 us), so most MAC timers land in level 0 and pop without a
+// cascade. (With a 1.024 us tick, level 0 spanned 262 us and the wheel
+// rows above read 27-20 and 32-15 ns from N = 4 to 1024. An 8.192 us tick
+// ran perfbench's city at the same speed as this one; the finer tick puts
+// fewer entries in each drained slot.) Level k spans 256^(k+1) ticks, so
+// the wheel covers 2^44 ns (~4.9 simulated hours) ahead of the cursor;
+// anything further sits in a small overflow heap and is re-placed when the
+// cursor approaches. Push is O(1): two shifts and a vector push_back into
+// the destination slot. Pop drains the cursor's level-0 slot into ready_,
+// which orders the (rarely more than a handful of) entries sharing one
+// 4.096 us tick.
 //
 // Determinism: pop order is by the caller's strict total order (time,
 // insertion-seq), the order a plain DaryHeap would give, in both modes and
@@ -82,6 +95,8 @@ class TimingWheel {
   // Mode thresholds on size(); see the header comment.
   static constexpr std::size_t kSpillAbove = 64;
   static constexpr std::size_t kCollapseBelow = 16;
+  // A tick is 2^kTickShift ns (4.096 us); see the header comment.
+  static constexpr int kTickShift = 12;
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -115,7 +130,6 @@ class TimingWheel {
   }
 
  private:
-  static constexpr int kTickShift = 10;  // 1.024 us per tick
   static constexpr int kSlotBits = 8;
   static constexpr std::size_t kSlots = 1u << kSlotBits;  // 256 per level
   static constexpr int kLevels = 4;

@@ -125,6 +125,10 @@ TEST(GoldenCity, SmallWorldBitIdentical) {
   // 71.3% of tails are frames addressed elsewhere at an idle, unobserved
   // station, which the channel records without calling its PHY.
   EXPECT_EQ(channel.tails_skipped(), 156705u);
+  // Its roamers' moves: each sender patches the moved radio's entry, and
+  // only the tables of the radios that moved are rebuilt.
+  EXPECT_EQ(channel.link_tables_rebuilt(), 106u);
+  EXPECT_EQ(channel.links_patched(), 2429u);
   if (h.value() != kGolden) {
     std::printf("hash: 0x%016llx\n",
                 static_cast<unsigned long long>(h.value()));

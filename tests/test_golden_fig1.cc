@@ -203,7 +203,9 @@ TEST(GoldenFig1, DenseTwinBitIdenticalOnBothSchedulerBackends) {
   // queue's mechanics moved.
   EXPECT_EQ(run.ready_queue.spills, 4u);
   EXPECT_EQ(run.ready_queue.collapses, 2u);
-  EXPECT_EQ(run.ready_queue.cascades, 8698u);
+  // Most of the MAC's gaps (EIFS, control airtimes, timeouts) fit in the
+  // wheel's 1.05 ms level 0, so few pops cascade.
+  EXPECT_EQ(run.ready_queue.cascades, 1500u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // range semantics, half-duplex behaviour, BER corruption delivery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -500,6 +502,27 @@ TEST_F(PhyChannelTest, LinkTableServedFromCacheUntilTopologyChanges) {
   EXPECT_EQ(channel_.link_tables_rebuilt(), rebuilds);
 }
 
+// Whether two link tables agree bit for bit: receivers (by node id) in
+// the same order, and the same power_w, power_dbm and decodable bits.
+::testing::AssertionResult same_table(const Channel& ca, const NeighborSoA& a,
+                                      const Channel& cb, const NeighborSoA& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes " << a.size() << " and " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (ca.phys()[a.rx[i]]->id() != cb.phys()[b.rx[i]]->id() ||
+        std::bit_cast<std::uint64_t>(a.power_w[i]) !=
+            std::bit_cast<std::uint64_t>(b.power_w[i]) ||
+        std::bit_cast<std::uint64_t>(a.power_dbm[i]) !=
+            std::bit_cast<std::uint64_t>(b.power_dbm[i]) ||
+        a.decodable[i] != b.decodable[i]) {
+      return ::testing::AssertionFailure() << "entry " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST_F(PhyChannelTest, MovedNodeMatchesFreshlyBuiltChannel) {
   channel_.set_ranges(50.0, 100.0);
   Phy& tx = add_phy(0, {0, 0});
@@ -507,13 +530,16 @@ TEST_F(PhyChannelTest, MovedNodeMatchesFreshlyBuiltChannel) {
   Phy& roamer = add_phy(2, {200, 0});  // out of sensing range entirely
   ASSERT_EQ(channel_.neighbors_of(&tx).size(), 1u);  // warm the cache
   const std::uint64_t rebuilds = channel_.link_tables_rebuilt();
+  const std::uint64_t patched = channel_.links_patched();
 
-  // Mid-simulation move into decode range must invalidate the warm table.
+  // A mid-simulation move into decode range patches the warm table: one
+  // entry re-derived, no rebuild.
   roamer.set_position({20, 0});
   const auto& cached = channel_.neighbors_of(&tx);
-  EXPECT_EQ(channel_.link_tables_rebuilt(), rebuilds + 1);
+  EXPECT_EQ(channel_.link_tables_rebuilt(), rebuilds);
+  EXPECT_EQ(channel_.links_patched(), patched + 1);
 
-  // The rebuilt table must be indistinguishable from a channel built from
+  // The patched table must be indistinguishable from a channel built from
   // scratch at the post-move positions: same membership, same order, same
   // rx power bits, same decodability.
   Scheduler sched2;
@@ -522,16 +548,26 @@ TEST_F(PhyChannelTest, MovedNodeMatchesFreshlyBuiltChannel) {
   Phy t2(chan2, 0, {0, 0}, Rng(100));
   Phy n2(chan2, 1, {10, 0}, Rng(101));
   Phy r2(chan2, 2, {20, 0}, Rng(102));
-  const auto& fresh = chan2.neighbors_of(&t2);
-  ASSERT_EQ(cached.size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(channel_.phys()[cached.rx[i]]->id(), chan2.phys()[fresh.rx[i]]->id());
-    EXPECT_EQ(cached.power_w[i], fresh.power_w[i]);
-    EXPECT_EQ(cached.power_dbm[i], fresh.power_dbm[i]);
-    EXPECT_EQ(cached.decodable[i], fresh.decodable[i]);
-  }
+  EXPECT_TRUE(same_table(channel_, cached, chan2, chan2.neighbors_of(&t2)));
 
-  // And the full delivery path agrees: the roamer now receives.
+  // A sender that moved rebuilds its own table: one rebuild, no patch.
+  tx.set_position({-31, 0});
+  const auto& moved = channel_.neighbors_of(&tx);
+  EXPECT_EQ(channel_.link_tables_rebuilt(), rebuilds + 1);
+  EXPECT_EQ(channel_.links_patched(), patched + 1);
+  Scheduler sched3;
+  Channel chan3(sched3, WifiParams::b11());
+  chan3.set_ranges(50.0, 100.0);
+  Phy t3(chan3, 0, {-31, 0}, Rng(100));
+  Phy n3(chan3, 1, {10, 0}, Rng(101));
+  Phy r3(chan3, 2, {20, 0}, Rng(102));
+  EXPECT_TRUE(same_table(channel_, moved, chan3, chan3.neighbors_of(&t3)));
+  ASSERT_EQ(moved.size(), 2u);
+  EXPECT_FALSE(moved.decodable[1]) << "the roamer is 51 m out: sensed only";
+
+  // And the full delivery path agrees: the roamer receives from where the
+  // sender was before its move.
+  tx.set_position({0, 0});
   tx.transmit(data_frame(0, 1), microseconds(500));
   sched_.run();
   ASSERT_EQ(listener(2).received.size(), 1u);
@@ -558,6 +594,120 @@ TEST_F(PhyChannelTest, PropagationChangeInvalidatesCachedRxPower) {
   channel_.propagation().set_tx_power_w(channel_.propagation().tx_power_w() * 2.0);
   const double after = channel_.neighbors_of(&tx).power_w[0];
   EXPECT_EQ(after, 2.0 * before) << "cached rx power must track tx power";
+}
+
+// Link-table patching against its specification: seeded random walks on
+// a mixed topology, after every step of which each sender's table must
+// equal a freshly built channel's bit for bit. Moves go anywhere, land
+// exactly on the communication and carrier-sense boundaries of another
+// radio or one metre to either side (integer coordinates keep those
+// distances exact), move senders themselves, and move radios to where
+// they already are; a step moves one radio, or a batch of up to half of
+// them (the same radio possibly twice), so one pass patches many entries
+// too. A radio attaches and the propagation changes part-way through. The
+// move log stays within the radio count throughout.
+TEST(LinkTablePatching, RandomWalksMatchFreshlyBuiltChannels) {
+  struct Ranges {
+    double comm;
+    double cs;
+  };
+  // Both bands; carrier sense equal to communication; unlimited ranges.
+  for (const Ranges ranges : {Ranges{50, 100}, Ranges{50, 0}, Ranges{0, 0}}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("comm " + std::to_string(ranges.comm) + " cs " +
+                   std::to_string(ranges.cs) + " seed " + std::to_string(seed));
+      std::uint64_t state = 0x9E3779B97F4A7C15ULL * seed;
+      auto next = [&state] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+      };
+      auto coord = [&] { return static_cast<double>(next() % 241) - 120.0; };
+      Scheduler sched;
+      Channel channel(sched, WifiParams::b11());
+      channel.set_ranges(ranges.comm, ranges.cs);
+      double tx_power = channel.propagation().tx_power_w();
+      std::vector<std::unique_ptr<Phy>> phys;
+      std::vector<Position> pos;
+      auto add = [&](Position p) {
+        const int id = static_cast<int>(phys.size());
+        phys.push_back(std::make_unique<Phy>(channel, id, p, Rng(100 + id)));
+        pos.push_back(p);
+      };
+      for (int i = 0; i < 12; ++i) add({coord(), coord()});
+      // The range edges; with unlimited ranges, a move to an "edge" lands on
+      // top of another radio or a metre from it.
+      const double edges[] = {std::max(ranges.comm, 0.0),
+                              std::max(channel.cs_range_m(), 0.0)};
+      auto move = [&](std::size_t i) {
+        Position p = pos[i];  // one move in four is a no-op
+        const std::uint64_t kind = next() % 4;
+        if (kind == 1) {
+          p = {coord(), coord()};
+        } else if (kind >= 2) {
+          const Position& a = pos[next() % pos.size()];
+          const double d = edges[next() % 2] + static_cast<double>(next() % 3) - 1.0;
+          const Position around[] = {
+              {a.x + d, a.y}, {a.x - d, a.y}, {a.x, a.y + d}, {a.x, a.y - d}};
+          p = around[next() % 4];
+        }
+        phys[i]->set_position(p);
+        pos[i] = p;
+      };
+      // The tables each sender was last served, to see what a patch did.
+      std::vector<NeighborSoA> last(phys.size());
+      std::uint64_t grew = 0;
+      std::uint64_t shrank = 0;
+      for (int step = 0; step < 400; ++step) {
+        if (step == 150) {
+          tx_power *= 1.5;
+          channel.propagation().set_tx_power_w(tx_power);
+        }
+        if (step == 250) {
+          add({coord(), coord()});
+          last.emplace_back();
+        }
+        const std::size_t batch =
+            next() % 4 == 0 ? 1 + next() % (phys.size() / 2) : 1;
+        for (std::size_t k = 0; k < batch; ++k) move(next() % phys.size());
+        ASSERT_LE(channel.move_log_size(), phys.size());
+
+        Scheduler fresh_sched;
+        Channel fresh(fresh_sched, WifiParams::b11());
+        fresh.set_ranges(ranges.comm, ranges.cs);
+        fresh.propagation().set_tx_power_w(tx_power);
+        std::vector<std::unique_ptr<Phy>> fresh_phys;
+        for (std::size_t i = 0; i < pos.size(); ++i) {
+          fresh_phys.push_back(std::make_unique<Phy>(
+              fresh, static_cast<int>(i), pos[i], Rng(100 + i)));
+        }
+        for (std::size_t i = 0; i < phys.size(); ++i) {
+          SCOPED_TRACE("step " + std::to_string(step) + " sender " +
+                       std::to_string(i));
+          const std::uint64_t rebuilds = channel.link_tables_rebuilt();
+          const std::uint64_t patched = channel.links_patched();
+          const NeighborSoA& t = channel.neighbors_of(phys[i].get());
+          ASSERT_TRUE(same_table(channel, t, fresh,
+                                 fresh.neighbors_of(fresh_phys[i].get())));
+          if (channel.link_tables_rebuilt() == rebuilds &&
+              channel.links_patched() != patched) {
+            grew += t.size() > last[i].size() ? 1 : 0;
+            shrank += t.size() < last[i].size() ? 1 : 0;
+          }
+          last[i] = t;
+        }
+      }
+      // The walk patched tables, inserting and erasing entries where the
+      // ranges have edges, and also rebuilt them.
+      EXPECT_GT(channel.links_patched(), 0u);
+      EXPECT_GT(channel.link_tables_rebuilt(), phys.size() * 3);
+      if (ranges.comm > 0) {
+        EXPECT_GT(grew, 0u);
+        EXPECT_GT(shrank, 0u);
+      }
+    }
+  }
 }
 
 // FNV-1a over every listener's recorded output, bit for bit: its edge and

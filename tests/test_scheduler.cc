@@ -30,6 +30,12 @@ struct ItemBefore {
 using ItemWheel = TimingWheel<Item, ItemBefore>;
 using ItemHeap = DaryHeap<Item, ItemBefore>;
 
+// The wheel's layout, from its tick: level k's window spans 256^(k+1)
+// ticks, and level 3's is the span beyond which entries overflow.
+constexpr Time kTick = Time{1} << ItemWheel::kTickShift;
+constexpr Time level_window(int k) { return kTick << (8 * (k + 1)); }
+constexpr Time kWheelSpan = level_window(3);
+
 // The scheduler-facing cases run once, on the scheduler's one ready queue
 // (a 4-ary heap that spills into a hierarchical timing wheel above 64
 // entries). The one-valued parameter keeps each case's ctest id stable
@@ -260,25 +266,28 @@ void expect_ran_in_wheel_mode(const Scheduler& s) {
 }
 
 // Deadlines spanning every wheel level — sub-tick, level 0, the higher
-// windows, and far past the 2^42 ns span (overflow) — plus events
+// windows, and far past the wheel's span (overflow) — plus events
 // scheduled mid-run.
 void run_cross_level_times(Scheduler& s) {
   std::vector<int> order;
   const Time times[] = {
-      nanoseconds(1),   nanoseconds(900),  microseconds(2),
-      microseconds(90), milliseconds(3),   milliseconds(40),
-      seconds(2),       seconds(70),       seconds(3600),
-      seconds(5400),  // ~90 min: beyond the wheel span, overflow heap
+      nanoseconds(1),           kTick - 1,                    // sub-tick
+      2 * kTick + 1,            level_window(0) / 3,          // level 0
+      3 * level_window(0),      level_window(1) / 7,          // level 1
+      8 * level_window(1),                                    // level 2
+      2 * level_window(2),      kWheelSpan / 5,               // level 3
+      kWheelSpan + kWheelSpan / 4,                            // overflow
   };
   int tag = 0;
   for (Time t : times) {
     const int id = tag++;
     s.at(t, [&order, id] { order.push_back(id); });
   }
-  // Same-time tie at an already-used slot plus a nested reschedule.
-  s.at(milliseconds(3), [&] {
+  // Same-time tie at an already-used slot plus a nested reschedule that
+  // lands between the level-2 and the first level-3 deadline.
+  s.at(3 * level_window(0), [&] {
     order.push_back(100);
-    s.after(seconds(30), [&] { order.push_back(101); });
+    s.after(level_window(2) / 2, [&] { order.push_back(101); });
   });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 100, 5, 6, 101, 7, 8, 9}));
@@ -291,19 +300,22 @@ TEST_P(SchedulerSuite, CrossLevelTimesFireInOrder) {
 
 TEST_P(SchedulerSuite, CrossLevelTimesFireInOrderInWheelMode) {
   Scheduler s;
-  spill_with_fillers(s, seconds(9000));
+  spill_with_fillers(s, 2 * kWheelSpan);
   run_cross_level_times(s);
   expect_ran_in_wheel_mode(s);
 }
 
-// A lone far-future event forces the wheel to skip a long empty stretch
-// (cursor jumps, not tick-by-tick crawling).
+// A lone far-future event, beyond the wheel's span, forces the wheel to
+// skip a long empty stretch: with nothing left in the wheel, the cursor
+// jumps straight to the top of the overflow heap rather than crawling.
+constexpr Time kLateEvent = kWheelSpan + kWheelSpan / 2;
+
 void run_idle_gap_then_late_event(Scheduler& s) {
   Time fired_at = -1;
-  s.at(seconds(7200), [&] { fired_at = s.now(); });
+  s.at(kLateEvent, [&] { fired_at = s.now(); });
   s.run();
-  EXPECT_EQ(fired_at, seconds(7200));
-  EXPECT_EQ(s.now(), seconds(7200));
+  EXPECT_EQ(fired_at, kLateEvent);
+  EXPECT_EQ(s.now(), kLateEvent);
 }
 
 TEST_P(SchedulerSuite, IdleGapThenLateEventFires) {
@@ -313,7 +325,7 @@ TEST_P(SchedulerSuite, IdleGapThenLateEventFires) {
 
 TEST_P(SchedulerSuite, IdleGapThenLateEventFiresInWheelMode) {
   Scheduler s;
-  spill_with_fillers(s, seconds(9000));
+  spill_with_fillers(s, 2 * kWheelSpan);
   run_idle_gap_then_late_event(s);
   expect_ran_in_wheel_mode(s);
 }
@@ -325,11 +337,11 @@ TEST_P(SchedulerSuite, IdleGapThenLateEventFiresInWheelMode) {
 // enters, or the nested tick-257 entry leapfrogs B (tick 256).
 void run_coarse_window_boundary(Scheduler& s) {
   std::vector<int> order;
-  s.at(nanoseconds(262000), [&] {  // tick 255
+  s.at(255 * kTick + kTick * 7 / 8, [&] {  // tick 255
     order.push_back(0);
-    s.at(nanoseconds(263415), [&] { order.push_back(2); });  // tick 257
+    s.at(257 * kTick + kTick / 4, [&] { order.push_back(2); });  // tick 257
   });
-  s.at(nanoseconds(263000), [&] { order.push_back(1); });  // tick 256
+  s.at(256 * kTick + kTick * 5 / 6, [&] { order.push_back(1); });  // tick 256
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -342,7 +354,7 @@ TEST_P(SchedulerSuite, CoarseWindowBoundaryDoesNotLeapfrogParkedEntry) {
 TEST_P(SchedulerSuite,
        CoarseWindowBoundaryDoesNotLeapfrogParkedEntryInWheelMode) {
   Scheduler s;
-  spill_with_fillers(s, milliseconds(1));
+  spill_with_fillers(s, 260 * kTick);
   run_coarse_window_boundary(s);
   expect_ran_in_wheel_mode(s);
   // The window-edge step cascaded B's level-1 slot.
@@ -351,8 +363,9 @@ TEST_P(SchedulerSuite,
 
 TEST(SchedulerEquivalence, BackendsDispatchIdenticalOrder) {
   // The dispatch specification on a pseudo-random schedule (bursty times
-  // from ns to hours, nested re-scheduling, interleaved cancels): exactly
-  // the uncancelled events fire, sorted by (when, order of scheduling).
+  // from ns to twice the wheel's span, nested re-scheduling, interleaved
+  // cancels): exactly the uncancelled events fire, sorted by (when, order
+  // of scheduling).
   Scheduler s;
   // Every event ever scheduled, indexed by its order of scheduling.
   std::vector<Time> when;
@@ -374,7 +387,9 @@ TEST(SchedulerEquivalence, BackendsDispatchIdenticalOrder) {
       case 0: t = nanoseconds(static_cast<Time>(r % 2000)); break;
       case 1: t = microseconds(static_cast<Time>(r % 5000)); break;
       case 2: t = milliseconds(static_cast<Time>(r % 90000)); break;
-      default: t = seconds(static_cast<Time>(r % 9000)); break;
+      default:
+        t = static_cast<Time>(r % static_cast<std::uint64_t>(2 * kWheelSpan));
+        break;
     }
     const std::size_t id = when.size();
     when.push_back(t);
@@ -462,21 +477,21 @@ TEST(ReadyQueueDifferential, WheelPopsInHeapOrderAcrossModeSwitches) {
       }
       return w.when == h.when && w.seq == h.seq;
     };
-    // Deadline offsets within one 1.024 us tick, within wheel levels 0..3
-    // (up to 2^18, 2^26, 2^34, 2^42 ns ahead), in overflow, or tied with
-    // the last push.
+    // Deadline offsets within one tick, within the windows of wheel
+    // levels 0..3, in overflow, or tied with the last push.
     auto deadline = [&]() -> Time {
       const std::uint64_t r = next();
       const std::uint64_t v = r >> 3;
+      auto within = [v](Time span) {
+        return static_cast<Time>(v % static_cast<std::uint64_t>(span));
+      };
       switch (r % 7) {
-        case 0: return now + static_cast<Time>(v % 1024);
-        case 1: return now + static_cast<Time>(v % (std::uint64_t{1} << 18));
-        case 2: return now + static_cast<Time>(v % (std::uint64_t{1} << 26));
-        case 3: return now + static_cast<Time>(v % (std::uint64_t{1} << 34));
-        case 4: return now + static_cast<Time>(v % (std::uint64_t{1} << 42));
-        case 5:
-          return now + static_cast<Time>((std::uint64_t{1} << 42) +
-                                         v % (std::uint64_t{1} << 44));
+        case 0: return now + within(kTick);
+        case 1: return now + within(level_window(0));
+        case 2: return now + within(level_window(1));
+        case 3: return now + within(level_window(2));
+        case 4: return now + within(kWheelSpan);
+        case 5: return now + kWheelSpan + within(4 * kWheelSpan);
         default: return last_when >= now ? last_when : now;
       }
     };
@@ -490,7 +505,8 @@ TEST(ReadyQueueDifferential, WheelPopsInHeapOrderAcrossModeSwitches) {
             // into the tick just behind it, at its first instant, and tied
             // with the earliest entry itself.
             const Time min_when = heap.top().when;
-            const Time cursor_at = (min_when >> 10) << 10;
+            const Time cursor_at =
+                (min_when >> ItemWheel::kTickShift) << ItemWheel::kTickShift;
             if (cursor_at - 1 >= now) {
               push(cursor_at - 1);
               ++behind_pushes;
