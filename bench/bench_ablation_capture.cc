@@ -18,11 +18,7 @@ using namespace g80211::bench;
 namespace {
 
 void run(benchmark::State& state) {
-  std::printf("Ablation: ACK spoofing with capture on vs off (TCP, BER=2e-4)\n");
-  TableWriter table({"capture", "normal_mbps", "greedy_mbps", "total"});
-  table.print_header();
-
-  double victim_capture_on = 0.0, victim_capture_off = 0.0;
+  Campaign campaign("ablation_capture", {"normal_mbps", "greedy_mbps"});
   for (const bool capture : {true, false}) {
     PairsSpec spec;
     spec.tcp = true;
@@ -32,10 +28,22 @@ void run(benchmark::State& state) {
     spec.customize = [](Sim& sim, std::vector<Node*>&, std::vector<Node*>& rx) {
       sim.make_ack_spoofer(*rx[1], 1.0, {rx[0]->id()});
     };
-    const auto med = median_pair_goodputs(spec, default_runs(), 3100);
-    table.print_row({capture ? 1.0 : 0.0, med[0], med[1], med[0] + med[1]});
-    (capture ? victim_capture_on : victim_capture_off) = med[0];
+    campaign.add(capture ? "on" : "off", capture ? 1.0 : 0.0, 3100,
+                 default_runs(), [spec](std::uint64_t seed) {
+                   return run_pairs(spec, seed).goodput_mbps;
+                 });
   }
+  const auto points = campaign.run();
+
+  std::printf("Ablation: ACK spoofing with capture on vs off (TCP, BER=2e-4)\n");
+  TableWriter table({"capture", "normal_mbps", "greedy_mbps", "total"});
+  table.print_header();
+  for (const auto& pt : points) {
+    const auto& med = pt.median;
+    table.print_row({pt.x, med[0], med[1], med[0] + med[1]});
+  }
+  const double victim_capture_on = points[0].median[0];
+  const double victim_capture_off = points[1].median[0];
   std::printf(
       "Without capture the spoof also jams the victim's real ACKs; the\n"
       "victim's goodput drops further (%0.3f -> %0.3f Mbps).\n\n",

@@ -16,11 +16,7 @@ using namespace g80211::bench;
 namespace {
 
 void run(benchmark::State& state) {
-  std::printf("Ablation: EIFS on vs off (two honest TCP flows, BER=2e-4)\n");
-  TableWriter table({"eifs", "flow1_mbps", "flow2_mbps", "total"});
-  table.print_header();
-
-  double total_on = 0.0, total_off = 0.0;
+  Campaign campaign("ablation_eifs", {"flow1_mbps", "flow2_mbps"});
   for (const bool eifs : {true, false}) {
     PairsSpec spec;
     spec.tcp = true;
@@ -33,13 +29,23 @@ void run(benchmark::State& state) {
         for (Node* n : receivers) n->mac().set_eifs_enabled(false);
       }
     };
-    const auto med = median_pair_goodputs(spec, default_runs(), 3200);
-    table.print_row({eifs ? 1.0 : 0.0, med[0], med[1], med[0] + med[1]});
-    (eifs ? total_on : total_off) = med[0] + med[1];
+    campaign.add(eifs ? "on" : "off", eifs ? 1.0 : 0.0, 3200, default_runs(),
+                 [spec](std::uint64_t seed) {
+                   return run_pairs(spec, seed).goodput_mbps;
+                 });
+  }
+  const auto points = campaign.run();
+
+  std::printf("Ablation: EIFS on vs off (two honest TCP flows, BER=2e-4)\n");
+  TableWriter table({"eifs", "flow1_mbps", "flow2_mbps", "total"});
+  table.print_header();
+  for (const auto& pt : points) {
+    const auto& med = pt.median;
+    table.print_row({pt.x, med[0], med[1], med[0] + med[1]});
   }
   std::printf("\n");
-  state.counters["total_eifs_on"] = total_on;
-  state.counters["total_eifs_off"] = total_off;
+  state.counters["total_eifs_on"] = points[0].median[0] + points[0].median[1];
+  state.counters["total_eifs_off"] = points[1].median[0] + points[1].median[1];
 }
 
 }  // namespace

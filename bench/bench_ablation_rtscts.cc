@@ -15,24 +15,19 @@ using namespace g80211::bench;
 
 namespace {
 
-struct Split {
-  double victim = 0.0;
-  double greedy = 0.0;
-};
-
-Split run_nav(bool rts_cts, NavFrameMask mask, std::uint64_t seed) {
+PairsSpec nav_spec(bool rts_cts, NavFrameMask mask) {
   PairsSpec spec;
   spec.tcp = false;
   spec.cfg = base_config();
   spec.cfg.rts_cts = rts_cts;
-  spec.customize = [&](Sim& sim, std::vector<Node*>&, std::vector<Node*>& rx) {
+  spec.customize = [mask](Sim& sim, std::vector<Node*>&,
+                          std::vector<Node*>& rx) {
     sim.make_nav_inflator(*rx[1], mask, milliseconds(10));
   };
-  const auto med = median_pair_goodputs(spec, default_runs(), seed);
-  return {med[0], med[1]};
+  return spec;
 }
 
-Split run_spoof(bool rts_cts, std::uint64_t seed) {
+PairsSpec spoof_spec(bool rts_cts) {
   PairsSpec spec;
   spec.tcp = true;
   spec.cfg = base_config();
@@ -42,37 +37,53 @@ Split run_spoof(bool rts_cts, std::uint64_t seed) {
   spec.customize = [](Sim& sim, std::vector<Node*>&, std::vector<Node*>& rx) {
     sim.make_ack_spoofer(*rx[1], 1.0, {rx[0]->id()});
   };
-  const auto med = median_pair_goodputs(spec, default_runs(), seed);
-  return {med[0], med[1]};
+  return spec;
 }
 
+struct Row {
+  const char* attack;
+  bool rts_cts;
+  std::uint64_t seed;
+  PairsSpec spec;
+};
+
 void run(benchmark::State& state) {
+  const Row rows[] = {
+      {"cts_nav", true, 4000, nav_spec(true, NavFrameMask::cts_only())},
+      {"cts_nav", false, 4010, nav_spec(false, NavFrameMask::cts_only())},
+      {"ack_nav", true, 4020, nav_spec(true, NavFrameMask::ack_only())},
+      {"ack_nav", false, 4030, nav_spec(false, NavFrameMask::ack_only())},
+      {"spoof", true, 4040, spoof_spec(true)},
+      {"spoof", false, 4050, spoof_spec(false)},
+  };
+  Campaign campaign("ablation_rtscts", {"victim", "greedy"});
+  for (const Row& row : rows) {
+    campaign.add(std::string(row.attack) + (row.rts_cts ? "_rtscts" : "_basic"),
+                 row.rts_cts ? 1.0 : 0.0, row.seed, default_runs(),
+                 [spec = row.spec](std::uint64_t seed) {
+                   return run_pairs(spec, seed).goodput_mbps;
+                 });
+  }
+  const auto points = campaign.run();
+
   std::printf("Ablation: attack effectiveness with and without RTS/CTS\n");
   TableWriter table({"attack", "rtscts", "victim", "greedy"}, 12);
   table.print_header();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto& med = points[i].median;
+    table.print_row({points[i].x, med[0], med[1]}, rows[i].attack);
+  }
 
-  const Split cts_on = run_nav(true, NavFrameMask::cts_only(), 4000);
-  const Split cts_off = run_nav(false, NavFrameMask::cts_only(), 4010);
-  const Split ack_on = run_nav(true, NavFrameMask::ack_only(), 4020);
-  const Split ack_off = run_nav(false, NavFrameMask::ack_only(), 4030);
-  const Split sp_on = run_spoof(true, 4040);
-  const Split sp_off = run_spoof(false, 4050);
-
-  table.print_row({1, cts_on.victim, cts_on.greedy}, "cts_nav");
-  table.print_row({0, cts_off.victim, cts_off.greedy}, "cts_nav");
-  table.print_row({1, ack_on.victim, ack_on.greedy}, "ack_nav");
-  table.print_row({0, ack_off.victim, ack_off.greedy}, "ack_nav");
-  table.print_row({1, sp_on.victim, sp_on.greedy}, "spoof");
-  table.print_row({0, sp_off.victim, sp_off.greedy}, "spoof");
-
+  const double cts_off_victim = points[1].median[0];
+  const double ack_off_victim = points[3].median[0];
   std::printf(
       "\nWithout RTS/CTS no CTS frames exist, so CTS inflation is inert\n"
       "(victim keeps %.2f Mbps) — but the same receiver just inflates its\n"
       "ACKs instead (victim %.2f). Spoofing is unaffected by the access\n"
       "mode.\n\n",
-      cts_off.victim, ack_off.victim);
-  state.counters["victim_cts_inflation_no_rtscts"] = cts_off.victim;
-  state.counters["victim_ack_inflation_no_rtscts"] = ack_off.victim;
+      cts_off_victim, ack_off_victim);
+  state.counters["victim_cts_inflation_no_rtscts"] = cts_off_victim;
+  state.counters["victim_ack_inflation_no_rtscts"] = ack_off_victim;
 }
 
 }  // namespace

@@ -20,13 +20,10 @@ using namespace g80211::bench;
 namespace {
 
 void fake_ack_part(benchmark::State& state) {
-  std::printf(
-      "Extension A: fake ACKs vs ARF (single flow, channel cliff at 5.5 Mbps)\n");
-  TableWriter table({"mode", "goodput", "arf_ups"}, 14);
-  table.print_header();
-  double honest_goodput = 0.0, faked_goodput = 0.0;
+  Campaign campaign("ext_autorate_fake_ack", {"goodput", "arf_ups"});
   for (const bool fake : {false, true}) {
-    const auto med = median_over_seeds(default_runs(), 3300, [&](std::uint64_t s) {
+    campaign.add(fake ? "fake" : "honest", fake ? 1.0 : 0.0, 3300,
+                 default_runs(), [fake](std::uint64_t s) {
       SimConfig cfg;
       cfg.rts_cts = false;
       cfg.measure = default_measure();
@@ -44,9 +41,16 @@ void fake_ack_part(benchmark::State& state) {
       return std::vector<double>{f.goodput_mbps(),
                                  static_cast<double>(ctrl ? ctrl->ups() : 0)};
     });
-    table.print_row({fake ? 1.0 : 0.0, med[0], med[1]});
-    (fake ? faked_goodput : honest_goodput) = med[0];
   }
+  const auto points = campaign.run();
+
+  std::printf(
+      "Extension A: fake ACKs vs ARF (single flow, channel cliff at 5.5 Mbps)\n");
+  TableWriter table({"mode", "goodput", "arf_ups"}, 14);
+  table.print_header();
+  print_points(table, points);
+  const double honest_goodput = points[0].median[0];
+  const double faked_goodput = points[1].median[0];
   std::printf(
       "Faking ACKs under ARF costs the cheater %.0f%% of its own goodput.\n\n",
       100.0 * (1.0 - faked_goodput / honest_goodput));
@@ -55,13 +59,10 @@ void fake_ack_part(benchmark::State& state) {
 }
 
 void spoof_part(benchmark::State& state) {
-  std::printf(
-      "Extension B: ACK spoofing vs ARF (victim's link cliff at 5.5 Mbps)\n");
-  TableWriter table({"mode", "victim", "greedy"}, 14);
-  table.print_header();
-  double honest_victim = 0.0, blinded_victim = 0.0;
+  Campaign campaign("ext_autorate_spoof", {"victim", "greedy"});
   for (const bool attack : {false, true}) {
-    const auto med = median_over_seeds(default_runs(), 3310, [&](std::uint64_t s) {
+    campaign.add(attack ? "spoof" : "honest", attack ? 1.0 : 0.0, 3310,
+                 default_runs(), [attack](std::uint64_t s) {
       SimConfig cfg;
       cfg.rts_cts = false;
       cfg.capture_threshold = 10.0;
@@ -81,9 +82,16 @@ void spoof_part(benchmark::State& state) {
       sim.run();
       return std::vector<double>{fn.goodput_mbps(), fg.goodput_mbps()};
     });
-    table.print_row({attack ? 1.0 : 0.0, med[0], med[1]});
-    (attack ? blinded_victim : honest_victim) = med[0];
   }
+  const auto points = campaign.run();
+
+  std::printf(
+      "Extension B: ACK spoofing vs ARF (victim's link cliff at 5.5 Mbps)\n");
+  TableWriter table({"mode", "victim", "greedy"}, 14);
+  table.print_header();
+  print_points(table, points);
+  const double honest_victim = points[0].median[0];
+  const double blinded_victim = points[1].median[0];
   std::printf(
       "Spoofing also blinds the victim's rate control: victim %.3f -> %.3f "
       "Mbps.\n\n",

@@ -23,13 +23,11 @@ using namespace g80211::bench;
 namespace {
 
 void roc_part(benchmark::State& state) {
-  std::printf(
-      "Extension: live ROC of the RSSI spoof detector (TCP, BER=2e-4)\n");
-  TableWriter table({"thresh_db", "tp_rate", "fp_rate"});
-  table.print_header();
-  double tp_1db = 0.0, fp_1db = 0.0;
+  Campaign campaign("ext_detection_roc", {"tp_rate", "fp_rate"});
   for (const double thresh : {0.25, 0.5, 1.0, 2.0, 3.0, 5.0}) {
-    const auto med = median_over_seeds(default_runs(), 3900, [&](std::uint64_t s) {
+    char label[32];
+    std::snprintf(label, sizeof(label), "%g", thresh);
+    campaign.add(label, thresh, 3900, default_runs(), [thresh](std::uint64_t s) {
       SimConfig cfg;
       cfg.measure = default_measure();
       cfg.seed = s;
@@ -58,10 +56,19 @@ void roc_part(benchmark::State& state) {
           spoofs > 0 ? det.true_positives() / spoofs : 0.0,
           honest > 0 ? det.false_positives() / honest : 0.0};
     });
-    table.print_row({thresh, med[0], med[1]});
-    if (thresh == 1.0) {
-      tp_1db = med[0];
-      fp_1db = med[1];
+  }
+  const auto points = campaign.run();
+
+  std::printf(
+      "Extension: live ROC of the RSSI spoof detector (TCP, BER=2e-4)\n");
+  TableWriter table({"thresh_db", "tp_rate", "fp_rate"});
+  table.print_header();
+  print_points(table, points);
+  double tp_1db = 0.0, fp_1db = 0.0;
+  for (const auto& pt : points) {
+    if (pt.x == 1.0) {
+      tp_1db = pt.median[0];
+      fp_1db = pt.median[1];
     }
   }
   std::printf("at the paper's 1 dB operating point: TP=%.2f FP=%.3f\n\n", tp_1db,
@@ -70,86 +77,90 @@ void roc_part(benchmark::State& state) {
   state.counters["fp_rate_1db"] = fp_1db;
 }
 
+// NAV validator vs a 10 ms CTS inflator switching on at t=1s.
+std::vector<double> nav_detection_ms(std::uint64_t s) {
+  SimConfig cfg;
+  cfg.warmup = seconds(0);
+  cfg.measure = seconds(4);
+  cfg.seed = s;
+  Sim sim(cfg);
+  const PairLayout l = pairs_in_range(2);
+  Node& ns = sim.add_node(l.senders[0]);
+  Node& gs = sim.add_node(l.senders[1]);
+  Node& nr = sim.add_node(l.receivers[0]);
+  Node& gr = sim.add_node(l.receivers[1]);
+  auto f1 = sim.add_udp_flow(ns, nr);
+  auto f2 = sim.add_udp_flow(gs, gr);
+  sim.scheduler().at(seconds(1), [&] {
+    sim.make_nav_inflator(gr, NavFrameMask::cts_only(), milliseconds(10));
+  });
+  NavValidator validator(sim.scheduler(), sim.params());
+  validator.attach(ns.mac());
+  double first_ms = -1.0;
+  std::function<void()> poll = [&] {
+    if (first_ms < 0 && validator.detections() > 0) {
+      first_ms = to_millis(sim.scheduler().now() - seconds(1));
+    }
+    if (first_ms < 0) sim.scheduler().after(microseconds(500), poll);
+  };
+  sim.scheduler().at(seconds(1), poll);
+  sim.run();
+  (void)f1;
+  (void)f2;
+  return {first_ms};
+}
+
+// RSSI spoof detector vs a full-rate spoofer switching on at t=1s.
+std::vector<double> spoof_detection_ms(std::uint64_t s) {
+  SimConfig cfg;
+  cfg.warmup = seconds(0);
+  cfg.measure = seconds(6);
+  cfg.seed = s;
+  cfg.default_ber = 2e-4;
+  cfg.capture_threshold = 10.0;
+  Sim sim(cfg);
+  const PairLayout l = pairs_in_range(2);
+  Node& ns = sim.add_node(l.senders[0]);
+  Node& gs = sim.add_node(l.senders[1]);
+  Node& nr = sim.add_node(l.receivers[0]);
+  Node& gr = sim.add_node(l.receivers[1]);
+  auto f1 = sim.add_tcp_flow(ns, nr);
+  auto f2 = sim.add_tcp_flow(gs, gr);
+  sim.scheduler().at(seconds(1), [&] {
+    sim.make_ack_spoofer(gr, 1.0, {nr.id()});
+  });
+  SpoofDetector det(1.0);
+  det.attach(ns.mac());
+  double first_ms = -1.0;
+  std::function<void()> poll = [&] {
+    if (first_ms < 0 && det.true_positives() > 0) {
+      first_ms = to_millis(sim.scheduler().now() - seconds(1));
+    }
+    if (first_ms < 0) sim.scheduler().after(microseconds(500), poll);
+  };
+  sim.scheduler().at(seconds(1), poll);
+  sim.run();
+  (void)f1;
+  (void)f2;
+  return {first_ms};
+}
+
 void latency_part(benchmark::State& state) {
+  Campaign campaign("ext_detection_latency", {"first_detection_ms"});
+  campaign.add("nav", 0.0, 3910, default_runs(), nav_detection_ms);
+  campaign.add("spoof", 1.0, 3920, default_runs(), spoof_detection_ms);
+  const auto points = campaign.run();
+
   std::printf("Extension: time from attack onset to first detection\n");
   TableWriter table({"detector", "median_ms"}, 14);
   table.print_header();
-
-  // NAV validator vs a 10 ms CTS inflator switching on at t=1s.
-  const auto nav_med = median_over_seeds(default_runs(), 3910, [&](std::uint64_t s) {
-    SimConfig cfg;
-    cfg.warmup = seconds(0);
-    cfg.measure = seconds(4);
-    cfg.seed = s;
-    Sim sim(cfg);
-    const PairLayout l = pairs_in_range(2);
-    Node& ns = sim.add_node(l.senders[0]);
-    Node& gs = sim.add_node(l.senders[1]);
-    Node& nr = sim.add_node(l.receivers[0]);
-    Node& gr = sim.add_node(l.receivers[1]);
-    auto f1 = sim.add_udp_flow(ns, nr);
-    auto f2 = sim.add_udp_flow(gs, gr);
-    sim.scheduler().at(seconds(1), [&] {
-      sim.make_nav_inflator(gr, NavFrameMask::cts_only(), milliseconds(10));
-    });
-    NavValidator validator(sim.scheduler(), sim.params());
-    validator.attach(ns.mac());
-    double first_ms = -1.0;
-    std::function<void()> poll = [&] {
-      if (first_ms < 0 && validator.detections() > 0) {
-        first_ms = to_millis(sim.scheduler().now() - seconds(1));
-      }
-      if (first_ms < 0) sim.scheduler().after(microseconds(500), poll);
-    };
-    sim.scheduler().at(seconds(1), poll);
-    sim.run();
-    (void)f1;
-    (void)f2;
-    return std::vector<double>{first_ms};
-  });
-  table.print_row({nav_med[0]}, "nav");
-
-  // RSSI spoof detector vs a full-rate spoofer switching on at t=1s.
-  const auto spoof_med = median_over_seeds(default_runs(), 3920, [&](std::uint64_t s) {
-    SimConfig cfg;
-    cfg.warmup = seconds(0);
-    cfg.measure = seconds(6);
-    cfg.seed = s;
-    cfg.default_ber = 2e-4;
-    cfg.capture_threshold = 10.0;
-    Sim sim(cfg);
-    const PairLayout l = pairs_in_range(2);
-    Node& ns = sim.add_node(l.senders[0]);
-    Node& gs = sim.add_node(l.senders[1]);
-    Node& nr = sim.add_node(l.receivers[0]);
-    Node& gr = sim.add_node(l.receivers[1]);
-    auto f1 = sim.add_tcp_flow(ns, nr);
-    auto f2 = sim.add_tcp_flow(gs, gr);
-    sim.scheduler().at(seconds(1), [&] {
-      sim.make_ack_spoofer(gr, 1.0, {nr.id()});
-    });
-    SpoofDetector det(1.0);
-    det.attach(ns.mac());
-    double first_ms = -1.0;
-    std::function<void()> poll = [&] {
-      if (first_ms < 0 && det.true_positives() > 0) {
-        first_ms = to_millis(sim.scheduler().now() - seconds(1));
-      }
-      if (first_ms < 0) sim.scheduler().after(microseconds(500), poll);
-    };
-    sim.scheduler().at(seconds(1), poll);
-    sim.run();
-    (void)f1;
-    (void)f2;
-    return std::vector<double>{first_ms};
-  });
-  table.print_row({spoof_med[0]}, "spoof");
+  for (const auto& pt : points) table.print_row(pt.median, pt.label);
 
   std::printf(
       "\nThe NAV validator convicts on the first inflated frame; the RSSI\n"
       "detector needs the first spoof that actually reaches the sender.\n\n");
-  state.counters["nav_detect_ms"] = nav_med[0];
-  state.counters["spoof_detect_ms"] = spoof_med[0];
+  state.counters["nav_detect_ms"] = points[0].median[0];
+  state.counters["spoof_detect_ms"] = points[1].median[0];
 }
 
 void run(benchmark::State& state) {

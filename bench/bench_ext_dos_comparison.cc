@@ -22,13 +22,10 @@ using namespace g80211::bench;
 
 namespace {
 
-struct Outcome {
-  double victim = 0.0;       // competing honest goodput (Mbps)
-  double attacker = 0.0;     // attacker's own goodput (greedy receiver only)
-  double airtime = 0.0;      // attacker's own transmission airtime fraction
-};
-
-Outcome run_greedy(Time inflation, std::uint64_t seed) {
+// Both runners return {victim, attacker, airtime}: the competing honest
+// goodput (Mbps), the attacker's own goodput (greedy receiver only) and
+// the attacker's own transmission airtime fraction.
+std::vector<double> run_greedy(Time inflation, std::uint64_t seed) {
   SimConfig cfg;
   cfg.measure = default_measure();
   cfg.seed = seed;
@@ -45,7 +42,7 @@ Outcome run_greedy(Time inflation, std::uint64_t seed) {
   return {fn.goodput_mbps(), fg.goodput_mbps(), 0.0};
 }
 
-Outcome run_jammer(Time nav, bool grc_on, std::uint64_t seed) {
+std::vector<double> run_jammer(Time nav, bool grc_on, std::uint64_t seed) {
   SimConfig cfg;
   cfg.measure = default_measure();
   cfg.seed = seed;
@@ -71,39 +68,40 @@ Outcome run_jammer(Time nav, bool grc_on, std::uint64_t seed) {
 }
 
 void run(benchmark::State& state) {
+  const struct {
+    const char* attacker;
+    double nav_ms;
+    std::uint64_t seed;
+    std::function<std::vector<double>(std::uint64_t)> body;
+  } rows[] = {
+      {"greedy_rcvr", 0.6, 3600,
+       [](std::uint64_t s) { return run_greedy(microseconds(600), s); }},
+      {"jammer", 0.6, 3610,
+       [](std::uint64_t s) { return run_jammer(microseconds(600), false, s); }},
+      {"jammer", 32.767, 3620,
+       [](std::uint64_t s) { return run_jammer(WifiParams::kMaxNav, false, s); }},
+      {"jammer+GRC", 32.767, 3630,
+       [](std::uint64_t s) { return run_jammer(WifiParams::kMaxNav, true, s); }},
+  };
+  Campaign campaign("ext_dos_comparison",
+                    {"victim", "att_gain", "airtime"});
+  for (const auto& row : rows) {
+    char label[48];
+    std::snprintf(label, sizeof(label), "%s_%gms", row.attacker, row.nav_ms);
+    campaign.add(label, row.nav_ms, row.seed, default_runs(), row.body);
+  }
+  const auto points = campaign.run();
+
   std::printf(
       "Extension: greedy receiver vs [2]-style CTS jammer (competing UDP)\n");
   TableWriter table({"attacker", "nav_ms", "victim", "att_gain", "airtime%"}, 12);
   table.print_header();
-
-  auto med3 = [](const std::function<Outcome(std::uint64_t)>& fn,
-                 std::uint64_t base) {
-    return median_over_seeds(default_runs(), base, [&](std::uint64_t s) {
-      const Outcome o = fn(s);
-      return std::vector<double>{o.victim, o.attacker, o.airtime};
-    });
-  };
-
-  double greedy_victim = 0.0, jam_small_victim = 0.0, jam_big_victim = 0.0;
-  {
-    const auto m = med3([](std::uint64_t s) { return run_greedy(microseconds(600), s); }, 3600);
-    table.print_row({0.6, m[0], m[1], 100.0 * m[2]}, "greedy_rcvr");
-    greedy_victim = m[0];
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto& m = points[i].median;
+    table.print_row({points[i].x, m[0], m[1], 100.0 * m[2]}, rows[i].attacker);
   }
-  {
-    const auto m = med3([](std::uint64_t s) { return run_jammer(microseconds(600), false, s); }, 3610);
-    table.print_row({0.6, m[0], m[1], 100.0 * m[2]}, "jammer");
-    jam_small_victim = m[0];
-  }
-  {
-    const auto m = med3([](std::uint64_t s) { return run_jammer(WifiParams::kMaxNav, false, s); }, 3620);
-    table.print_row({32.767, m[0], m[1], 100.0 * m[2]}, "jammer");
-    jam_big_victim = m[0];
-  }
-  {
-    const auto m = med3([](std::uint64_t s) { return run_jammer(WifiParams::kMaxNav, true, s); }, 3630);
-    table.print_row({32.767, m[0], m[1], 100.0 * m[2]}, "jammer+GRC");
-  }
+  const double greedy_victim = points[0].median[0];
+  const double jam_small_victim = points[1].median[0];
   std::printf(
       "\nThe greedy receiver starves its competitor with 0.6 ms inflations\n"
       "(victim %.2f Mbps) while PROFITING; the jammer needs the 32.8 ms\n"
@@ -112,7 +110,7 @@ void run(benchmark::State& state) {
       greedy_victim, jam_small_victim);
   state.counters["greedy_victim_0.6ms"] = greedy_victim;
   state.counters["jammer_victim_0.6ms"] = jam_small_victim;
-  state.counters["jammer_victim_max"] = jam_big_victim;
+  state.counters["jammer_victim_max"] = points[2].median[0];
 }
 
 }  // namespace

@@ -24,14 +24,13 @@ using namespace g80211::bench;
 namespace {
 
 void throughput_part(benchmark::State& state) {
-  std::printf("Extension: fragmentation threshold vs goodput (single UDP flow)\n");
-  TableWriter table({"frag_bytes", "ber=0", "ber=6e-4", "ber=1.5e-3"}, 12);
-  table.print_header();
-  double clean_full = 0.0, lossy_full = 0.0, lossy_frag = 0.0;
+  Campaign campaign("ext_fragmentation_goodput",
+                    {"ber=0", "ber=6e-4", "ber=1.5e-3"});
   for (const int threshold : {0, 256, 532}) {
-    std::vector<double> row{static_cast<double>(threshold)};
-    for (const double ber : {0.0, 6e-4, 1.5e-3}) {
-      const auto med = median_over_seeds(default_runs(), 3500, [&](std::uint64_t s) {
+    campaign.add(std::to_string(threshold), threshold, 3500, default_runs(),
+                 [threshold](std::uint64_t s) {
+      std::vector<double> goodputs;
+      for (const double ber : {0.0, 6e-4, 1.5e-3}) {
         SimConfig cfg;
         cfg.rts_cts = false;
         cfg.default_ber = ber;
@@ -44,16 +43,20 @@ void throughput_part(benchmark::State& state) {
         auto f = sim.add_udp_flow(tx, rx);
         if (threshold > 0) tx.mac().set_fragmentation_threshold(threshold);
         sim.run();
-        return std::vector<double>{f.goodput_mbps()};
-      });
-      row.push_back(med[0]);
-      if (threshold == 0 && ber == 0.0) clean_full = med[0];
-      if (threshold == 0 && ber == 1.5e-3) lossy_full = med[0];
-      if (threshold == 532 && ber == 1.5e-3) lossy_frag = med[0];
-    }
-    table.print_row(std::vector<double>(row.begin() + 1, row.end()),
-                    std::to_string(threshold));
+        goodputs.push_back(f.goodput_mbps());
+      }
+      return goodputs;
+    });
   }
+  const auto points = campaign.run();
+
+  std::printf("Extension: fragmentation threshold vs goodput (single UDP flow)\n");
+  TableWriter table({"frag_bytes", "ber=0", "ber=6e-4", "ber=1.5e-3"}, 12);
+  table.print_header();
+  for (const auto& pt : points) table.print_row(pt.median, pt.label);
+  const double clean_full = points[0].median[0];
+  const double lossy_full = points[0].median[2];
+  const double lossy_frag = points[2].median[2];
   std::printf(
       "On a clean channel fragmentation only adds overhead; at BER 1.5e-3\n"
       "the 532-byte threshold beats whole-MSDU frames (%0.2f -> %0.2f Mbps).\n\n",
@@ -63,13 +66,10 @@ void throughput_part(benchmark::State& state) {
 }
 
 void detection_part(benchmark::State& state) {
-  std::printf(
-      "Extension: NAV validation under fragmentation (honest vs inflating GR)\n");
-  TableWriter table({"scenario", "strict_det", "aware_det"}, 13);
-  table.print_header();
-  double aware_honest = 0.0, aware_greedy = 0.0;
+  Campaign campaign("ext_fragmentation_detection", {"strict_det", "aware_det"});
   for (const bool greedy : {false, true}) {
-    const auto med = median_over_seeds(default_runs(), 3510, [&](std::uint64_t s) {
+    campaign.add(greedy ? "greedy" : "honest", greedy ? 1.0 : 0.0, 3510,
+                 default_runs(), [greedy](std::uint64_t s) {
       SimConfig cfg;
       cfg.rts_cts = false;
       cfg.measure = default_measure();
@@ -98,9 +98,16 @@ void detection_part(benchmark::State& state) {
       return std::vector<double>{static_cast<double>(strict.detections()),
                                  static_cast<double>(aware.detections())};
     });
-    table.print_row({med[0], med[1]}, greedy ? "greedy" : "honest");
-    (greedy ? aware_greedy : aware_honest) = med[1];
   }
+  const auto points = campaign.run();
+
+  std::printf(
+      "Extension: NAV validation under fragmentation (honest vs inflating GR)\n");
+  TableWriter table({"scenario", "strict_det", "aware_det"}, 13);
+  table.print_header();
+  for (const auto& pt : points) table.print_row(pt.median, pt.label);
+  const double aware_honest = points[0].median[1];
+  const double aware_greedy = points[1].median[1];
   std::printf(
       "The strict rule cries wolf on honest bursts; the aware rule is\n"
       "silent on honest traffic (%0.0f) yet still catches the inflator "

@@ -17,17 +17,12 @@ using namespace g80211::bench;
 namespace {
 
 void run(benchmark::State& state) {
-  std::printf(
-      "Extension: greedy sender (backoff cheat) vs DOMINO-style detection\n");
-  TableWriter table({"cheat", "honest_mbps", "greedy_mbps", "obs_backoff",
-                     "flagged"},
-                    12);
-  table.print_header();
-
-  double greedy_at_01 = 0.0;
-  bool flagged_at_01 = false;
+  Campaign campaign("ext_greedy_sender",
+                    {"honest_mbps", "greedy_mbps", "obs_backoff", "flagged"});
   for (const double cheat : {1.0, 0.5, 0.25, 0.1}) {
-    const auto med = median_over_seeds(default_runs(), 3400, [&](std::uint64_t s) {
+    char label[32];
+    std::snprintf(label, sizeof(label), "%g", cheat);
+    campaign.add(label, cheat, 3400, default_runs(), [cheat](std::uint64_t s) {
       SimConfig cfg;
       cfg.measure = default_measure();
       cfg.seed = s;
@@ -47,17 +42,22 @@ void run(benchmark::State& state) {
                                  monitor.observed_backoff(greedy_s.id()),
                                  monitor.flagged(greedy_s.id()) ? 1.0 : 0.0};
     });
-    table.print_row({cheat, med[0], med[1], med[2], med[3]});
-    if (cheat == 0.1) {
-      greedy_at_01 = med[1];
-      flagged_at_01 = med[3] > 0.5;
-    }
   }
+  const auto points = campaign.run();
+
+  std::printf(
+      "Extension: greedy sender (backoff cheat) vs DOMINO-style detection\n");
+  TableWriter table({"cheat", "honest_mbps", "greedy_mbps", "obs_backoff",
+                     "flagged"},
+                    12);
+  table.print_header();
+  print_points(table, points);
+  const auto& at_01 = points.back().median;  // cheat = 0.1
   std::printf(
       "\nA receiver-side cheater never appears in this table: its sender\n"
       "backs off honestly, which is why the paper's GRC detectors exist.\n\n");
-  state.counters["greedy_mbps_cheat0.1"] = greedy_at_01;
-  state.counters["flagged_cheat0.1"] = flagged_at_01 ? 1.0 : 0.0;
+  state.counters["greedy_mbps_cheat0.1"] = at_01[1];
+  state.counters["flagged_cheat0.1"] = at_01[3] > 0.5 ? 1.0 : 0.0;
 }
 
 }  // namespace

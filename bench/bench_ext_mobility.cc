@@ -18,13 +18,10 @@ using namespace g80211::bench;
 
 namespace {
 
-struct Row {
-  double fp_rate = 0.0;     // honest ACKs rejected by the RSSI detector
-  double rssi_caught = 0.0; // spoofs flagged by RSSI
-  double xl_detected = 0.0; // cross-layer verdict (0/1)
-};
-
-Row run_case(bool mobile, bool attack, std::uint64_t seed) {
+// Returns {rssi_fp, rssi_tp, xlayer}: the share of honest ACKs the RSSI
+// detector rejected, the share of spoofs it flagged, and the cross-layer
+// verdict (0/1).
+std::vector<double> run_case(bool mobile, bool attack, std::uint64_t seed) {
   SimConfig cfg;
   cfg.measure = default_measure();
   cfg.seed = seed;
@@ -52,36 +49,41 @@ Row run_case(bool mobile, bool attack, std::uint64_t seed) {
   if (mobile) walk.start(0);
   sim.run();
   (void)fg;
-  Row out;
   const double honest_total =
       static_cast<double>(rssi.false_positives() + rssi.true_negatives());
-  out.fp_rate = honest_total > 0 ? rssi.false_positives() / honest_total : 0.0;
   const double spoof_total =
       static_cast<double>(rssi.true_positives() + rssi.false_negatives());
-  out.rssi_caught = spoof_total > 0 ? rssi.true_positives() / spoof_total : 0.0;
-  out.xl_detected = xl.detected() ? 1.0 : 0.0;
-  return out;
+  return {honest_total > 0 ? rssi.false_positives() / honest_total : 0.0,
+          spoof_total > 0 ? rssi.true_positives() / spoof_total : 0.0,
+          xl.detected() ? 1.0 : 0.0};
 }
 
 void run(benchmark::State& state) {
+  Campaign campaign("ext_mobility", {"rssi_fp", "rssi_tp", "xlayer"});
+  for (const bool mobile : {false, true}) {
+    for (const bool attack : {false, true}) {
+      campaign.add(std::string(mobile ? "mobile" : "static") +
+                       (attack ? "_attack" : "_honest"),
+                   attack ? 1.0 : 0.0, 3800, default_runs(),
+                   [mobile, attack](std::uint64_t s) {
+                     return run_case(mobile, attack, s);
+                   });
+    }
+  }
+  const auto points = campaign.run();
+
   std::printf(
       "Extension: spoof detection on stationary vs mobile victims (TCP, "
       "BER=2e-4)\n");
   TableWriter table({"victim", "attack", "rssi_fp", "rssi_tp", "xlayer"}, 10);
   table.print_header();
-  double mobile_fp = 0.0, mobile_xl = 0.0;
-  for (const bool mobile : {false, true}) {
-    for (const bool attack : {false, true}) {
-      const auto med = median_over_seeds(default_runs(), 3800, [&](std::uint64_t s) {
-        const Row r = run_case(mobile, attack, s);
-        return std::vector<double>{r.fp_rate, r.rssi_caught, r.xl_detected};
-      });
-      table.print_row({attack ? 1.0 : 0.0, med[0], med[1], med[2]},
-                      mobile ? "mobile" : "static");
-      if (mobile && !attack) mobile_fp = med[0];
-      if (mobile && attack) mobile_xl = med[2];
-    }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto& med = points[i].median;
+    table.print_row({points[i].x, med[0], med[1], med[2]},
+                    i < 2 ? "static" : "mobile");
   }
+  const double mobile_fp = points[2].median[0];
+  const double mobile_xl = points[3].median[2];
   std::printf(
       "\nMobility sends the RSSI detector's false-positive rate to %.0f%%;\n"
       "the cross-layer detector still convicts the spoofer (%s).\n\n",

@@ -30,10 +30,11 @@ void run(benchmark::State& state) {
                             std::vector<Node*>& rx) {
         if (gp > 0) sim.make_ack_spoofer(*rx[1], gp / 100.0, {rx[0]->id()});
       };
-      campaign.add(pairs_goodput_job(std::to_string(gp),
-                                     static_cast<double>(gp), std::move(spec),
-                                     default_runs(),
-                                     1300 + static_cast<std::uint64_t>(gp)));
+      campaign.add(std::to_string(gp), gp,
+                   1300 + static_cast<std::uint64_t>(gp), default_runs(),
+                   [spec = std::move(spec)](std::uint64_t seed) {
+                     return run_pairs(spec, seed).goodput_mbps;
+                   });
     }
     const auto points = campaign.run();
 

@@ -17,10 +17,10 @@ void run(benchmark::State& state) {
   double victim_gp20_200ms = 0.0, victim_gp0_200ms = 0.0;
   for (const Time latency : {milliseconds(2), milliseconds(50), milliseconds(200),
                              milliseconds(400)}) {
-    std::printf("Fig 16: remote senders, GP sweep, wired latency %g ms\n",
-                to_millis(latency));
-    TableWriter table({"gp_pct", "normal_mbps", "greedy_mbps"});
-    table.print_header();
+    char figure[64];
+    std::snprintf(figure, sizeof(figure), "fig16_remote_gp_lat%gms",
+                  to_millis(latency));
+    Campaign campaign(figure, {"normal_mbps", "greedy_mbps"});
     for (const int gp : {0, 20, 40, 60, 80, 100}) {
       RemoteSpec spec;
       spec.wired_latency = latency;
@@ -28,18 +28,26 @@ void run(benchmark::State& state) {
       spec.cfg.default_ber = 2e-5;
       spec.cfg.capture_threshold = 10.0;
       spec.cfg.measure = std::max<Time>(default_measure(), 100 * latency);
-      spec.customize = [&](Sim& sim, Node&, std::vector<Node*>& clients) {
+      spec.customize = [gp](Sim& sim, Node&, std::vector<Node*>& clients) {
         if (gp > 0) {
           sim.make_ack_spoofer(*clients[1], gp / 100.0, {clients[0]->id()});
         }
       };
-      const auto med = median_over_seeds(
-          default_runs(), 1700 + gp, [&](std::uint64_t s) { return run_remote(spec, s); });
-      table.print_row({static_cast<double>(gp), med[0], med[1]});
-      if (latency == milliseconds(200) && gp == 0) victim_gp0_200ms = med[0];
-      if (latency == milliseconds(200) && gp == 20) victim_gp20_200ms = med[0];
+      campaign.add(std::to_string(gp), gp, 1700 + gp, default_runs(),
+                   [spec](std::uint64_t s) { return run_remote(spec, s); });
     }
+    const auto points = campaign.run();
+
+    std::printf("Fig 16: remote senders, GP sweep, wired latency %g ms\n",
+                to_millis(latency));
+    TableWriter table({"gp_pct", "normal_mbps", "greedy_mbps"});
+    table.print_header();
+    print_points(table, points);
     std::printf("\n");
+    if (latency == milliseconds(200)) {
+      victim_gp0_200ms = points[0].median[0];
+      victim_gp20_200ms = points[1].median[0];
+    }
   }
   state.counters["victim_loss_pct_gp20_200ms"] =
       victim_gp0_200ms > 0

@@ -14,41 +14,43 @@ using namespace g80211::bench;
 
 namespace {
 
+// One campaign per sub-figure: a point per greedy percentage, seeded from
+// `base_seed + gp`.
+std::vector<CampaignPoint> sweep(const char* figure,
+                                 std::initializer_list<int> gps,
+                                 std::uint64_t base_seed, bool both_fake) {
+  Campaign campaign(figure, {"R1_mbps", "R2_mbps"});
+  for (const int gp : gps) {
+    HiddenSpec spec;
+    spec.fake_gp_r2 = gp / 100.0;
+    if (both_fake) spec.fake_gp_r1 = gp / 100.0;
+    campaign.add(std::to_string(gp), gp, base_seed + gp, default_runs(),
+                 [spec](std::uint64_t s) {
+                   const auto r = run_hidden(spec, s);
+                   return std::vector<double>{r.goodput_r1, r.goodput_r2};
+                 });
+  }
+  return campaign.run();
+}
+
 void run(benchmark::State& state) {
+  const auto solo =
+      sweep("fig18a_fake_hidden_one", {0, 25, 50, 75, 100}, 1900, false);
   std::printf("Fig 18(a): hidden terminals, R2 fakes ACKs, GP sweep\n");
   TableWriter table({"gp_pct", "R1_mbps", "R2_mbps"});
   table.print_header();
-  double greedy_gp100 = 0.0;
-  for (const int gp : {0, 25, 50, 75, 100}) {
-    HiddenSpec spec;
-    spec.fake_gp_r2 = gp / 100.0;
-    const auto med = median_over_seeds(default_runs(), 1900 + gp, [&](std::uint64_t s) {
-      const auto r = run_hidden(spec, s);
-      return std::vector<double>{r.goodput_r1, r.goodput_r2};
-    });
-    table.print_row({static_cast<double>(gp), med[0], med[1]});
-    if (gp == 100) greedy_gp100 = med[1];
-  }
+  print_points(table, solo);
   std::printf("\n");
 
+  const auto mutual =
+      sweep("fig18b_fake_hidden_both", {25, 50, 75, 100}, 1950, true);
   std::printf("Fig 18(b): hidden terminals, both receivers fake ACKs\n");
   TableWriter table2({"gp_pct", "R1_mbps", "R2_mbps"});
   table2.print_header();
-  double mutual_gp100 = 0.0;
-  for (const int gp : {25, 50, 75, 100}) {
-    HiddenSpec spec;
-    spec.fake_gp_r1 = gp / 100.0;
-    spec.fake_gp_r2 = gp / 100.0;
-    const auto med = median_over_seeds(default_runs(), 1950 + gp, [&](std::uint64_t s) {
-      const auto r = run_hidden(spec, s);
-      return std::vector<double>{r.goodput_r1, r.goodput_r2};
-    });
-    table2.print_row({static_cast<double>(gp), med[0], med[1]});
-    if (gp == 100) mutual_gp100 = med[1];
-  }
+  print_points(table2, mutual);
   std::printf("\n");
-  state.counters["greedy_mbps_solo_gp100"] = greedy_gp100;
-  state.counters["greedy_mbps_mutual_gp100"] = mutual_gp100;
+  state.counters["greedy_mbps_solo_gp100"] = solo.back().median[1];
+  state.counters["greedy_mbps_mutual_gp100"] = mutual.back().median[1];
 }
 
 }  // namespace

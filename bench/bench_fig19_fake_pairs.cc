@@ -17,11 +17,12 @@ namespace {
 void run(benchmark::State& state) {
   double rel_gap_4pairs = 0.0;
   for (const double fer : {0.2, 0.5}) {
-    std::printf("Fig 19: fake ACKs, n pairs, data FER=%.1f (UDP, 802.11b)\n", fer);
-    TableWriter table({"n_pairs", "avg_normal", "greedy_mbps", "rel_gap"});
-    table.print_header();
     const double ber =
         ErrorModel::ber_for_fer(fer, ErrorModel::error_len(FrameType::kData, 1064));
+    char figure[64];
+    std::snprintf(figure, sizeof(figure), "fig19_fake_pairs_fer%.1f", fer);
+    // Each row has its own flow count, so each point names its own metrics.
+    Campaign campaign(figure, {});
     for (const int n_pairs : {2, 3, 4, 6, 8}) {
       PairsSpec spec;
       spec.n_pairs = n_pairs;
@@ -29,15 +30,29 @@ void run(benchmark::State& state) {
       spec.cfg = base_config();
       spec.cfg.rts_cts = false;
       spec.cfg.default_ber = ber;
-      spec.customize = [&](Sim& sim, std::vector<Node*>&, std::vector<Node*>& rx) {
+      spec.customize = [](Sim& sim, std::vector<Node*>&, std::vector<Node*>& rx) {
         sim.make_fake_acker(*rx.back(), 1.0);
       };
-      const auto med = median_pair_goodputs(spec, default_runs(), 2200 + n_pairs);
+      campaign.add(std::to_string(n_pairs), n_pairs, 2200 + n_pairs,
+                   default_runs(),
+                   [spec](std::uint64_t s) {
+                     return run_pairs(spec, s).goodput_mbps;
+                   },
+                   goodput_names(n_pairs - 1));
+    }
+    const auto points = campaign.run();
+
+    std::printf("Fig 19: fake ACKs, n pairs, data FER=%.1f (UDP, 802.11b)\n", fer);
+    TableWriter table({"n_pairs", "avg_normal", "greedy_mbps", "rel_gap"});
+    table.print_header();
+    for (const auto& pt : points) {
+      const auto& med = pt.median;
+      const int n_pairs = static_cast<int>(med.size());
       double normal_sum = 0.0;
       for (int i = 0; i + 1 < n_pairs; ++i) normal_sum += med[i];
       const double avg_normal = normal_sum / (n_pairs - 1);
       const double rel = avg_normal > 0 ? med.back() / avg_normal : 0.0;
-      table.print_row({static_cast<double>(n_pairs), avg_normal, med.back(), rel});
+      table.print_row({pt.x, avg_normal, med.back(), rel});
       if (fer == 0.5 && n_pairs == 4) rel_gap_4pairs = rel;
     }
     std::printf("\n");

@@ -38,8 +38,10 @@ void run(benchmark::State& state) {
     // Opt-in per-run frame captures next to the exported metrics
     // (G80211_CAPTURE=1 + G80211_METRICS_DIR; "" keeps captures off).
     spec.capture_stem = run_capture_stem("fig1_udp_cts_nav", label);
-    campaign.add(pairs_goodput_job(label, to_millis(inflation), std::move(spec),
-                                   default_runs(), 100));
+    campaign.add(label, to_millis(inflation), 100, default_runs(),
+                 [spec = std::move(spec)](std::uint64_t seed) {
+                   return run_pairs(spec, seed).goodput_mbps;
+                 });
   }
   const auto points = campaign.run();
 

@@ -62,33 +62,40 @@ Point run_case(double separation, bool greedy, bool grc_on, bool tcp,
   return {g1, g2};
 }
 
-void sweep(const char* title, bool tcp, std::uint64_t seed, double* recovered) {
-  std::printf("%s\n", title);
-  TableWriter table({"dist_m", "noGR_f1", "noGR_f2", "GR_f1", "GR_f2",
-                     "GRC_f1", "GRC_f2"},
-                    9);
-  table.print_header();
+void sweep(const char* title, const char* figure, bool tcp, std::uint64_t seed,
+           double* recovered) {
+  Campaign campaign(figure,
+                    {"noGR_f1", "noGR_f2", "GR_f1", "GR_f2", "GRC_f1", "GRC_f2"});
   for (const double d : {15.0, 25.0, 35.0, 45.0, 55.0, 65.0, 85.0, 95.0, 105.0,
                          115.0}) {
-    const auto med = median_over_seeds(default_runs(), seed, [&](std::uint64_t s) {
+    char label[32];
+    std::snprintf(label, sizeof(label), "%g", d);
+    campaign.add(label, d, seed, default_runs(), [d, tcp](std::uint64_t s) {
       const Point none = run_case(d, false, false, tcp, s);
       const Point att = run_case(d, true, false, tcp, s);
       const Point grc = run_case(d, true, true, tcp, s);
       return std::vector<double>{none.flow1, none.flow2, att.flow1,
                                  att.flow2,  grc.flow1,  grc.flow2};
     });
-    table.print_row({d, med[0], med[1], med[2], med[3], med[4], med[5]});
-    if (d == 25.0 && recovered != nullptr) *recovered = med[4];
   }
+  const auto points = campaign.run();
+
+  std::printf("%s\n", title);
+  TableWriter table({"dist_m", "noGR_f1", "noGR_f2", "GR_f1", "GR_f2",
+                     "GRC_f1", "GRC_f2"},
+                    9);
+  table.print_header();
+  print_points(table, points);
   std::printf("\n");
+  if (recovered != nullptr) *recovered = points[1].median[4];  // d = 25 m
 }
 
 void run(benchmark::State& state) {
   double udp_recovered = 0.0;
-  sweep("Fig 23(b): UDP goodput vs distance (no GR / GR / GR+GRC)", false, 2900,
-        &udp_recovered);
-  sweep("Fig 23(c): TCP goodput vs distance (no GR / GR / GR+GRC)", true, 2950,
-        nullptr);
+  sweep("Fig 23(b): UDP goodput vs distance (no GR / GR / GR+GRC)",
+        "fig23b_grc_nav_udp", false, 2900, &udp_recovered);
+  sweep("Fig 23(c): TCP goodput vs distance (no GR / GR / GR+GRC)",
+        "fig23c_grc_nav_tcp", true, 2950, nullptr);
   state.counters["udp_victim_mbps_with_grc_25m"] = udp_recovered;
 }
 

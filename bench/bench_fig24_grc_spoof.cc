@@ -37,29 +37,30 @@ std::vector<double> run_case(double ber, bool attack, bool grc_on,
 }
 
 void run(benchmark::State& state) {
-  std::printf("Fig 24: GRC vs ACK spoofing across BER (TCP, 802.11b)\n");
-  TableWriter table({"ber", "noGR_R1", "noGR_R2", "GR_R1", "GR_R2", "GRC_R1",
-                     "GRC_R2"},
-                    9);
-  table.print_header();
-
-  double victim_grc_2e4 = 0.0, victim_base_2e4 = 0.0;
+  Campaign campaign("fig24_grc_spoof", {"noGR_R1", "noGR_R2", "GR_R1", "GR_R2",
+                                        "GRC_R1", "GRC_R2"});
   for (const double ber : {0.0, 1e-4, 2e-4, 4e-4, 8e-4, 1.1e-3, 1.4e-3}) {
-    const auto med = median_over_seeds(default_runs(), 3000, [&](std::uint64_t s) {
+    char label[32];
+    std::snprintf(label, sizeof(label), "%g", ber);
+    campaign.add(label, ber, 3000, default_runs(), [ber](std::uint64_t s) {
       auto none = run_case(ber, false, false, s);
       auto att = run_case(ber, true, false, s);
       auto grc = run_case(ber, true, true, s);
       return std::vector<double>{none[0], none[1], att[0], att[1], grc[0], grc[1]};
     });
-    table.print_row({ber, med[0], med[1], med[2], med[3], med[4], med[5]});
-    if (ber == 2e-4) {
-      victim_base_2e4 = med[0];
-      victim_grc_2e4 = med[4];
-    }
   }
+  const auto points = campaign.run();
+
+  std::printf("Fig 24: GRC vs ACK spoofing across BER (TCP, 802.11b)\n");
+  TableWriter table({"ber", "noGR_R1", "noGR_R2", "GR_R1", "GR_R2", "GRC_R1",
+                     "GRC_R2"},
+                    9);
+  table.print_header();
+  print_points(table, points);
   std::printf("\n");
+  const auto& at_2e4 = points[2].median;  // ber = 2e-4
   state.counters["victim_recovery_ratio_2e-4"] =
-      victim_base_2e4 > 0 ? victim_grc_2e4 / victim_base_2e4 : 0.0;
+      at_2e4[0] > 0 ? at_2e4[4] / at_2e4[0] : 0.0;
 }
 
 }  // namespace

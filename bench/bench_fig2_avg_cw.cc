@@ -15,11 +15,7 @@ using namespace g80211::bench;
 namespace {
 
 void run(benchmark::State& state) {
-  std::printf("Fig 2: average CW of GS and NS vs ACK NAV inflation (802.11b)\n");
-  TableWriter table({"nav_slots", "ns_avg_cw", "gs_avg_cw"});
-  table.print_header();
-
-  double peak_ns_cw = 0.0;
+  Campaign campaign("fig2_avg_cw", {"ns_avg_cw", "gs_avg_cw"});
   const Time slot = WifiParams::b11().slot;
   for (const int v : {0, 5, 10, 15, 20, 24, 28, 32, 40, 100}) {
     PairsSpec spec;
@@ -29,13 +25,19 @@ void run(benchmark::State& state) {
                                std::vector<Node*>& rx) {
       if (v > 0) sim.make_nav_inflator(*rx[1], NavFrameMask::ack_only(), v * slot);
     };
-    const auto med = median_over_seeds(default_runs(), 200, [&](std::uint64_t s) {
-      const auto r = run_pairs(spec, s);
-      return std::vector<double>{r.sender_avg_cw[0], r.sender_avg_cw[1]};
-    });
-    table.print_row({static_cast<double>(v), med[0], med[1]});
-    peak_ns_cw = std::max(peak_ns_cw, med[0]);
+    campaign.add(std::to_string(v), v, 200, default_runs(),
+                 [spec](std::uint64_t s) {
+                   return run_pairs(spec, s).sender_avg_cw;
+                 });
   }
+  const auto points = campaign.run();
+
+  std::printf("Fig 2: average CW of GS and NS vs ACK NAV inflation (802.11b)\n");
+  TableWriter table({"nav_slots", "ns_avg_cw", "gs_avg_cw"});
+  table.print_header();
+  print_points(table, points);
+  double peak_ns_cw = 0.0;
+  for (const auto& pt : points) peak_ns_cw = std::max(peak_ns_cw, pt.median[0]);
   std::printf("\n");
   state.counters["peak_ns_avg_cw"] = peak_ns_cw;
 }

@@ -17,24 +17,14 @@ using namespace g80211::bench;
 namespace {
 
 void run(benchmark::State& state) {
-  std::printf(
-      "Fig 3: Eq(1)/(2) model vs measured RTS sending ratio (GS share)\n");
-  TableWriter table({"nav_slots", "model_ratio", "measured", "abs_err"});
-  table.print_header();
-
-  double worst_err = 0.0;
+  Campaign campaign("fig3_nav_model", {"model_ratio", "measured"});
   const Time slot = WifiParams::b11().slot;
+  SimConfig base = base_config();
+  base.measure = 2 * default_measure();  // extra samples for the CW hist
   for (const int v : {0, 2, 4, 8, 12, 16, 20, 24, 28, 31}) {
-    PairsSpec spec;
-    spec.tcp = false;
-    spec.cfg = base_config();
-    spec.cfg.measure = 2 * default_measure();  // extra samples for the CW hist
-    spec.customize = [v, slot](Sim& sim, std::vector<Node*>&,
-                               std::vector<Node*>& rx) {
-      if (v > 0) sim.make_nav_inflator(*rx[1], NavFrameMask::cts_only(), v * slot);
-    };
-    const auto med = median_over_seeds(default_runs(), 300, [&](std::uint64_t s) {
-      SimConfig cfg = spec.cfg;
+    campaign.add(std::to_string(v), v, 300, default_runs(),
+                 [base, v, slot](std::uint64_t s) {
+      SimConfig cfg = base;
       cfg.seed = s;
       Sim sim(cfg);
       const PairLayout l = pairs_in_range(2);
@@ -57,8 +47,18 @@ void run(benchmark::State& state) {
       (void)fg;
       return std::vector<double>{probs.gs_ratio(), measured};
     });
+  }
+  const auto points = campaign.run();
+
+  std::printf(
+      "Fig 3: Eq(1)/(2) model vs measured RTS sending ratio (GS share)\n");
+  TableWriter table({"nav_slots", "model_ratio", "measured", "abs_err"});
+  table.print_header();
+  double worst_err = 0.0;
+  for (const auto& pt : points) {
+    const auto& med = pt.median;
     const double err = std::abs(med[0] - med[1]);
-    table.print_row({static_cast<double>(v), med[0], med[1], err});
+    table.print_row({pt.x, med[0], med[1], err});
     worst_err = std::max(worst_err, err);
   }
   std::printf("\n");

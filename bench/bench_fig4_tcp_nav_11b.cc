@@ -31,8 +31,10 @@ void sweep(const char* title, const char* figure, NavFrameMask mask,
     };
     char label[32];
     std::snprintf(label, sizeof(label), "%g", to_millis(inflation));
-    campaign.add(pairs_goodput_job(label, to_millis(inflation), std::move(spec),
-                                   default_runs(), base_seed));
+    campaign.add(label, to_millis(inflation), base_seed, default_runs(),
+                 [spec = std::move(spec)](std::uint64_t seed) {
+                   return run_pairs(spec, seed).goodput_mbps;
+                 });
   }
   const auto points = campaign.run();
 

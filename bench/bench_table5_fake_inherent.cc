@@ -22,13 +22,9 @@ namespace {
 // in (B), and its victim roughly what the lossy flow earns in (B) —
 // faking ACKs "pretends to be a normal receiver without packet losses".
 void asymmetric_equivalence(benchmark::State& state) {
-  std::printf(
-      "Section V-C: asymmetric loss — faking == pretending to be loss-free\n");
-  TableWriter table({"case", "flow1", "flow2"}, 22);
-  table.print_header();
-  const double ber = 5e-4;
-  auto run_case = [&](bool both_lossy, bool r1_fakes) {
-    return median_over_seeds(default_runs(), 2150, [&](std::uint64_t s) {
+  constexpr double kBer = 5e-4;
+  const auto run_case = [](bool both_lossy, bool r1_fakes) {
+    return [both_lossy, r1_fakes](std::uint64_t s) {
       SimConfig cfg = base_config();
       cfg.rts_cts = false;
       cfg.seed = s;
@@ -41,21 +37,30 @@ void asymmetric_equivalence(benchmark::State& state) {
       auto f1 = sim.add_udp_flow(s1, r1);
       auto f2 = sim.add_udp_flow(s2, r2);
       if (both_lossy) {
-        sim.channel().error_model().set_default_ber(ber);
+        sim.channel().error_model().set_default_ber(kBer);
       } else {
-        sim.channel().error_model().set_link_ber(s2.id(), r2.id(), ber);
+        sim.channel().error_model().set_link_ber(s2.id(), r2.id(), kBer);
       }
       if (r1_fakes) sim.make_fake_acker(r1, 1.0);
       sim.run();
       return std::vector<double>{f1.goodput_mbps(), f2.goodput_mbps()};
-    });
+    };
   };
+  Campaign campaign("table5_asymmetric_loss", {"flow1", "flow2"});
   // (A) both lossy, flow1's receiver fakes.
-  const auto a = run_case(true, true);
+  campaign.add("A", 0.0, 2150, default_runs(), run_case(true, true));
   // (B) both honest, flow1 loss-free, flow2 lossy.
-  const auto b = run_case(false, false);
-  table.print_row({a[0], a[1]}, "A: both lossy, r1 fakes");
-  table.print_row({b[0], b[1]}, "B: r1 loss-free, honest");
+  campaign.add("B", 1.0, 2150, default_runs(), run_case(false, false));
+  const auto points = campaign.run();
+
+  std::printf(
+      "Section V-C: asymmetric loss — faking == pretending to be loss-free\n");
+  TableWriter table({"case", "flow1", "flow2"}, 22);
+  table.print_header();
+  const auto& a = points[0].median;
+  const auto& b = points[1].median;
+  table.print_row(a, "A: both lossy, r1 fakes");
+  table.print_row(b, "B: r1 loss-free, honest");
   std::printf(
       "Victim equivalence is exact (%.2f ~ %.2f). The faker recovers most\n"
       "of the loss-free receiver's CHANNEL SHARE (%.2f vs %.2f) but not its\n"
@@ -66,38 +71,53 @@ void asymmetric_equivalence(benchmark::State& state) {
   state.counters["lossfree_equivalent"] = b[0];
 }
 
-void run(benchmark::State& state) {
-  std::printf("Table V: fake ACKs under inherent losses (UDP, 802.11b)\n");
-  TableWriter table({"data_fer", "noGR_R1", "noGR_R2", "1GR_R1", "1GR_R2",
-                     "2GR_R1", "2GR_R2"},
-                    10);
-  table.print_header();
+constexpr double kFers[] = {0.2, 0.5, 0.8};
+constexpr int kNumGreedy[] = {0, 1, 2};
 
-  double greedy_gain_fer05 = 0.0;
-  for (const double fer : {0.2, 0.5, 0.8}) {
+void run(benchmark::State& state) {
+  Campaign campaign("table5_fake_inherent", {"R1_mbps", "R2_mbps"});
+  for (const double fer : kFers) {
     const double ber =
         ErrorModel::ber_for_fer(fer, ErrorModel::error_len(FrameType::kData, 1064));
-    std::vector<double> cells;
-    for (const int n_greedy : {0, 1, 2}) {
+    for (const int n_greedy : kNumGreedy) {
       PairsSpec spec;
       spec.tcp = false;
       spec.cfg = base_config();
       spec.cfg.rts_cts = false;
       spec.cfg.default_ber = ber;
-      spec.customize = [&](Sim& sim, std::vector<Node*>&, std::vector<Node*>& rx) {
+      spec.customize = [n_greedy](Sim& sim, std::vector<Node*>&,
+                                  std::vector<Node*>& rx) {
         if (n_greedy >= 1) sim.make_fake_acker(*rx[1], 1.0);
         if (n_greedy >= 2) sim.make_fake_acker(*rx[0], 1.0);
       };
-      const auto med = median_pair_goodputs(spec, default_runs(), 2100 + n_greedy);
-      cells.push_back(med[0]);
-      cells.push_back(med[1]);
-      if (fer == 0.5 && n_greedy == 1) greedy_gain_fer05 = med[1];
+      char label[32];
+      std::snprintf(label, sizeof(label), "fer%g_%dGR", fer, n_greedy);
+      campaign.add(label, fer, 2100 + n_greedy, default_runs(),
+                   [spec](std::uint64_t s) {
+                     return run_pairs(spec, s).goodput_mbps;
+                   });
     }
-    table.print_row({fer, cells[0], cells[1], cells[2], cells[3], cells[4],
-                     cells[5]});
+  }
+  const auto points = campaign.run();
+
+  std::printf("Table V: fake ACKs under inherent losses (UDP, 802.11b)\n");
+  TableWriter table({"data_fer", "noGR_R1", "noGR_R2", "1GR_R1", "1GR_R2",
+                     "2GR_R1", "2GR_R2"},
+                    10);
+  table.print_header();
+  // One row per FER: its three points' two flows side by side.
+  std::size_t i = 0;
+  for (const double fer : kFers) {
+    std::vector<double> row{fer};
+    for (std::size_t n = 0; n < std::size(kNumGreedy); ++n) {
+      const auto& med = points[i++].median;
+      row.insert(row.end(), med.begin(), med.end());
+    }
+    table.print_row(row);
   }
   std::printf("\n");
-  state.counters["greedy_mbps_fer0.5"] = greedy_gain_fer05;
+  // FER 0.5, one greedy receiver.
+  state.counters["greedy_mbps_fer0.5"] = points[4].median[1];
   asymmetric_equivalence(state);
 }
 

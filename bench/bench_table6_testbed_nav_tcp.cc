@@ -16,22 +16,29 @@ using namespace g80211::bench;
 namespace {
 
 void run(benchmark::State& state) {
-  std::printf("Table VI (testbed emulation): GR inflates RTS NAV for TCP ACKs\n");
-  std::printf("%28s %10s %10s\n", "", "flow1", "flow2");
-
   PairsSpec honest;
   honest.tcp = true;
   honest.cfg = base_config(Standard::A80211);
-  const auto base = median_pair_goodputs(honest, default_runs(), 2300);
-  std::printf("%28s %10.3f %10.3f\n", "no GR (NR1 / NR2)", base[0], base[1]);
-
   PairsSpec attacked = honest;
   attacked.customize = [](Sim& sim, std::vector<Node*>&, std::vector<Node*>& rx) {
     NavFrameMask mask;
     mask.rts = true;
     sim.make_nav_inflator(*rx[1], mask, WifiParams::kMaxNav);
   };
-  const auto att = median_pair_goodputs(attacked, default_runs(), 2310);
+  Campaign campaign("table6_testbed_nav_tcp", {"flow1", "flow2"});
+  campaign.add("no_gr", 0.0, 2300, default_runs(), [honest](std::uint64_t s) {
+    return run_pairs(honest, s).goodput_mbps;
+  });
+  campaign.add("one_gr", 1.0, 2310, default_runs(), [attacked](std::uint64_t s) {
+    return run_pairs(attacked, s).goodput_mbps;
+  });
+  const auto points = campaign.run();
+
+  std::printf("Table VI (testbed emulation): GR inflates RTS NAV for TCP ACKs\n");
+  std::printf("%28s %10s %10s\n", "", "flow1", "flow2");
+  const auto& base = points[0].median;
+  const auto& att = points[1].median;
+  std::printf("%28s %10.3f %10.3f\n", "no GR (NR1 / NR2)", base[0], base[1]);
   std::printf("%28s %10.3f %10.3f\n", "1 GR (NR / GR)", att[0], att[1]);
   std::printf("\n");
 

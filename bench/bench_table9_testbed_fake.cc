@@ -15,8 +15,6 @@ using namespace g80211::bench;
 namespace {
 
 void run(benchmark::State& state) {
-  std::printf("Table IX (testbed emulation): fake ACKs via pinned CW\n");
-  std::printf("%28s %10s %10s\n", "", "flow1", "flow2");
   const double ber =
       ErrorModel::ber_for_fer(0.2, ErrorModel::error_len(FrameType::kData, 1064));
 
@@ -27,14 +25,24 @@ void run(benchmark::State& state) {
   honest.cfg = base_config(Standard::A80211);
   honest.cfg.rts_cts = false;
   honest.cfg.default_ber = ber;
-  const auto base = median_shared_ap_goodputs(honest, default_runs(), 2600);
-  std::printf("%28s %10.3f %10.3f\n", "no GR (NR1 / NR2)", base[0], base[1]);
-
   SharedApSpec attacked = honest;
   attacked.customize = [](Sim&, Node& ap, std::vector<Node*>& clients) {
     ap.mac().clamp_cw_to(clients[1]->id());
   };
-  const auto att = median_shared_ap_goodputs(attacked, default_runs(), 2610);
+  Campaign campaign("table9_testbed_fake", {"flow1", "flow2"});
+  campaign.add("no_gr", 0.0, 2600, default_runs(), [honest](std::uint64_t s) {
+    return run_shared_ap(honest, s).goodput_mbps;
+  });
+  campaign.add("one_gr", 1.0, 2610, default_runs(), [attacked](std::uint64_t s) {
+    return run_shared_ap(attacked, s).goodput_mbps;
+  });
+  const auto points = campaign.run();
+
+  std::printf("Table IX (testbed emulation): fake ACKs via pinned CW\n");
+  std::printf("%28s %10s %10s\n", "", "flow1", "flow2");
+  const auto& base = points[0].median;
+  const auto& att = points[1].median;
+  std::printf("%28s %10.3f %10.3f\n", "no GR (NR1 / NR2)", base[0], base[1]);
   std::printf("%28s %10.3f %10.3f\n", "1 GR (NR / GR)", att[0], att[1]);
   std::printf("\n");
 

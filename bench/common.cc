@@ -1,10 +1,45 @@
 #include "bench/common.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 #include "src/capture/capture_writer.h"
 
 namespace g80211::bench {
+
+bool quick_mode() {
+  const char* v = std::getenv("G80211_QUICK");
+  return v != nullptr && v[0] != '\0' && v[0] != '0';
+}
+
+int default_runs() { return quick_mode() ? 2 : 5; }
+
+Time default_measure() { return quick_mode() ? seconds(2) : seconds(10); }
+
+TableWriter::TableWriter(std::vector<std::string> columns, int width)
+    : columns_(std::move(columns)), width_(width) {}
+
+void TableWriter::print_header() const {
+  for (const auto& c : columns_) std::printf("%*s", width_, c.c_str());
+  std::printf("\n");
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    for (int j = 0; j < width_; ++j) std::printf("-");
+  }
+  std::printf("\n");
+}
+
+void TableWriter::print_row(const std::vector<double>& values,
+                            const std::string& label) const {
+  if (!label.empty()) std::printf("%*s", width_, label.c_str());
+  for (const double v : values) std::printf("%*.4g", width_, v);
+  std::printf("\n");
+}
+
+void TableWriter::print_text_row(const std::vector<std::string>& cells) const {
+  for (const auto& c : cells) std::printf("%*s", width_, c.c_str());
+  std::printf("\n");
+}
 
 SimConfig base_config(Standard standard, std::uint64_t seed) {
   SimConfig cfg;
@@ -75,13 +110,6 @@ PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed) {
   return out;
 }
 
-std::vector<double> median_pair_goodputs(const PairsSpec& spec, int runs,
-                                         std::uint64_t base_seed) {
-  return median_over_seeds(runs, base_seed, [&](std::uint64_t seed) {
-    return run_pairs(spec, seed).goodput_mbps;
-  });
-}
-
 SharedApResult run_shared_ap(const SharedApSpec& spec, std::uint64_t seed) {
   SimConfig cfg = spec.cfg;
   cfg.seed = seed;
@@ -113,13 +141,6 @@ SharedApResult run_shared_ap(const SharedApSpec& spec, std::uint64_t seed) {
     if (spec.tcp) out.avg_cwnd.push_back(tcp_flows[i].sender->avg_cwnd());
   }
   return out;
-}
-
-std::vector<double> median_shared_ap_goodputs(const SharedApSpec& spec, int runs,
-                                              std::uint64_t base_seed) {
-  return median_over_seeds(runs, base_seed, [&](std::uint64_t seed) {
-    return run_shared_ap(spec, seed).goodput_mbps;
-  });
 }
 
 std::vector<double> run_remote(const RemoteSpec& spec, std::uint64_t seed) {
@@ -168,31 +189,13 @@ HiddenResult run_hidden(const HiddenSpec& spec, std::uint64_t seed) {
   return out;
 }
 
-CampaignJob pairs_goodput_job(std::string label, double x, PairsSpec spec,
-                              int runs, std::uint64_t base_seed) {
-  CampaignJob job;
-  job.label = std::move(label);
-  job.x = x;
-  job.base_seed = base_seed;
-  job.runs = runs;
-  job.body = [spec = std::move(spec)](std::uint64_t seed) {
-    return run_pairs(spec, seed).goodput_mbps;
-  };
-  return job;
-}
-
-CampaignJob shared_ap_goodput_job(std::string label, double x,
-                                  SharedApSpec spec, int runs,
-                                  std::uint64_t base_seed) {
-  CampaignJob job;
-  job.label = std::move(label);
-  job.x = x;
-  job.base_seed = base_seed;
-  job.runs = runs;
-  job.body = [spec = std::move(spec)](std::uint64_t seed) {
-    return run_shared_ap(spec, seed).goodput_mbps;
-  };
-  return job;
+std::vector<std::string> goodput_names(int n_normal) {
+  std::vector<std::string> names;
+  for (int i = 1; i <= n_normal; ++i) {
+    names.push_back("normal" + std::to_string(i) + "_mbps");
+  }
+  names.emplace_back("greedy_mbps");
+  return names;
 }
 
 void print_points(const TableWriter& table,

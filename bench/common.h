@@ -1,9 +1,13 @@
 // Shared experiment runners for the per-figure/table bench binaries.
 //
-// Every bench follows the same pattern: build the paper's scenario through
-// these helpers, sweep the x-axis, run default_runs() seeds per point
-// (median-of-5, as in the paper), print the paper-style series, and expose
-// the headline numbers as google-benchmark counters.
+// Every seeded bench follows the same pattern: each printed table is one
+// named Campaign (src/runner/campaign.h) whose metric names are the
+// table's columns, or the per-flow values a derived column averages. The
+// bench adds every sweep point with default_runs() seeds (median-of-5, as
+// in the paper), runs the campaign once, prints the paper-style table from
+// the points' medians, and exposes the headline numbers as
+// google-benchmark counters. The campaign exports every table to
+// $G80211_METRICS_DIR/<figure>.{jsonl,csv}.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -14,11 +18,38 @@
 #include <vector>
 
 #include "src/runner/campaign.h"
-#include "src/scenario/experiment.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
+#include "src/sim/time.h"
 
 namespace g80211::bench {
+
+// Environment variable G80211_QUICK=1 shrinks runs/durations (used by the
+// test suite so integration tests stay fast; benches run full-size).
+bool quick_mode();
+
+// Number of seeded repetitions per data point: 5 (paper) or 2 in quick mode.
+int default_runs();
+
+// Measurement window per run: 10 s, or 2 s in quick mode.
+Time default_measure();
+
+// Fixed-width paper-style table printer. NOT thread-safe: like all stdout
+// output in the harness it must only be used from the aggregation (main)
+// thread, after Campaign::run has returned — never from job bodies.
+class TableWriter {
+ public:
+  explicit TableWriter(std::vector<std::string> columns, int width = 12);
+
+  void print_header() const;
+  void print_row(const std::vector<double>& values,
+                 const std::string& label = "") const;
+  void print_text_row(const std::vector<std::string>& cells) const;
+
+ private:
+  std::vector<std::string> columns_;
+  int width_;
+};
 
 // Base configuration used across experiments (802.11b, RTS/CTS on, the
 // paper's defaults); measure window honours G80211_QUICK.
@@ -62,10 +93,6 @@ struct PairsResult {
 
 PairsResult run_pairs(const PairsSpec& spec, std::uint64_t seed);
 
-// Median-of-seeds over the flow goodputs only (the common case).
-std::vector<double> median_pair_goodputs(const PairsSpec& spec, int runs,
-                                         std::uint64_t base_seed);
-
 // --- One AP serving N clients ----------------------------------------------
 
 struct SharedApSpec {
@@ -85,10 +112,6 @@ struct SharedApResult {
 };
 
 SharedApResult run_shared_ap(const SharedApSpec& spec, std::uint64_t seed);
-
-std::vector<double> median_shared_ap_goodputs(const SharedApSpec& spec,
-                                              int runs,
-                                              std::uint64_t base_seed);
 
 // --- Remote senders behind a wired link (Figs 15/16) ------------------------
 
@@ -122,20 +145,14 @@ HiddenResult run_hidden(const HiddenSpec& spec, std::uint64_t seed);
 
 // --- Campaign integration ----------------------------------------------------
 //
-// Sweep jobs for the parallel campaign runner (src/runner/campaign.h).
-// Each job captures its spec *by value*, so the body is a pure function of
-// the seed and safe to run on any worker thread; spec.customize must
-// likewise capture its sweep parameters by value, never by reference to a
-// loop variable.
+// Job bodies run on the campaign's worker threads, all points at once. A
+// body must therefore capture its spec *by value*, so that it is a pure
+// function of the seed; spec.customize must likewise capture its sweep
+// parameters by value, never by reference to a loop variable.
 
-// Goodput-per-flow job over run_pairs.
-CampaignJob pairs_goodput_job(std::string label, double x, PairsSpec spec,
-                              int runs, std::uint64_t base_seed);
-
-// Goodput-per-client job over run_shared_ap.
-CampaignJob shared_ap_goodput_job(std::string label, double x,
-                                  SharedApSpec spec, int runs,
-                                  std::uint64_t base_seed);
+// Metric names for a goodput vector of `n_normal` honest flows followed by
+// one greedy flow: normal1_mbps, ..., normal<n>_mbps, greedy_mbps.
+std::vector<std::string> goodput_names(int n_normal);
 
 // Print aggregated campaign points as a paper-style table: the x value in
 // the first column, then the per-metric medians. Call only after

@@ -23,23 +23,21 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
 Campaign::Campaign(std::string figure, std::vector<std::string> metric_names)
     : figure_(std::move(figure)), metric_names_(std::move(metric_names)) {}
 
-void Campaign::add(CampaignJob job) {
-  if (job.runs <= 0) {
-    throw std::invalid_argument("Campaign '" + figure_ + "' point '" +
-                                job.label + "': runs must be > 0, got " +
-                                std::to_string(job.runs));
-  }
-  if (!job.body) {
-    throw std::invalid_argument("Campaign '" + figure_ + "' point '" +
-                                job.label + "': missing job body");
-  }
-  jobs_.push_back(std::move(job));
-}
-
 void Campaign::add(std::string label, double x, std::uint64_t base_seed,
                    int runs,
-                   std::function<std::vector<double>(std::uint64_t)> body) {
-  add(CampaignJob{std::move(label), x, base_seed, runs, std::move(body)});
+                   std::function<std::vector<double>(std::uint64_t)> body,
+                   std::vector<std::string> metric_names) {
+  if (runs <= 0) {
+    throw std::invalid_argument("Campaign '" + figure_ + "' point '" + label +
+                                "': runs must be > 0, got " +
+                                std::to_string(runs));
+  }
+  if (!body) {
+    throw std::invalid_argument("Campaign '" + figure_ + "' point '" + label +
+                                "': missing job body");
+  }
+  jobs_.push_back(Job{std::move(label), x, base_seed, runs, std::move(body),
+                      std::move(metric_names)});
 }
 
 std::vector<CampaignPoint> Campaign::run(unsigned thread_override) {
@@ -62,7 +60,7 @@ std::vector<CampaignPoint> Campaign::run(unsigned thread_override) {
     // determinism reference spawns no threads at all).
     ThreadPool pool(requested <= 1 ? 0 : requested);
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      const CampaignJob& job = jobs_[j];
+      const Job& job = jobs_[j];
       for (int r = 0; r < job.runs; ++r) {
         // pool.wait() below fences every job before job/raw/run_ms leave
         // scope — the block owns the pool, so the by-ref captures are safe.
@@ -83,9 +81,11 @@ std::vector<CampaignPoint> Campaign::run(unsigned thread_override) {
   std::vector<CampaignPoint> points;
   points.reserve(jobs_.size());
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const CampaignJob& job = jobs_[j];
+    const Job& job = jobs_[j];
+    const std::vector<std::string>& names =
+        !job.metric_names.empty() ? job.metric_names : metric_names_;
     const std::size_t n_metrics =
-        !metric_names_.empty() ? metric_names_.size() : raw[j][0].size();
+        !names.empty() ? names.size() : raw[j][0].size();
     for (int r = 0; r < job.runs; ++r) {
       if (raw[j][static_cast<std::size_t>(r)].size() != n_metrics) {
         throw std::runtime_error(
@@ -122,8 +122,8 @@ std::vector<CampaignPoint> Campaign::run(unsigned thread_override) {
         // with string operator+/append on a std::to_string temporary trips
         // GCC 12's bogus -Wrestrict at -O3 (GCC PR 105651), and CI builds
         // with -Werror.
-        if (m < metric_names_.size()) {
-          row.metric = metric_names_[m];
+        if (m < names.size()) {
+          row.metric = names[m];
         } else {
           char fallback[24];
           std::snprintf(fallback, sizeof(fallback), "m%zu", m);

@@ -13,8 +13,9 @@
 // Thread count: explicit `thread_override` argument, else G80211_JOBS,
 // else hardware_concurrency. Named campaigns additionally export
 // structured results through MetricSink (G80211_METRICS_DIR) and print a
-// wall-clock summary line to stderr; campaigns with an empty figure name
-// are silent (the median_over_seeds compatibility path).
+// wall-clock summary line to stderr; every seeded bench table is one named
+// campaign. Campaigns with an empty figure name are silent (perfbench's
+// timed sweep, the tests).
 //
 // Job bodies run on worker threads: they must be self-contained pure
 // functions of the seed (build their own Sim, no shared mutable state) and
@@ -28,14 +29,6 @@
 #include <vector>
 
 namespace g80211 {
-
-struct CampaignJob {
-  std::string label;       // point label on the sweep axis ("0.6")
-  double x = 0.0;          // numeric sweep value (first table column)
-  std::uint64_t base_seed = 0;  // runs use base_seed, base_seed+1, ...
-  int runs = 1;            // seeded repetitions (median-of-5 in the paper)
-  std::function<std::vector<double>(std::uint64_t seed)> body;
-};
 
 // Aggregated result for one grid point, in job-insertion order.
 struct CampaignPoint {
@@ -53,16 +46,21 @@ class Campaign {
  public:
   // `figure` names the campaign for metric export and the summary line
   // (empty = quiet). `metric_names` label exported metrics; when empty,
-  // metrics are exported as m0, m1, ... When non-empty, every job body
-  // must return exactly metric_names.size() values.
+  // metrics are exported as m0, m1, ... When a point has names (its own
+  // or the campaign's), its body must return exactly that many values.
   Campaign(std::string figure, std::vector<std::string> metric_names);
 
-  // Throws std::invalid_argument on runs <= 0 or a missing body. Real
-  // error handling, not assert: a Release build must fail loudly rather
-  // than silently mis-aggregate.
-  void add(CampaignJob job);
+  // Adds one grid point: `label` names it on the sweep axis ("0.6"), `x`
+  // is its numeric sweep value, and `body` maps each of the `runs` seeds
+  // base_seed, base_seed+1, ... to a metric vector. A non-empty
+  // `metric_names` names this point's metrics instead of the campaign's
+  // (a table whose rows differ in width, such as one goodput per flow as
+  // the flow count varies). Throws std::invalid_argument on runs <= 0 or
+  // a missing body. Real error handling, not assert: a Release build must
+  // fail loudly rather than silently mis-aggregate.
   void add(std::string label, double x, std::uint64_t base_seed, int runs,
-           std::function<std::vector<double>(std::uint64_t)> body);
+           std::function<std::vector<double>(std::uint64_t)> body,
+           std::vector<std::string> metric_names = {});
 
   std::size_t size() const { return jobs_.size(); }
   const std::string& figure() const { return figure_; }
@@ -72,14 +70,23 @@ class Campaign {
   // everything inline on the calling thread). Rethrows the exception of
   // the earliest-submitted failing run, if any; throws std::runtime_error
   // when a job's runs disagree on the metric-vector size (or disagree with
-  // metric_names). Results are ordered by job index regardless of
+  // the point's metric names). Results are ordered by job index regardless of
   // completion order.
   std::vector<CampaignPoint> run(unsigned thread_override = 0);
 
  private:
+  struct Job {
+    std::string label;
+    double x = 0.0;
+    std::uint64_t base_seed = 0;
+    int runs = 1;
+    std::function<std::vector<double>(std::uint64_t seed)> body;
+    std::vector<std::string> metric_names;  // empty: the campaign's
+  };
+
   std::string figure_;
   std::vector<std::string> metric_names_;
-  std::vector<CampaignJob> jobs_;
+  std::vector<Job> jobs_;
 };
 
 }  // namespace g80211

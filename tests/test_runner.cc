@@ -16,7 +16,6 @@
 #include "src/runner/campaign.h"
 #include "src/runner/metric_sink.h"
 #include "src/runner/thread_pool.h"
-#include "src/scenario/experiment.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
 #include "src/sim/rng.h"
@@ -158,6 +157,22 @@ TEST(Campaign, SingleJobSingleRun) {
   EXPECT_EQ(pts[0].p75, pts[0].median);
 }
 
+// Aggregation is element-wise over a point's runs: metric m's median and
+// quartiles come from the m-th value of every run, and nothing else.
+TEST(Campaign, MediansAndQuartilesAreElementwise) {
+  Campaign c("", {});
+  c.add("", 0.0, 10, 3, [](std::uint64_t seed) {
+    const double s = static_cast<double>(seed - 10);  // 0, 1, 2
+    return std::vector<double>{s, 10.0 - s};
+  });
+  const auto pts = c.run(1);
+  ASSERT_EQ(pts.size(), 1u);
+  EXPECT_EQ(pts[0].n_runs, 3);
+  EXPECT_EQ(pts[0].median, (std::vector<double>{1.0, 9.0}));
+  EXPECT_EQ(pts[0].p25, (std::vector<double>{0.5, 8.5}));
+  EXPECT_EQ(pts[0].p75, (std::vector<double>{1.5, 9.5}));
+}
+
 TEST(Campaign, RejectsNonPositiveRuns) {
   Campaign c("", {});
   EXPECT_THROW(
@@ -184,22 +199,6 @@ TEST(Campaign, RejectsMetricCountMismatchWithNames) {
   c.add("short", 0.0, 1, 1,
         [](std::uint64_t) { return std::vector<double>{1.0}; });
   EXPECT_THROW(c.run(1), std::runtime_error);
-}
-
-TEST(MedianOverSeeds, ValidatesRunsInReleaseBuilds) {
-  EXPECT_THROW(median_over_seeds(
-                   0, 1, [](std::uint64_t) { return std::vector<double>{}; }),
-               std::invalid_argument);
-}
-
-TEST(MedianOverSeeds, MatchesSerialReference) {
-  // The campaign-backed implementation must reproduce the plain serial
-  // median-of-seeds computation exactly.
-  const auto fn = [](std::uint64_t seed) { return fake_metrics(seed, 1.0, 3); };
-  const auto got = median_over_seeds(5, 77, fn);
-  Campaign ref("", {});
-  ref.add("", 0.0, 77, 5, fn);
-  EXPECT_EQ(got, ref.run(1).at(0).median);
 }
 
 // Structured export: JSONL/CSV files appear under G80211_METRICS_DIR and
@@ -243,6 +242,45 @@ TEST(MetricSink, ExportIsThreadCountInvariant) {
   EXPECT_NE(jsonl_serial.find("\"metric\":\"gp_b\""), std::string::npos);
   EXPECT_NE(csv_serial.find("figure,label,metric,median,p25,p75,n_runs,seed"),
             std::string::npos);
+
+  ASSERT_EQ(unsetenv("G80211_METRICS_DIR"), 0);
+  std::filesystem::remove_all(dir);
+}
+
+// A point that names its own metrics (a table whose rows differ in width)
+// exports under those names, and its runs must return exactly that many
+// values; the other points keep the campaign's names.
+TEST(MetricSink, PointMetricNamesOverrideCampaignNames) {
+  const auto dir = scratch_dir();
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(setenv("G80211_METRICS_DIR", dir.c_str(), 1), 0);
+
+  Campaign c("point_names", {"a", "b"});
+  c.add("two", 0.0, 1, 2,
+        [](std::uint64_t seed) { return fake_metrics(seed, 0.0, 2); });
+  c.add("three", 1.0, 5, 2,
+        [](std::uint64_t seed) { return fake_metrics(seed, 1.0, 3); },
+        {"x", "y", "z"});
+  const auto pts = c.run(2);
+  ASSERT_EQ(pts.size(), 2u);
+  EXPECT_EQ(pts[0].median.size(), 2u);
+  EXPECT_EQ(pts[1].median.size(), 3u);
+
+  std::ifstream in(dir / "point_names.jsonl");
+  std::vector<std::string> metrics;
+  const std::regex metric_re(R"re("metric":"([^"]*)")re");
+  for (std::string line; std::getline(in, line);) {
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(line, m, metric_re)) << line;
+    metrics.push_back(m[1]);
+  }
+  EXPECT_EQ(metrics, (std::vector<std::string>{"a", "b", "x", "y", "z"}));
+
+  Campaign short_point("", {"a", "b"});
+  short_point.add("short", 0.0, 1, 1,
+                  [](std::uint64_t) { return std::vector<double>{1.0, 2.0}; },
+                  {"x", "y", "z"});
+  EXPECT_THROW(short_point.run(1), std::runtime_error);
 
   ASSERT_EQ(unsetenv("G80211_METRICS_DIR"), 0);
   std::filesystem::remove_all(dir);

@@ -1,10 +1,10 @@
-// Scenario toolkit: topology geometry, Sim wiring, experiment helpers,
-// determinism.
+// Scenario toolkit: topology geometry, Sim wiring, the bench harness's
+// quick-mode knobs, determinism.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
-#include "src/scenario/experiment.h"
+#include "bench/common.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
 
@@ -52,21 +52,11 @@ TEST(Topology, DistanceSweepSeparation) {
   EXPECT_DOUBLE_EQ(l.cs_range_m, 99.0);
 }
 
-TEST(Experiment, MedianOverSeedsIsElementwise) {
-  const auto m = median_over_seeds(3, 10, [](std::uint64_t seed) {
-    const double s = static_cast<double>(seed - 10);  // 0, 1, 2
-    return std::vector<double>{s, 10.0 - s};
-  });
-  ASSERT_EQ(m.size(), 2u);
-  EXPECT_DOUBLE_EQ(m[0], 1.0);
-  EXPECT_DOUBLE_EQ(m[1], 9.0);
-}
-
 TEST(Experiment, QuickModeReadsEnvironment) {
   // The test harness sets G80211_QUICK=1.
-  EXPECT_TRUE(quick_mode());
-  EXPECT_EQ(default_runs(), 2);
-  EXPECT_EQ(default_measure(), seconds(2));
+  EXPECT_TRUE(bench::quick_mode());
+  EXPECT_EQ(bench::default_runs(), 2);
+  EXPECT_EQ(bench::default_measure(), seconds(2));
 }
 
 TEST(SimBuilder, SameSeedGivesIdenticalGoodput) {
