@@ -12,10 +12,16 @@
 //     at which stations recover to >= 80% of the far-field level;
 //   * GRC-coverage sweep — honest goodput and detections as greedy
 //     fraction x GRC coverage varies over the same grid.
+//
+// Both tables are one named campaign, `ext_city`: the damage world is one
+// point whose metrics are its rings' columns, and each sweep row is one
+// point. Each point is one run at the spec's fixed seed (5).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/common.h"
 #include "src/scenario/spec/world_builder.h"
@@ -26,13 +32,17 @@ using namespace g80211::spec;
 
 namespace {
 
-std::string city_toml(double greedy_fraction, double grc_coverage) {
+// The spec's fixed seed: every point is one run at it.
+constexpr std::uint64_t kCitySeed = 5;
+
+std::string city_toml(double greedy_fraction, double grc_coverage,
+                      std::uint64_t seed) {
   const bool quick = quick_mode();
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "[world]\n"
                 "name = \"city\"\n"
-                "seed = 5\n"
+                "seed = %llu\n"
                 "warmup_s = 1.0\n"
                 "measure_s = %s\n"
                 "[aps]\n"
@@ -70,53 +80,101 @@ std::string city_toml(double greedy_fraction, double grc_coverage) {
                 "[metrics]\n"
                 "window_s = 1.0\n"
                 "ring_m = 25.0\n",
-                quick ? "2.0" : "5.0", quick ? 4 : 12, quick ? 4 : 12,
-                grc_coverage, quick ? 4 : 8, greedy_fraction);
+                static_cast<unsigned long long>(seed), quick ? "2.0" : "5.0",
+                quick ? 4 : 12, quick ? 4 : 12, grc_coverage, quick ? 4 : 8,
+                greedy_fraction);
   return buf;
 }
 
-struct CityResult {
-  BuiltWorld::Summary summary;
-  std::vector<std::int64_t> ring_stations;
-  int stations = 0;
-};
+WorldSpec city_spec(double greedy_fraction, double grc_coverage,
+                    std::uint64_t seed) {
+  return parse_world_spec_text(city_toml(greedy_fraction, grc_coverage, seed),
+                               "city");
+}
 
-CityResult run_city(double greedy_fraction, double grc_coverage) {
-  const WorldSpec spec =
-      parse_world_spec_text(city_toml(greedy_fraction, grc_coverage), "city");
-  BuiltWorld world(spec);
+// Ring r's label on the damage table's axis, "0-25", "25-50", ...
+std::string ring_label(std::size_t r) {
+  return std::to_string(static_cast<int>(r * 25)) + "-" +
+         std::to_string(static_cast<int>((r + 1) * 25));
+}
+
+// The damage world's metrics: each ring's honest stations and its mean
+// window goodput per station, ring by ring.
+std::vector<double> damage_rings(std::uint64_t seed) {
+  BuiltWorld world(city_spec(0.05, 0.0, seed));
   world.run();
-  CityResult out;
-  out.summary = world.summary();
-  out.ring_stations = out.summary.ring_stations;
-  out.stations = spec.num_stations();
+  const BuiltWorld::Summary& sum = world.summary();
+  std::vector<double> out;
+  for (std::size_t r = 0; r < sum.ring_mbps.size(); ++r) {
+    const std::int64_t n = sum.ring_stations[r];
+    const double stations = static_cast<double>(n > 0 ? n : 1);
+    out.push_back(static_cast<double>(n));
+    out.push_back(sum.ring_mbps[r].mean() / stations);
+  }
   return out;
 }
 
+// One GRC-coverage row: honest and greedy goodput, and detections.
+std::vector<double> coverage_row(double greedy, double coverage,
+                                 std::uint64_t seed) {
+  BuiltWorld world(city_spec(greedy, coverage, seed));
+  world.run();
+  const BuiltWorld::Summary& sum = world.summary();
+  return {sum.honest_mbps.mean(), sum.greedy_mbps.mean(),
+          static_cast<double>(sum.nav_detections + sum.spoof_detections)};
+}
+
 void run(benchmark::State& state) {
+  // The damage world's ring count comes from its plan, a pure function of
+  // the spec, so the point's metric names are known before it runs.
+  const WorldSpec dmg_spec = city_spec(0.05, 0.0, kCitySeed);
+  const auto num_rings =
+      static_cast<std::size_t>(plan_world(dmg_spec).num_rings);
+  std::vector<std::string> ring_names;
+  for (std::size_t r = 0; r < num_rings; ++r) {
+    const std::string ring = "ring_" + std::to_string(r * 25) + "_" +
+                             std::to_string((r + 1) * 25);
+    ring_names.push_back(ring + "_stations");
+    ring_names.push_back(ring + "_mbps_per_stn");
+  }
+
+  Campaign campaign("ext_city", {"honest", "greedy_gp", "detect"});
+  campaign.add("damage", 0.05, kCitySeed, 1, damage_rings, ring_names);
+  struct Row {
+    double greedy;
+    double coverage;
+  };
+  std::vector<Row> rows;
+  for (const double greedy : {0.0, 0.02, 0.05}) {
+    for (const double coverage : {0.0, 0.5, 1.0}) {
+      if (greedy == 0.0 && coverage > 0.0) continue;  // GRC idles w/o attack
+      rows.push_back({greedy, coverage});
+      campaign.add(std::to_string(greedy).substr(0, 4) + "_" +
+                       std::to_string(coverage).substr(0, 3),
+                   coverage, kCitySeed, 1,
+                   [greedy, coverage](std::uint64_t seed) {
+                     return coverage_row(greedy, coverage, seed);
+                   });
+    }
+  }
+  const auto points = campaign.run();
+
   std::printf("Extension: city-scale hotspot campaign (%s)\n\n",
               quick_mode() ? "quick: 16 APs" : "144 APs, 1152 stations");
 
   // --- damage radius: greedy receivers at large, no GRC -------------------
-  const CityResult dmg = run_city(0.05, 0.0);
+  const std::vector<double>& dmg = points[0].median;
   std::printf("Damage radius (greedy fraction 0.05, no GRC):\n");
   TableWriter rings({"ring_m", "stations", "mbps_per_stn"}, 12);
   rings.print_header();
   double far_field = 0.0;
-  for (std::size_t r = 0; r < dmg.summary.ring_mbps.size(); ++r) {
-    const double stations =
-        static_cast<double>(dmg.ring_stations[r] > 0 ? dmg.ring_stations[r] : 1);
-    const double per_station = dmg.summary.ring_mbps[r].mean() / stations;
-    rings.print_row({static_cast<double>(dmg.ring_stations[r]), per_station},
-                    std::to_string(static_cast<int>(r * 25)) + "-" +
-                        std::to_string(static_cast<int>((r + 1) * 25)));
-    far_field = per_station;  // outermost ring = far-field reference
+  for (std::size_t r = 0; r < num_rings; ++r) {
+    rings.print_row({dmg[2 * r], dmg[2 * r + 1]}, ring_label(r));
+    far_field = dmg[2 * r + 1];  // outermost ring = far-field reference
   }
   double damage_radius_m = 0.0;
-  for (std::size_t r = 0; r < dmg.summary.ring_mbps.size(); ++r) {
-    const double stations =
-        static_cast<double>(dmg.ring_stations[r] > 0 ? dmg.ring_stations[r] : 1);
-    if (dmg.summary.ring_mbps[r].mean() / stations < 0.8 * far_field) {
+  for (std::size_t r = 0; r < num_rings; ++r) {
+    if (dmg[2 * r + 1] < 0.8 * far_field) {
       damage_radius_m = static_cast<double>((r + 1) * 25);
     }
   }
@@ -128,21 +186,14 @@ void run(benchmark::State& state) {
   TableWriter sweep({"greedy", "coverage", "honest", "greedy_gp", "detect"}, 10);
   sweep.print_header();
   double baseline = 0.0, attacked = 0.0, protected_all = 0.0;
-  for (const double greedy : {0.0, 0.02, 0.05}) {
-    for (const double coverage : {0.0, 0.5, 1.0}) {
-      if (greedy == 0.0 && coverage > 0.0) continue;  // GRC idles w/o attack
-      const CityResult r = run_city(greedy, coverage);
-      const double detections = static_cast<double>(
-          r.summary.nav_detections + r.summary.spoof_detections);
-      sweep.print_row({coverage, r.summary.honest_mbps.mean(),
-                       r.summary.greedy_mbps.mean(), detections},
-                      std::to_string(greedy).substr(0, 4));
-      if (greedy == 0.0) baseline = r.summary.honest_mbps.mean();
-      if (greedy == 0.05 && coverage == 0.0) attacked = r.summary.honest_mbps.mean();
-      if (greedy == 0.05 && coverage == 1.0) {
-        protected_all = r.summary.honest_mbps.mean();
-      }
-    }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto [greedy, coverage] = rows[i];
+    const std::vector<double>& m = points[i + 1].median;
+    sweep.print_row({coverage, m[0], m[1], m[2]},
+                    std::to_string(greedy).substr(0, 4));
+    if (greedy == 0.0) baseline = m[0];
+    if (greedy == 0.05 && coverage == 0.0) attacked = m[0];
+    if (greedy == 0.05 && coverage == 1.0) protected_all = m[0];
   }
   std::printf(
       "\nHonest goodput: %.1f Mb/s clean, %.1f under attack, %.1f with GRC "
@@ -153,7 +204,7 @@ void run(benchmark::State& state) {
   state.counters["honest_baseline_mbps"] = baseline;
   state.counters["honest_attacked_mbps"] = attacked;
   state.counters["honest_grc_mbps"] = protected_all;
-  state.counters["stations"] = static_cast<double>(dmg.stations);
+  state.counters["stations"] = static_cast<double>(dmg_spec.num_stations());
 }
 
 }  // namespace

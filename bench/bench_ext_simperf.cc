@@ -366,21 +366,16 @@ void BM_TimerRestart(benchmark::State& state) {
 // The hold model behind the ready queue's spill threshold
 // (src/sim/timing_wheel.h): n pending entries; each step pops the minimum
 // and pushes now + uniform(0, 2 * gap). Runs both modes of the scheduler's
-// ready queue directly at every n — the plain 4-ary heap, and the timing
-// wheel, which entries parked far past its span hold in wheel mode — at a
-// mean gap of 0.5 ms (a saturated MAC) and 5 ms (sparse traffic).
-struct HoldEntry {
-  Time when = 0;
-  std::uint64_t seq = 0;
-};
-struct HoldBefore {
-  bool operator()(const HoldEntry& a, const HoldEntry& b) const {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-};
-using HoldHeap = DaryHeap<HoldEntry, HoldBefore>;
-using HoldWheel = TimingWheel<HoldEntry, HoldBefore>;
+// ready queue directly at every n, on the scheduler's own 16-byte entry
+// and comparator — the plain 4-ary heap, and the timing wheel, which
+// entries parked far past its span hold in wheel mode — at a mean gap of
+// 0.5 ms (a saturated MAC) and 5 ms (sparse traffic). Every entry is live
+// (the wheel's default liveness test).
+using HoldHeap = DaryHeap<ReadyEntry, ReadyBefore>;
+using HoldWheel = TimingWheel<ReadyEntry, ReadyBefore>;
+
+const ReadyEntry& hold_top(HoldHeap& q) { return q.top(); }
+const ReadyEntry& hold_top(HoldWheel& q) { return *q.top(); }
 
 template <typename Queue>
 void BM_ReadyQueueHold(benchmark::State& state) {
@@ -389,21 +384,20 @@ void BM_ReadyQueueHold(benchmark::State& state) {
   Rng rng(1);
   Queue q;
   std::uint64_t seq = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    q.push({rng.uniform_int(span), seq++});
-  }
+  auto entry = [&seq](Time when) { return ReadyEntry::make(when, seq++, 0); };
+  for (std::size_t i = 0; i < n; ++i) q.push(entry(rng.uniform_int(span)));
   if constexpr (std::is_same_v<Queue, HoldWheel>) {
     // The push that takes the wheel above kSpillAbove spills it, with its
     // cursor at the earliest of the n entries; these sit in its overflow
     // heap, which the hold never reaches, and keep it above kCollapseBelow.
     for (std::size_t i = 0; i <= HoldWheel::kSpillAbove; ++i) {
-      q.push({Time{1} << 60, seq++});
+      q.push(entry(Time{1} << 60));
     }
   }
   for (auto _ : state) {
-    const Time now = q.top().when;
+    const Time now = hold_top(q).when;
     q.pop();
-    q.push({now + rng.uniform_int(span), seq++});
+    q.push(entry(now + rng.uniform_int(span)));
     benchmark::DoNotOptimize(now);
   }
   state.SetItemsProcessed(state.iterations());

@@ -1,11 +1,14 @@
 // Four-ary min-heap for the scheduler's ready queue.
 //
 // Replaces std::priority_queue's binary heap on the event hot path: with
-// 32-byte entries, a node's four children share one or two cache lines, so
-// a sift-down touches half as many levels and the level it does touch is a
-// single contiguous read. On the saturated-hotspot benchmarks pop/push is
-// ~a third of total simulation cost, which makes heap layout worth caring
-// about.
+// the scheduler's 16-byte entries a node's four children span 64 bytes, so
+// a sift-down touches half as many levels and the level it does touch is
+// one contiguous read. Entries are passed by value (two registers for the
+// scheduler's). Sift-down picks the smallest child with a plain branch,
+// which lets the CPU speculate down the tree: comparators without an
+// early-out branch (one 128-bit compare of (when, key), or bitwise
+// and/or of the field compares) measured 2.3-2.4x slower in the hold
+// model at 1024 entries (BM_ReadyQueueHold).
 //
 // Determinism: the scheduler's comparator is a *strict total order*
 // ((time, insertion-seq), no equal elements), so the sequence of pop()
@@ -39,7 +42,7 @@ class DaryHeap {
     return v_.front();
   }
 
-  void push(const T& x) {
+  void push(T x) {
     G80211_ALLOC_OK(
         "heap storage is amortized: capacity stops at the pending-event "
         "high-water mark and is reused for the rest of the run");

@@ -13,12 +13,16 @@
 // — no per-event move of the 64-byte inline capture out of the slab —
 // even though the callback itself usually alloc()s follow-up events.
 //
-// Generations are per-slot counters with parity encoding liveness: a
-// slot's generation is odd while it holds a live event and even while it
-// sits on the free list. A handle captured at alloc() time stops matching
-// the moment the slot is released, and a 64-bit counter cannot wrap within
-// a simulation, so stale handles (cancel-after-fire, cancel-after-reuse)
-// are rejected by a single array compare — no shared_ptr, no ABA.
+// Generations are per-slot stamps with parity encoding liveness: alloc()
+// sets a slot's generation to 2·seq + 1 for the event's scheduling
+// sequence number `seq` (odd: live), and fire() or release() adds one
+// (even: free). Sequence numbers only grow, so a slot never sees the same
+// odd stamp twice, and a handle captured at alloc() time stops matching
+// the moment the slot is released: stale handles (cancel-after-fire,
+// cancel-after-reuse) are rejected by a single array compare — no
+// shared_ptr, no ABA. Because the stamp is a function of the sequence
+// number, a ready-queue entry that carries (seq, slot) needs no copy of
+// the generation to test its own liveness.
 #pragma once
 
 #include <cstdint>
@@ -41,13 +45,18 @@ using EventFn = InplaceFunction<64>;
 
 class EventPool {
  public:
-  // Store `fn` in a free slot (reusing one if available) and return its
-  // index; read the matching generation with generation() immediately
-  // after. The slot is live until take() or release(). The callable is
-  // constructed directly in the slot's inline storage (no EventFn
-  // temporary) when a raw lambda is passed.
+  // The generation alloc() gives the event with scheduling sequence number
+  // `seq`: odd, and unique per slot because sequence numbers only grow.
+  static constexpr std::uint64_t generation_of(std::uint64_t seq) {
+    return 2 * seq + 1;
+  }
+
+  // Store `fn` in a free slot (reusing one if available), stamp it with
+  // generation_of(seq) and return its index. The slot is live until fire()
+  // or release(). The callable is constructed directly in the slot's
+  // inline storage (no EventFn temporary) when a raw lambda is passed.
   template <typename F>
-  std::uint32_t alloc(F&& fn) {
+  std::uint32_t alloc(std::uint64_t seq, F&& fn) {
     G80211_ALLOC_OK(
         "slab growth stops at the event high-water mark; steady state "
         "reuses slots through the free list");
@@ -66,7 +75,9 @@ class EventPool {
       free_.pop_back();
     }
     Slot& s = slot(idx);
-    ++s.generation;  // even -> odd: live
+    G80211_DCHECK(generation_of(seq) > s.generation &&
+                  "sequence numbers must grow");
+    s.generation = generation_of(seq);  // odd: live
     if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
       s.fn = std::forward<F>(fn);
     } else {
@@ -75,15 +86,12 @@ class EventPool {
     return idx;
   }
 
-  // Generation assigned by the most recent alloc() of this slot.
-  std::uint64_t generation(std::uint32_t idx) const {
-    return slot(idx).generation;
-  }
-
   // True while {idx, gen} names a live (scheduled, unfired, uncancelled)
-  // event.
+  // event. `gen` must come from generation_of() for a slot alloc() handed
+  // out, so it is odd and one compare decides.
   bool live(std::uint32_t idx, std::uint64_t gen) const {
-    return idx < size_ && slot(idx).generation == gen && (gen & 1) != 0;
+    G80211_DCHECK(idx < size_ && (gen & 1) != 0);
+    return slot(idx).generation == gen;
   }
 
   // Fire path: run the callback in its slot, then free the slot. The

@@ -6,30 +6,18 @@
 
 namespace g80211 {
 
-// Discard cancelled entries at the queue head and return the earliest
-// live one, or nullptr when the queue drains. The pointer stays valid
-// until the next queue operation.
-const Scheduler::Entry* Scheduler::peek_live() {
-  while (!queue_.empty()) {
-    const Entry& top = queue_.top();
-    if (pool_.live(top.index, top.gen)) return &top;
-    queue_.pop();
-  }
-  return nullptr;
-}
-
-void Scheduler::fire(const Entry& e) {
+void Scheduler::fire(Entry e) {
   G80211_DCHECK(e.when >= now_);
   now_ = e.when;
   --live_;
   ++executed_;
   // Runs the callback in its (chunk-stable) slot: no per-event move of the
   // inline capture. The pool frees the slot only after the call returns.
-  pool_.fire(e.index);
+  pool_.fire(e.slot());
 }
 
 bool Scheduler::step() {
-  const Entry* top = peek_live();
+  const Entry* top = queue_.top();
   if (top == nullptr) return false;
   const Entry e = *top;
   queue_.pop();
@@ -38,11 +26,11 @@ bool Scheduler::step() {
 }
 
 void Scheduler::run_until(Time horizon) {
-  // Exactly one peek per queue entry (live or tombstone) and one pop per
-  // consumed entry: peek_live() skips tombstones as it scans, and the
-  // surviving top is copied out before the pop instead of re-fetched.
+  // One top() per event: it drops the tombstones ahead of the earliest
+  // live entry, which is copied out (two registers) before the pop instead
+  // of re-fetched.
   for (;;) {
-    const Entry* top = peek_live();
+    const Entry* top = queue_.top();
     if (top == nullptr || top->when > horizon) break;
     const Entry e = *top;
     queue_.pop();

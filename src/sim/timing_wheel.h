@@ -14,22 +14,23 @@
 //     keeps a queue hovering near one threshold from flapping.
 //
 // Why 64: a hold model (N pending entries; each step pops the minimum and
-// pushes now + uniform(0, 2 * mean gap)), -O2, ns per pop+push, best of 5
-// (bench_ext_simperf's BM_ReadyQueueHold re-measures both rows; its wheel
-// stays in wheel mode at every N):
+// pushes now + uniform(0, 2 * mean gap)), -O2, ns per pop+push, best of 5.
+// bench_ext_simperf's BM_ReadyQueueHold re-measures both rows on the
+// scheduler's own ReadyEntry and comparator; its wheel stays in wheel mode
+// at every N:
 //
 //   N                     4    8   16   32   64  128  256  1024
-//   heap,  0.5 ms gap    12   15   15   20   19   23   22    25
-//   wheel, 0.5 ms gap    16   14   13   12   13   14   15    16
-//   heap,  5 ms gap      12   15   16   20   18   23   21    25
-//   wheel, 5 ms gap      28   25   21   19   16   15   15    16
+//   heap,  0.5 ms gap     7   13   14   19   17   22   21    24
+//   wheel, 0.5 ms gap    15   14   12   13   13   14   14    15
+//   heap,  5 ms gap       8   14   15   19   17   22   21    25
+//   wheel, 5 ms gap      29   25   21   18   15   14   13    15
 //
 // A sparse wheel loses to a heap where most pops cascade from a coarser
-// level, which is where the gaps outrun level 0. The wheel wins from 8
+// level, which is where the gaps outrun level 0. The wheel wins from 16
 // entries at the saturated MAC's 0.5 ms gap and from 32 at 5 ms, by 1 ns
 // there, so the model alone would allow a spill above 32. 64 stays: a
 // spill at 32 would halve the 4x band between the thresholds, or need a
-// collapse at 8, where the wheel loses by 10 ns at 5 ms; and no end-to-end
+// collapse at 8, where the wheel loses by 11 ns at 5 ms; and no end-to-end
 // run has measured a lower spill. The paper's own 2-8-station worlds hold
 // 2-31 entries and run as a heap; city-scale worlds hold 64-255 and run as
 // a wheel.
@@ -49,9 +50,18 @@
 // which orders the (rarely more than a handful of) entries sharing one
 // 4.096 us tick.
 //
+// Dead entries: the caller may hand the queue a liveness test (`Live`, the
+// scheduler's "is this event still pending?"; by default every entry is
+// live). top() drops the dead entries it meets at the front, and a slot or
+// the overflow heap that drains into ready_ drops its dead entries there
+// instead of pushing them, so a cancelled entry that waited in a wheel
+// slot costs no heap push or pop. A drop shrinks the queue like a pop, so
+// the collapse test runs after drops too.
+//
 // Determinism: pop order is by the caller's strict total order (time,
 // insertion-seq), the order a plain DaryHeap would give, in both modes and
-// across every switch. Slots partition time into disjoint tick ranges and
+// across every switch; dropping an entry that would never have fired
+// moves nothing else. Slots partition time into disjoint tick ranges and
 // are drained strictly in tick order (per-slot occupancy bitmaps make the
 // in-order scan cheap); within a tick, and after a collapse, ready_
 // applies the full comparator. tests/test_scheduler.cc pins the order: a
@@ -62,7 +72,7 @@
 // data-dependent branches; the wheel replaces them with O(1) stores and a
 // bitmap scan whose cost is amortised over the events of a tick. The MAC's
 // schedule-then-cancel churn (NAV, difs/backoff timers) also dies cheaply:
-// tombstones are skipped only once, when their slot drains.
+// tombstones are dropped when their slot drains, never entering ready_.
 #pragma once
 
 #include <array>
@@ -86,23 +96,37 @@ struct ReadyQueueStats {
   std::uint64_t cascades = 0;   // coarse slots re-placed as the cursor moved
 };
 
+// The default liveness test: every entry is live until popped.
+struct AllLive {
+  template <typename T>
+  constexpr bool operator()(const T&) const {
+    return true;
+  }
+};
+
 // T must expose a `when` (Time) member; Before must be the scheduler's
-// strict total order over T. Interface mirrors DaryHeap except that top()
-// is non-const (it may advance the cursor and cascade slots lazily).
-template <typename T, typename Before>
+// strict total order over T; Live(x) says whether entry x may still fire
+// (once false it must stay false). Interface mirrors DaryHeap except that
+// top() is non-const and returns a pointer: it drops dead entries, and may
+// advance the cursor and cascade slots lazily.
+template <typename T, typename Before, typename Live = AllLive>
 class TimingWheel {
  public:
+  TimingWheel() = default;
+  explicit TimingWheel(Live live) : live_(live) {}
+
   // Mode thresholds on size(); see the header comment.
   static constexpr std::size_t kSpillAbove = 64;
   static constexpr std::size_t kCollapseBelow = 16;
   // A tick is 2^kTickShift ns (4.096 us); see the header comment.
   static constexpr int kTickShift = 12;
 
+  // Entries held, dead ones included until they are dropped.
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
   const ReadyQueueStats& stats() const { return stats_; }
 
-  void push(const T& x) {
+  void push(T x) {
     ++size_;
     const std::uint64_t tick = tick_of(x.when);
     if (tick < next_tick_) {  // behind the cursor: always so in heap mode
@@ -113,17 +137,26 @@ class TimingWheel {
     place(x, tick);
   }
 
-  // top()/pop() fast path: ready_ already holds the minimum (always in
-  // heap mode; in wheel mode for every peek after the first of an event,
-  // and for the pop that follows a peek), so the cursor walk stays out of
-  // line and off the hot path.
-  const T& top() {
-    if (ready_.empty()) advance();
-    return ready_.top();
+  // The earliest live entry, or nullptr when none is left; dead entries
+  // ahead of it are dropped. The pointer stays valid until the next push
+  // or pop. Fast path: ready_ already holds the minimum (always in heap
+  // mode; in wheel mode for every event but the first of a tick), so the
+  // cursor walk stays out of line and off the hot path.
+  const T* top() {
+    for (;;) {
+      if (ready_.empty()) {
+        if (heap_mode()) return nullptr;  // ready_ holds every entry
+        advance();
+        continue;
+      }
+      const T& x = ready_.top();
+      if (live_(x)) return &x;
+      pop();
+    }
   }
 
+  // Remove the entry the last top() returned.
   void pop() {
-    if (ready_.empty()) advance();
     ready_.pop();
     --size_;
     if (size_ < kCollapseBelow && !heap_mode()) collapse();
@@ -177,7 +210,7 @@ class TimingWheel {
   // every slot holding exactly one coarse-tick value at a time, which is
   // what makes the in-order drain correct across window wrap. Inlined:
   // it is the body of every wheel-mode push.
-  [[gnu::always_inline]] void place(const T& x, std::uint64_t tick) {
+  [[gnu::always_inline]] void place(T x, std::uint64_t tick) {
     for (int k = 0; k < kLevels; ++k) {
       const int shift = kSlotBits * k;
       if ((tick >> shift) - (next_tick_ >> shift) < kSlots) {
@@ -191,11 +224,21 @@ class TimingWheel {
     overflow_.push(x);
   }
 
-  // Move every entry of level-k slot `idx` into ready_; the slot keeps its
-  // capacity.
+  // An entry leaving a slot or the overflow heap: into ready_ if live,
+  // otherwise dropped (the caller runs the collapse test).
+  void admit(T x) {
+    if (live_(x)) {
+      ready_.push(x);
+    } else {
+      --size_;
+    }
+  }
+
+  // Move every live entry of level-k slot `idx` into ready_ and drop the
+  // rest; the slot keeps its capacity.
   void drain(int k, std::size_t idx) {
     std::vector<T>& slot = slots_[k][idx];
-    for (const T& x : slot) ready_.push(x);
+    for (const T& x : slot) admit(x);
     in_wheel_ -= slot.size();
     slot.clear();
     bm_[k].clear(idx);
@@ -215,9 +258,9 @@ class TimingWheel {
     G80211_DCHECK(ready_.empty() && in_wheel_ + overflow_.size() == size_);
   }
 
-  // Wheel mode -> heap mode: every occupied slot (found through the
-  // bitmaps) and the overflow heap join ready_. Order-safe because ready_
-  // applies the full comparator.
+  // Wheel mode -> heap mode: every live entry of every occupied slot (found
+  // through the bitmaps) and of the overflow heap joins ready_; dead ones
+  // are dropped. Order-safe because ready_ applies the full comparator.
   [[gnu::cold, gnu::noinline]] void collapse() {
     ++stats_.collapses;
     for (int k = 0; k < kLevels; ++k) {
@@ -225,7 +268,7 @@ class TimingWheel {
         drain(k, static_cast<std::size_t>(s));
       }
     }
-    for (const T& x : overflow_.unordered()) ready_.push(x);
+    for (const T& x : overflow_.unordered()) admit(x);
     overflow_.clear();
     next_tick_ = kHeapCursor;
     G80211_DCHECK(in_wheel_ == 0 && slots_empty() && overflow_.empty() &&
@@ -304,15 +347,16 @@ class TimingWheel {
     }
   }
 
-  // Move the cursor forward until ready_ holds the queue's minimum (wheel
-  // mode only: in heap mode ready_ holds every entry). Out of line: it runs
-  // once per drained tick, not per event, and must not bloat the loops that
-  // call top()/pop().
+  // Move the cursor forward until ready_ holds the queue's earliest
+  // entry, or until drops take the queue below kCollapseBelow and it
+  // collapses (wheel mode only: in heap mode ready_ holds every entry). Out
+  // of line: it runs once per drained tick, not per event, and must not
+  // bloat the loops that call top().
   // Invariants: every entry with tick < next_tick_ is in ready_; the
-  // cursor's own slot at every level has already been cascaded/drained.
+  // cursor's own slot at every level has already been cascaded/drained;
+  // in wheel mode size_ >= kCollapseBelow, so there is an entry to find.
   [[gnu::noinline]] void advance() {
-    G80211_DCHECK(size_ > 0 && "top()/pop() of an empty wheel");
-    G80211_DCHECK(!heap_mode());
+    G80211_DCHECK(size_ >= kCollapseBelow && !heap_mode());
     while (ready_.empty()) {
       // Drain the next occupied level-0 slot of the current window.
       const std::size_t idx0 = next_tick_ & kSlotMask;
@@ -325,7 +369,11 @@ class TimingWheel {
         // slots, or an entry parked there (pushed when its delta was
         // exactly one window) is leapfrogged by later level-0 work.
         jump_to(tick + 1);
-        return;
+        if (size_ < kCollapseBelow) {  // the drain dropped dead entries
+          collapse();
+          return;
+        }
+        continue;
       }
       if (in_wheel_ == 0) {
         // Whole wheel empty: jump straight to the earliest overflow entry.
@@ -372,6 +420,7 @@ class TimingWheel {
   // Heap mode: every entry. Wheel mode: drained ticks, in full comparator
   // order.
   DaryHeap<T, Before> ready_;
+  [[no_unique_address]] Live live_;
   DaryHeap<T, Before> overflow_;  // beyond the wheel span
   ReadyQueueStats stats_;
 };

@@ -42,6 +42,7 @@ EXPORTS = {
     "bench_ablation_rtscts": ["ablation_rtscts"],
     "bench_ext_autorate": ["ext_autorate_fake_ack", "ext_autorate_spoof"],
     "bench_ext_bianchi": ["ext_bianchi"],
+    "bench_ext_city": ["ext_city"],
     "bench_ext_detection_quality": ["ext_detection_roc",
                                     "ext_detection_latency"],
     "bench_ext_dos_comparison": ["ext_dos_comparison"],
@@ -95,13 +96,12 @@ EXPORTS = {
     "bench_table9_testbed_fake": ["table9_testbed_fake"],
 }
 
-# Benches with no seeded sweep: a closed-form table, a single-seed CDF, and
-# the streaming city campaign. They print tables but export nothing.
+# Benches with no seeded sweep: a closed-form table and a single-seed CDF.
+# They print tables but export nothing.
 NO_EXPORTS = {
     "bench_table1_corruption",
     "bench_table3_fer",
     "bench_fig21_rssi_cdf",
-    "bench_ext_city",
 }
 
 # Engine and monitor micro-benchmarks: timing loops, no table.

@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/sim/check.h"
 #include "src/sim/dary_heap.h"
+#include "src/sim/event_pool.h"
 #include "src/sim/inplace_function.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/timing_wheel.h"
@@ -466,7 +471,7 @@ TEST(ReadyQueueDifferential, WheelPopsInHeapOrderAcrossModeSwitches) {
     };
     // Pops both; true when they agree on the entry.
     auto pop_matches = [&] {
-      const Item w = wheel.top();
+      const Item w = *wheel.top();
       const Item h = heap.top();
       wheel.pop();
       heap.pop();
@@ -539,6 +544,238 @@ TEST(ReadyQueueDifferential, WheelPopsInHeapOrderAcrossModeSwitches) {
     EXPECT_GT(behind_pushes, 0u);
     EXPECT_GT(wheel.stats().cascades, 0u);
   }
+}
+
+// The wheel with a liveness test, as the scheduler runs it: entries whose
+// seq is in `dead` are cancelled. Cancelled entries never surface from
+// top(), a slot that drains drops them without a pop, and a drop that
+// takes the queue below the collapse threshold collapses it.
+struct ItemLive {
+  const std::set<std::uint64_t>* dead;
+  bool operator()(const Item& x) const { return dead->count(x.seq) == 0; }
+};
+using LiveItemWheel = TimingWheel<Item, ItemBefore, ItemLive>;
+
+TEST(ReadyQueueDrops, CancelledEntriesDieWhenTheirSlotDrains) {
+  std::set<std::uint64_t> dead;
+  LiveItemWheel wheel(ItemLive{&dead});
+  // 80 entries in tick 3 and 20 in tick 7: the push of the 65th spills.
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 80; ++i) wheel.push({3 * kTick + i, seq++});
+  for (int i = 0; i < 20; ++i) wheel.push({7 * kTick + i, seq++});
+  ASSERT_EQ(wheel.stats().spills, 1u);
+  // Cancel all of tick 3 but its last entry.
+  for (std::uint64_t k = 0; k < 79; ++k) dead.insert(k);
+  const Item* first = wheel.top();
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->seq, 79u);
+  // Draining tick 3 dropped 79 entries and took the queue from 100 to 21:
+  // still above the collapse threshold, so no collapse yet.
+  EXPECT_EQ(wheel.size(), 21u);
+  EXPECT_EQ(wheel.stats().collapses, 0u);
+  wheel.pop();
+  // Cancel 10 of tick 7's 20: their drain takes the queue to 10 < 16.
+  for (std::uint64_t k = 80; k < 100; k += 2) dead.insert(k);
+  std::vector<std::uint64_t> popped;
+  for (const Item* x = wheel.top(); x != nullptr; x = wheel.top()) {
+    popped.push_back(x->seq);
+    if (popped.size() == 1) {
+      EXPECT_EQ(wheel.stats().collapses, 1u) << "a drop below 16 collapses";
+      EXPECT_EQ(wheel.size(), 10u);
+    }
+    wheel.pop();
+  }
+  std::vector<std::uint64_t> want;
+  for (std::uint64_t k = 81; k < 100; k += 2) want.push_back(k);
+  EXPECT_EQ(popped, want);
+  EXPECT_TRUE(wheel.empty());
+}
+
+TEST(ReadyQueueDrops, AllCancelledQueueEmptiesWithoutAPop) {
+  std::set<std::uint64_t> dead;
+  LiveItemWheel wheel(ItemLive{&dead});
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    wheel.push({static_cast<Time>(k) * kTick, k});
+    dead.insert(k);
+  }
+  EXPECT_EQ(wheel.top(), nullptr);
+  EXPECT_TRUE(wheel.empty());
+  EXPECT_EQ(wheel.stats().spills, 1u);
+  EXPECT_EQ(wheel.stats().collapses, 1u);
+}
+
+// The differential test's shape with a quarter of the entries cancelled
+// while queued: the wheel pops exactly the live entries, in the heap's
+// order, across spills, drops and collapses.
+TEST(ReadyQueueDrops, LivePopsMatchTheHeapWithCancellations) {
+  for (const std::uint64_t seed : {4u, 5u}) {
+    SCOPED_TRACE(seed);
+    std::set<std::uint64_t> dead;
+    LiveItemWheel wheel(ItemLive{&dead});
+    ItemHeap heap;  // holds every entry; dead ones are skipped here
+    std::uint64_t state = 0x9E3779B97F4A7C15ULL * seed;
+    auto next = [&state] {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return state;
+    };
+    std::vector<std::uint64_t> queued;  // seqs that may still be cancelled
+    Time now = 0;
+    std::uint64_t seq = 0;
+    std::size_t live_pops = 0;
+    auto heap_live_top = [&]() -> const Item* {
+      while (!heap.empty() && dead.count(heap.top().seq) != 0) heap.pop();
+      return heap.empty() ? nullptr : &heap.top();
+    };
+    for (int step = 0; step < 40000; ++step) {
+      // Alternate 1000-step phases of growth (5 pushes to 2 pops) and
+      // shrinkage (2 to 5), so the size crosses both thresholds.
+      const std::uint64_t pushes = (step / 1000) % 2 == 0 ? 5 : 2;
+      const std::uint64_t r = next();
+      if (r % 8 < pushes) {
+        const std::uint64_t v = r >> 8;
+        const Time span = r % 2 == 0 ? level_window(0) : level_window(1);
+        const Item x{
+            now + static_cast<Time>(v % static_cast<std::uint64_t>(span)),
+            seq++};
+        wheel.push(x);
+        heap.push(x);
+        queued.push_back(x.seq);
+      } else if (r % 8 == pushes && !queued.empty()) {
+        dead.insert(queued[(r >> 8) % queued.size()]);
+      } else {
+        const Item* w = wheel.top();
+        const Item* h = heap_live_top();
+        ASSERT_EQ(w == nullptr, h == nullptr);
+        if (w == nullptr) continue;
+        ASSERT_EQ(w->seq, h->seq);
+        ASSERT_EQ(w->when, h->when);
+        now = h->when;
+        dead.insert(h->seq);  // popped: a stale key from now on
+        wheel.pop();
+        heap.pop();
+        ++live_pops;
+      }
+    }
+    EXPECT_GT(live_pops, 5000u);
+    EXPECT_GE(wheel.stats().spills, 1u);
+    EXPECT_GE(wheel.stats().collapses, 1u);
+  }
+}
+
+// The largest sequence number and slot index a ReadyEntry key can hold.
+constexpr std::uint64_t kMaxSeq =
+    (std::uint64_t{1} << ReadyEntry::kSeqBits) - 1;
+constexpr std::uint32_t kMaxSlot = (1u << ReadyEntry::kSlotBits) - 1;
+
+TEST(ReadyEntryPacking, FieldsRoundTripUpToTheirLimits) {
+  const std::uint64_t max_seq = kMaxSeq;
+  const std::uint32_t max_slot = kMaxSlot;
+  const ReadyEntry top = ReadyEntry::make(seconds(5), max_seq, max_slot);
+  EXPECT_EQ(top.when, seconds(5));
+  EXPECT_EQ(top.seq(), max_seq);
+  EXPECT_EQ(top.slot(), max_slot);
+  const ReadyEntry low = ReadyEntry::make(0, 0, 0);
+  EXPECT_EQ(low.seq(), 0u);
+  EXPECT_EQ(low.slot(), 0u);
+  EXPECT_EQ(sizeof(ReadyEntry), 16u);
+}
+
+TEST(ReadyEntryPacking, OutgrownFieldsFailInEveryBuildType) {
+  const std::uint64_t max_seq = kMaxSeq;
+  const std::uint32_t max_slot = kMaxSlot;
+  EXPECT_THROW(ReadyEntry::make(0, max_seq + 1, 0), CheckFailure);
+  EXPECT_THROW(ReadyEntry::make(0, 0, max_slot + 1), CheckFailure);
+  EXPECT_THROW(ReadyEntry::make(0, ~std::uint64_t{0}, ~0u), CheckFailure);
+  EXPECT_NO_THROW(ReadyEntry::make(0, max_seq, max_slot));
+}
+
+TEST(ReadyEntryPacking, OrderIsTimeThenSequenceWhateverTheSlot) {
+  const ReadyBefore before;
+  auto entry = [](Time when, std::uint64_t seq, std::uint32_t slot) {
+    return ReadyEntry::make(when, seq, slot);
+  };
+  // Same time: the lower sequence number wins even from a higher slot.
+  EXPECT_TRUE(before(entry(7, 1, kMaxSlot), entry(7, 2, 0)));
+  EXPECT_FALSE(before(entry(7, 2, 0), entry(7, 1, kMaxSlot)));
+  // Time dominates the key, at both ends of the time range.
+  EXPECT_TRUE(before(entry(1, kMaxSeq, kMaxSlot), entry(2, 0, 0)));
+  const Time late = std::numeric_limits<Time>::max();
+  EXPECT_TRUE(before(entry(late - 1, kMaxSeq, 0), entry(late, 0, 0)));
+  EXPECT_FALSE(before(entry(late, 0, 0), entry(0, kMaxSeq, 0)));
+  // Strict: nothing is before itself.
+  const ReadyEntry e = ReadyEntry::make(3, 4, 5);
+  EXPECT_FALSE(before(e, e));
+}
+
+TEST_P(SchedulerSuite, SchedulingIntoThePastFailsInEveryBuildType) {
+  Scheduler s;
+  s.at(microseconds(10), [] {});
+  s.run();
+  ASSERT_EQ(s.now(), microseconds(10));
+  EXPECT_THROW(s.at(microseconds(10) - 1, [] {}), CheckFailure);
+  EXPECT_EQ(s.pending(), 0u) << "a rejected event is not queued";
+  EXPECT_EQ(s.pool_slots(), 1u);
+  // The present instant is still open.
+  bool ran = false;
+  s.at(microseconds(10), [&] { ran = true; });
+  s.run();
+  EXPECT_TRUE(ran);
+}
+
+// Generations are 2·seq + 1 at alloc and +1 at fire or release: a handle
+// from an earlier occupant of the slot never matches a later one, even
+// when the later one's sequence number is only one higher.
+TEST(EventPoolGenerations, StaleHandlesMissUnderTheSequenceRule) {
+  EventPool pool;
+  int runs = 0;
+  const std::uint32_t a = pool.alloc(0, [&runs] { ++runs; });
+  const std::uint64_t gen_a = EventPool::generation_of(0);
+  EXPECT_EQ(gen_a, 1u);
+  EXPECT_TRUE(pool.live(a, gen_a));
+  pool.fire(a);  // cancel after fire: the handle no longer matches
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(pool.live(a, gen_a));
+  // The slot is reused by the very next sequence number.
+  const std::uint32_t b = pool.alloc(1, [] {});
+  ASSERT_EQ(b, a);
+  const std::uint64_t gen_b = EventPool::generation_of(1);
+  EXPECT_FALSE(pool.live(a, gen_a)) << "stale handle after reuse";
+  EXPECT_TRUE(pool.live(b, gen_b));
+  pool.release(b);  // cancel: both handles miss
+  EXPECT_FALSE(pool.live(b, gen_b));
+  EXPECT_FALSE(pool.live(a, gen_a));
+  // Reused again, much later: only the newest handle matches.
+  const std::uint32_t c = pool.alloc(1000, [] {});
+  ASSERT_EQ(c, a);
+  EXPECT_TRUE(pool.live(c, EventPool::generation_of(1000)));
+  EXPECT_FALSE(pool.live(c, gen_a));
+  EXPECT_FALSE(pool.live(c, gen_b));
+  pool.release(c);
+  EXPECT_EQ(pool.slots(), 1u);
+}
+
+TEST_P(SchedulerSuite, StaleHandlesMissAfterFireAndAfterReuse) {
+  Scheduler s;
+  int first = 0;
+  int second = 0;
+  EventId a = s.at(microseconds(1), [&] { ++first; });
+  s.run();  // fired: a is stale
+  a.cancel();
+  EventId b = s.at(microseconds(2), [&] { ++second; });  // reuses a's slot
+  ASSERT_EQ(s.pool_slots(), 1u);
+  a.cancel();  // must not cancel b
+  EXPECT_FALSE(a.pending());
+  EXPECT_TRUE(b.pending());
+  b.cancel();
+  EventId c = s.at(microseconds(3), [&] { ++second; });  // reused again
+  b.cancel();  // stale after cancel-and-reuse
+  EXPECT_TRUE(c.pending());
+  s.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(s.executed(), 2u);
 }
 
 TEST(InplaceFunction, MoveTransfersTheCallable) {
