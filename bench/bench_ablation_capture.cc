@@ -6,8 +6,6 @@
 // component on top of the retransmission suppression, which hurts the
 // victim even more (the paper notes the combined attack is strictly
 // worse). This bench quantifies that difference.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -15,9 +13,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   Campaign campaign("ablation_capture", {"normal_mbps", "greedy_mbps"});
   for (const bool capture : {true, false}) {
     PairsSpec spec;
@@ -48,16 +44,6 @@ void run(benchmark::State& state) {
       "Without capture the spoof also jams the victim's real ACKs; the\n"
       "victim's goodput drops further (%0.3f -> %0.3f Mbps).\n\n",
       victim_capture_on, victim_capture_off);
-  state.counters["victim_capture_on"] = victim_capture_on;
-  state.counters["victim_capture_off"] = victim_capture_off;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Ablation/CaptureEffect", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"victim_capture_on", victim_capture_on},
+                   {"victim_capture_off", victim_capture_off}});
 }

@@ -4,8 +4,6 @@
 // bystanders stomp ACKs, which changes loss dynamics in every BER-driven
 // experiment. This bench quantifies the effect on the Fig 11 operating
 // point (two TCP flows, BER=2e-4, no misbehavior).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -13,9 +11,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   Campaign campaign("ablation_eifs", {"flow1_mbps", "flow2_mbps"});
   for (const bool eifs : {true, false}) {
     PairsSpec spec;
@@ -44,16 +40,8 @@ void run(benchmark::State& state) {
     table.print_row({pt.x, med[0], med[1], med[0] + med[1]});
   }
   std::printf("\n");
-  state.counters["total_eifs_on"] = points[0].median[0] + points[0].median[1];
-  state.counters["total_eifs_off"] = points[1].median[0] + points[1].median[1];
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Ablation/Eifs", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({
+      {"total_eifs_on", points[0].median[0] + points[0].median[1]},
+      {"total_eifs_off", points[1].median[0] + points[1].median[1]},
+  });
 }

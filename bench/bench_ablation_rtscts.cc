@@ -4,8 +4,6 @@
 // needs RTS/CTS; ACK NAV inflation works either way; ACK spoofing and
 // fake ACKs are access-mode independent. This table verifies each claim
 // and shows what basic access costs/buys the attacker.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -47,7 +45,9 @@ struct Row {
   PairsSpec spec;
 };
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   const Row rows[] = {
       {"cts_nav", true, 4000, nav_spec(true, NavFrameMask::cts_only())},
       {"cts_nav", false, 4010, nav_spec(false, NavFrameMask::cts_only())},
@@ -82,16 +82,6 @@ void run(benchmark::State& state) {
       "ACKs instead (victim %.2f). Spoofing is unaffected by the access\n"
       "mode.\n\n",
       cts_off_victim, ack_off_victim);
-  state.counters["victim_cts_inflation_no_rtscts"] = cts_off_victim;
-  state.counters["victim_ack_inflation_no_rtscts"] = ack_off_victim;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Ablation/RtsCts", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"victim_cts_inflation_no_rtscts", cts_off_victim},
+                   {"victim_ack_inflation_no_rtscts", ack_off_victim}});
 }

@@ -8,8 +8,6 @@
 //  * ACK spoofing gets worse: the victim's sender, fed spoofed ACKs,
 //    never steps its rate down to what the victim can decode —
 //    "the damage of spoofing ACKs can increase with auto-rate".
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -19,7 +17,7 @@ using namespace g80211::bench;
 
 namespace {
 
-void fake_ack_part(benchmark::State& state) {
+void fake_ack_part(Headlines& headlines) {
   Campaign campaign("ext_autorate_fake_ack", {"goodput", "arf_ups"});
   for (const bool fake : {false, true}) {
     campaign.add(fake ? "fake" : "honest", fake ? 1.0 : 0.0, 3300,
@@ -51,14 +49,14 @@ void fake_ack_part(benchmark::State& state) {
   print_points(table, points);
   const double honest_goodput = points[0].median[0];
   const double faked_goodput = points[1].median[0];
+  const double self_damage_pct = 100.0 * (1.0 - faked_goodput / honest_goodput);
   std::printf(
       "Faking ACKs under ARF costs the cheater %.0f%% of its own goodput.\n\n",
-      100.0 * (1.0 - faked_goodput / honest_goodput));
-  state.counters["fake_self_damage_pct"] =
-      100.0 * (1.0 - faked_goodput / honest_goodput);
+      self_damage_pct);
+  headlines.push_back({"fake_self_damage_pct", self_damage_pct});
 }
 
-void spoof_part(benchmark::State& state) {
+void spoof_part(Headlines& headlines) {
   Campaign campaign("ext_autorate_spoof", {"victim", "greedy"});
   for (const bool attack : {false, true}) {
     campaign.add(attack ? "spoof" : "honest", attack ? 1.0 : 0.0, 3310,
@@ -96,21 +94,15 @@ void spoof_part(benchmark::State& state) {
       "Spoofing also blinds the victim's rate control: victim %.3f -> %.3f "
       "Mbps.\n\n",
       honest_victim, blinded_victim);
-  state.counters["victim_honest"] = honest_victim;
-  state.counters["victim_blinded"] = blinded_victim;
-}
-
-void run(benchmark::State& state) {
-  fake_ack_part(state);
-  spoof_part(state);
+  headlines.push_back({"victim_honest", honest_victim});
+  headlines.push_back({"victim_blinded", blinded_victim});
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Extension/AutoRateMisbehavior", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+int main() {
+  Headlines headlines;
+  fake_ack_part(headlines);
+  spoof_part(headlines);
+  print_headlines(headlines);
 }

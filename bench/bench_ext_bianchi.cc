@@ -3,8 +3,6 @@
 // reproduction perturbs an honest saturated baseline; this table shows
 // that baseline agrees with the canonical closed-form analysis across
 // station counts and both access modes.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -36,7 +34,9 @@ double simulate_total(int n, bool rts_cts, std::uint64_t seed) {
   return total;
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   constexpr bool kModes[] = {true, false};
   constexpr int kStations[] = {1, 2, 4, 8};
   Campaign campaign("ext_bianchi", {"sim"});
@@ -74,15 +74,5 @@ void run(benchmark::State& state) {
     }
   }
   std::printf("worst disagreement: %.1f%%\n\n", worst);
-  state.counters["worst_err_pct"] = worst;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Extension/BianchiValidation", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"worst_err_pct", worst}});
 }

@@ -16,8 +16,6 @@
 // Both tables are one named campaign, `ext_city`: the damage world is one
 // point whose metrics are its rings' columns, and each sweep row is one
 // point. Each point is one run at the spec's fixed seed (5).
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -124,7 +122,9 @@ std::vector<double> coverage_row(double greedy, double coverage,
           static_cast<double>(sum.nav_detections + sum.spoof_detections)};
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   // The damage world's ring count comes from its plan, a pure function of
   // the spec, so the point's metric names are known before it runs.
   const WorldSpec dmg_spec = city_spec(0.05, 0.0, kCitySeed);
@@ -200,19 +200,10 @@ void run(benchmark::State& state) {
       "everywhere.\n\n",
       baseline, attacked, protected_all);
 
-  state.counters["damage_radius_m"] = damage_radius_m;
-  state.counters["honest_baseline_mbps"] = baseline;
-  state.counters["honest_attacked_mbps"] = attacked;
-  state.counters["honest_grc_mbps"] = protected_all;
-  state.counters["stations"] = static_cast<double>(dmg_spec.num_stations());
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Extension/CityCampaign", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  const double n_stations = static_cast<double>(dmg_spec.num_stations());
+  print_headlines({{"damage_radius_m", damage_radius_m},
+                   {"honest_baseline_mbps", baseline},
+                   {"honest_attacked_mbps", attacked},
+                   {"honest_grc_mbps", protected_all},
+                   {"stations", n_stations}});
 }

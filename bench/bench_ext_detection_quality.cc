@@ -8,8 +8,6 @@
 // Part 2 — detection latency: how long after the attack starts does each
 // GRC detector first fire? (Operationally the number an operator cares
 // about.)
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -22,7 +20,7 @@ using namespace g80211::bench;
 
 namespace {
 
-void roc_part(benchmark::State& state) {
+void roc_part(Headlines& headlines) {
   Campaign campaign("ext_detection_roc", {"tp_rate", "fp_rate"});
   for (const double thresh : {0.25, 0.5, 1.0, 2.0, 3.0, 5.0}) {
     char label[32];
@@ -73,8 +71,8 @@ void roc_part(benchmark::State& state) {
   }
   std::printf("at the paper's 1 dB operating point: TP=%.2f FP=%.3f\n\n", tp_1db,
               fp_1db);
-  state.counters["tp_rate_1db"] = tp_1db;
-  state.counters["fp_rate_1db"] = fp_1db;
+  headlines.push_back({"tp_rate_1db", tp_1db});
+  headlines.push_back({"fp_rate_1db", fp_1db});
 }
 
 // NAV validator vs a 10 ms CTS inflator switching on at t=1s.
@@ -145,7 +143,7 @@ std::vector<double> spoof_detection_ms(std::uint64_t s) {
   return {first_ms};
 }
 
-void latency_part(benchmark::State& state) {
+void latency_part(Headlines& headlines) {
   Campaign campaign("ext_detection_latency", {"first_detection_ms"});
   campaign.add("nav", 0.0, 3910, default_runs(), nav_detection_ms);
   campaign.add("spoof", 1.0, 3920, default_runs(), spoof_detection_ms);
@@ -159,21 +157,15 @@ void latency_part(benchmark::State& state) {
   std::printf(
       "\nThe NAV validator convicts on the first inflated frame; the RSSI\n"
       "detector needs the first spoof that actually reaches the sender.\n\n");
-  state.counters["nav_detect_ms"] = points[0].median[0];
-  state.counters["spoof_detect_ms"] = points[1].median[0];
-}
-
-void run(benchmark::State& state) {
-  roc_part(state);
-  latency_part(state);
+  headlines.push_back({"nav_detect_ms", points[0].median[0]});
+  headlines.push_back({"spoof_detect_ms", points[1].median[0]});
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Extension/DetectionQuality", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+int main() {
+  Headlines headlines;
+  roc_part(headlines);
+  latency_part(headlines);
+  print_headlines(headlines);
 }

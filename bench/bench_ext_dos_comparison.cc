@@ -9,8 +9,6 @@
 // it needs NAV ~ period to have any effect — and gains nothing for it.
 // GRC's NAV validation also blunts the jammer: each rogue CTS gets
 // clamped to the 1500-byte-MTU exchange bound.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -67,7 +65,9 @@ std::vector<double> run_jammer(Time nav, bool grc_on, std::uint64_t seed) {
   return {f1.goodput_mbps() + f2.goodput_mbps(), 0.0, jammer.airtime_fraction()};
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   const struct {
     const char* attacker;
     double nav_ms;
@@ -108,17 +108,7 @@ void run(benchmark::State& state) {
       "maximum to hurt anyone (0.6 ms: victims keep %.2f Mbps) and GRC\n"
       "claws most of it back.\n\n",
       greedy_victim, jam_small_victim);
-  state.counters["greedy_victim_0.6ms"] = greedy_victim;
-  state.counters["jammer_victim_0.6ms"] = jam_small_victim;
-  state.counters["jammer_victim_max"] = points[2].median[0];
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Extension/DosComparison", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_victim_0.6ms", greedy_victim},
+                   {"jammer_victim_0.6ms", jam_small_victim},
+                   {"jammer_victim_max", points[2].median[0]}});
 }

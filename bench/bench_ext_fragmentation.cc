@@ -11,8 +11,6 @@
 // rule misfires on every fragment burst; the fragmentation-aware validator
 // accepts honest bursts while still catching a greedy receiver that hides
 // NAV inflation inside them.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -23,7 +21,7 @@ using namespace g80211::bench;
 
 namespace {
 
-void throughput_part(benchmark::State& state) {
+void throughput_part(Headlines& headlines) {
   Campaign campaign("ext_fragmentation_goodput",
                     {"ber=0", "ber=6e-4", "ber=1.5e-3"});
   for (const int threshold : {0, 256, 532}) {
@@ -61,11 +59,11 @@ void throughput_part(benchmark::State& state) {
       "On a clean channel fragmentation only adds overhead; at BER 1.5e-3\n"
       "the 532-byte threshold beats whole-MSDU frames (%0.2f -> %0.2f Mbps).\n\n",
       lossy_full, lossy_frag);
-  state.counters["clean_unfragmented"] = clean_full;
-  state.counters["lossy_frag_gain"] = lossy_frag - lossy_full;
+  headlines.push_back({"clean_unfragmented", clean_full});
+  headlines.push_back({"lossy_frag_gain", lossy_frag - lossy_full});
 }
 
-void detection_part(benchmark::State& state) {
+void detection_part(Headlines& headlines) {
   Campaign campaign("ext_fragmentation_detection", {"strict_det", "aware_det"});
   for (const bool greedy : {false, true}) {
     campaign.add(greedy ? "greedy" : "honest", greedy ? 1.0 : 0.0, 3510,
@@ -113,21 +111,15 @@ void detection_part(benchmark::State& state) {
       "silent on honest traffic (%0.0f) yet still catches the inflator "
       "(%0.0f detections).\n\n",
       aware_honest, aware_greedy);
-  state.counters["aware_false_positives"] = aware_honest;
-  state.counters["aware_true_detections"] = aware_greedy;
-}
-
-void run(benchmark::State& state) {
-  throughput_part(state);
-  detection_part(state);
+  headlines.push_back({"aware_false_positives", aware_honest});
+  headlines.push_back({"aware_true_detections", aware_greedy});
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Extension/Fragmentation", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+int main() {
+  Headlines headlines;
+  throughput_part(headlines);
+  detection_part(headlines);
+  print_headlines(headlines);
 }

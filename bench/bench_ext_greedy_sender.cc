@@ -4,8 +4,6 @@
 // observer (Raya et al.) flags it by measuring actual backoffs on the air.
 // This is the sender-side counterpart that motivates why the paper's
 // receiver-side attacks — invisible to DOMINO — need their own detectors.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -14,9 +12,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   Campaign campaign("ext_greedy_sender",
                     {"honest_mbps", "greedy_mbps", "obs_backoff", "flagged"});
   for (const double cheat : {1.0, 0.5, 0.25, 0.1}) {
@@ -56,16 +52,6 @@ void run(benchmark::State& state) {
   std::printf(
       "\nA receiver-side cheater never appears in this table: its sender\n"
       "backs off honestly, which is why the paper's GRC detectors exist.\n\n");
-  state.counters["greedy_mbps_cheat0.1"] = at_01[1];
-  state.counters["flagged_cheat0.1"] = at_01[3] > 0.5 ? 1.0 : 0.0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Extension/GreedySenderBaseline", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_mbps_cheat0.1", at_01[1]},
+                   {"flagged_cheat0.1", at_01[3] > 0.5 ? 1.0 : 0.0}});
 }

@@ -4,8 +4,6 @@
 // target: honest ACKs get rejected (each costs a retransmission) while
 // the cross-layer TCP/MAC correlation keeps working — exactly why the
 // paper proposes it for mobile clients.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -58,7 +56,9 @@ std::vector<double> run_case(bool mobile, bool attack, std::uint64_t seed) {
           xl.detected() ? 1.0 : 0.0};
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   Campaign campaign("ext_mobility", {"rssi_fp", "rssi_tp", "xlayer"});
   for (const bool mobile : {false, true}) {
     for (const bool attack : {false, true}) {
@@ -88,16 +88,6 @@ void run(benchmark::State& state) {
       "\nMobility sends the RSSI detector's false-positive rate to %.0f%%;\n"
       "the cross-layer detector still convicts the spoofer (%s).\n\n",
       100.0 * mobile_fp, mobile_xl > 0.5 ? "detected" : "missed");
-  state.counters["mobile_rssi_fp_rate"] = mobile_fp;
-  state.counters["mobile_xlayer_detected"] = mobile_xl;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Extension/MobileClientDetection", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"mobile_rssi_fp_rate", mobile_fp},
+                   {"mobile_xlayer_detected", mobile_xl}});
 }

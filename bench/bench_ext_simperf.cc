@@ -1,7 +1,7 @@
 // Simulator performance: wall-clock cost of simulated time across
 // scenario sizes — the practical number a user needs to size parameter
-// sweeps. Unlike the per-figure benches (Iterations(1) experiment
-// drivers), these are real google-benchmark timings.
+// sweeps. Unlike the per-figure benches (plain programs that print
+// tables), these are google-benchmark timings.
 //
 // They are a developer's view of the engine's layers. A speed claim goes
 // through the repository benchmark instead (perfbench/README.md), which
@@ -16,12 +16,13 @@
 #include <type_traits>
 #include <vector>
 
-#include "bench/common.h"
 #include "bench/perf_counters.h"
 #include "src/mac/mac_stats.h"
 #include "src/phy/channel.h"
 #include "src/phy/phy.h"
+#include "src/scenario/scenario.h"
 #include "src/scenario/sharded.h"
+#include "src/scenario/topology.h"
 #include "src/sim/dary_heap.h"
 #include "src/sim/rng.h"
 #include "src/sim/scheduler.h"

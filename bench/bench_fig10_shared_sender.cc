@@ -4,8 +4,6 @@
 //  (a) 2 TCP receivers — the greedy one still gains noticeably;
 //  (b) 8 TCP receivers — the gain shrinks further;
 //  (c) 2 UDP receivers — both flows lose; the cheater gains nothing.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -58,7 +56,9 @@ void sweep(const char* title, const char* figure, int n_clients, bool tcp,
   std::printf("\n");
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   double g_tcp2 = 0, n_tcp2 = 0, g_udp = 0, n_udp = 0;
   sweep("Fig 10(a): 1 sender -> 2 TCP receivers, greedy CTS NAV",
         "fig10a_shared_sender_tcp2", 2, true, 1000, &g_tcp2, &n_tcp2);
@@ -66,16 +66,6 @@ void run(benchmark::State& state) {
         "fig10b_shared_sender_tcp8", 8, true, 1010, nullptr, nullptr);
   sweep("Fig 10(c): 1 sender -> 2 UDP receivers, greedy CTS NAV",
         "fig10c_shared_sender_udp2", 2, false, 1020, &g_udp, &n_udp);
-  state.counters["tcp2_greedy_minus_normal_10ms"] = g_tcp2 - n_tcp2;
-  state.counters["udp_greedy_minus_normal_10ms"] = g_udp - n_udp;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig10/SharedSender", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"tcp2_greedy_minus_normal_10ms", g_tcp2 - n_tcp2},
+                   {"udp_greedy_minus_normal_10ms", g_udp - n_udp}});
 }

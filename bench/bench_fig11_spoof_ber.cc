@@ -8,8 +8,6 @@
 // once spoofed ACKs disable MAC retransmission. It tracks the measured
 // victim curve, which is the quantitative version of the paper's "losses
 // are propagated to TCP" argument.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -70,21 +68,13 @@ double sweep(const char* title, const char* figure, Standard standard,
   return greedy_gain_2e4;
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   const double gain_b = sweep("Fig 11(a): ACK spoofing vs BER (802.11b, TCP)",
                               "fig11a_spoof_ber_11b", Standard::B80211, 1200);
   const double gain_a = sweep("Fig 11(b): ACK spoofing vs BER (802.11a, TCP)",
                               "fig11b_spoof_ber_11a", Standard::A80211, 1210);
-  state.counters["greedy_gain_2e-4_11b"] = gain_b;
-  state.counters["greedy_gain_2e-4_11a"] = gain_a;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig11/SpoofVsBer", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_gain_2e-4_11b", gain_b},
+                   {"greedy_gain_2e-4_11a", gain_a}});
 }

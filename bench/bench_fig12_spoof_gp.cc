@@ -3,8 +3,6 @@
 //
 // One campaign per BER level; every gp point and seed runs concurrently on
 // the G80211_JOBS pool with sweep-ordered aggregation.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -12,9 +10,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   double gain_gp100_moderate = 0.0;
   for (const double ber : {1e-5, 2e-4, 8e-4}) {
     char figure[64];
@@ -49,15 +45,5 @@ void run(benchmark::State& state) {
       gain_gp100_moderate = at100.median[1] - at100.median[0];
     }
   }
-  state.counters["gain_gp100_ber2e-4"] = gain_gp100_moderate;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig12/SpoofGreedyPct", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"gain_gp100_ber2e-4", gain_gp100_moderate}});
 }

@@ -2,8 +2,6 @@
 // BER=2e-4. With two spoofers, each disables the other's MAC-layer
 // retransmissions, losses flood up to TCP on both flows, and total goodput
 // drops — more so at higher greedy percentages.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -16,7 +14,9 @@ namespace {
 constexpr int kGps[] = {50, 100};
 constexpr int kNumGreedy[] = {0, 1, 2};
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   Campaign campaign("fig13_spoof_num_greedy", {"flow1_mbps", "flow2_mbps"});
   for (const int gp : kGps) {
     for (const int n_greedy : kNumGreedy) {
@@ -55,16 +55,6 @@ void run(benchmark::State& state) {
     }
   }
   std::printf("\n");
-  state.counters["total_honest"] = total_honest;
-  state.counters["total_mutual_spoofing"] = total_mutual;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig13/SpoofNumGreedy", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"total_honest", total_honest},
+                   {"total_mutual_spoofing", total_mutual}});
 }

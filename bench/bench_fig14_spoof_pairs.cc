@@ -2,8 +2,6 @@
 // normal receivers, (a) all sharing one AP, (b) each with its own AP
 // (TCP, 802.11b, BER=2e-4). Head-of-line blocking at the shared AP narrows
 // the greedy/normal gap.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <set>
 
@@ -34,7 +32,9 @@ double print_table(const char* title, const std::vector<CampaignPoint>& points) 
   return gap_4;
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   // Each row has its own flow count, so each point names its own metrics.
   Campaign shared("fig14a_spoof_shared_ap", {});
   Campaign separate("fig14b_spoof_separate_aps", {});
@@ -81,16 +81,6 @@ void run(benchmark::State& state) {
   const double gap_separate_4 = print_table(
       "Fig 14(b): spoofing GR + n normal receivers, separate APs",
       separate.run());
-  state.counters["gap_shared_ap_4normal"] = gap_shared_4;
-  state.counters["gap_separate_ap_4normal"] = gap_separate_4;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig14/SpoofVsNumPairs", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"gap_shared_ap_4normal", gap_shared_4},
+                   {"gap_separate_ap_4normal", gap_separate_4}});
 }

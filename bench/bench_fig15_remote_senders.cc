@@ -3,8 +3,6 @@
 // victim's MAC ACKs. The paper's shape: wireline latency makes end-to-end
 // recovery costlier, widening the gap up to ~200 ms, beyond which the
 // attacker's own ACK-clocked throughput also sags.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -12,9 +10,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   // Both columns of a row share the row's seeds: each run plays the honest
   // pair and then the attacked pair.
   Campaign campaign("fig15_remote_senders",
@@ -56,15 +52,5 @@ void run(benchmark::State& state) {
       gap_200ms = pt.median[3] - pt.median[2];
     }
   }
-  state.counters["greedy_gap_at_200ms"] = gap_200ms;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig15/RemoteSenders", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_gap_at_200ms", gap_200ms}});
 }

@@ -2,8 +2,6 @@
 // percentage and the wired latency both varying. The paper highlights that
 // around 200 ms, spoofing only 20% of sniffed DATA frames already costs
 // the victim most of its goodput.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -11,9 +9,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   double victim_gp20_200ms = 0.0, victim_gp0_200ms = 0.0;
   for (const Time latency : {milliseconds(2), milliseconds(50), milliseconds(200),
                              milliseconds(400)}) {
@@ -49,18 +45,9 @@ void run(benchmark::State& state) {
       victim_gp20_200ms = points[1].median[0];
     }
   }
-  state.counters["victim_loss_pct_gp20_200ms"] =
+  const double victim_loss_pct =
       victim_gp0_200ms > 0
           ? 100.0 * (victim_gp0_200ms - victim_gp20_200ms) / victim_gp0_200ms
           : 0.0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig16/RemoteGreedyPct", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"victim_loss_pct_gp20_200ms", victim_loss_pct}});
 }

@@ -2,8 +2,6 @@
 // and a greedy receiver; GR spoofs NR's MAC ACKs. Disabling the victim's
 // MAC retransmissions shifts service time toward GR, but without TCP
 // congestion control to exploit the gain is milder than in Fig 11.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -11,9 +9,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   // Both columns of a row share the row's seeds: each run plays the honest
   // AP and then the attacked one.
   Campaign campaign("fig17_spoof_udp",
@@ -52,15 +48,5 @@ void run(benchmark::State& state) {
   for (const auto& pt : points) {
     if (pt.x == 4.4e-4) gap_at_44 = pt.median[3] - pt.median[2];
   }
-  state.counters["greedy_gap_at_4.4e-4"] = gap_at_44;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig17/SpoofUdp", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_gap_at_4.4e-4", gap_at_44}});
 }

@@ -3,8 +3,6 @@
 // overlapping data frames collide at the receivers. Faking ACKs keeps the
 // greedy flow's sender at CWmin; with both receivers greedy, exponential
 // backoff is gone entirely and everyone collides more.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -33,7 +31,9 @@ std::vector<CampaignPoint> sweep(const char* figure,
   return campaign.run();
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   const auto solo =
       sweep("fig18a_fake_hidden_one", {0, 25, 50, 75, 100}, 1900, false);
   std::printf("Fig 18(a): hidden terminals, R2 fakes ACKs, GP sweep\n");
@@ -49,16 +49,6 @@ void run(benchmark::State& state) {
   table2.print_header();
   print_points(table2, mutual);
   std::printf("\n");
-  state.counters["greedy_mbps_solo_gp100"] = solo.back().median[1];
-  state.counters["greedy_mbps_mutual_gp100"] = mutual.back().median[1];
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig18/FakeAckHiddenTerminals", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_mbps_solo_gp100", solo.back().median[1]},
+                   {"greedy_mbps_mutual_gp100", mutual.back().median[1]}});
 }

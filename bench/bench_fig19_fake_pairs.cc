@@ -3,8 +3,6 @@
 // paper's observations: the greedy impact grows with the loss rate, the
 // absolute gap shrinks with more competitors (per-flow goodput falls), but
 // the relative gap stays high.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -12,9 +10,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   double rel_gap_4pairs = 0.0;
   for (const double fer : {0.2, 0.5}) {
     const double ber =
@@ -57,15 +53,5 @@ void run(benchmark::State& state) {
     }
     std::printf("\n");
   }
-  state.counters["relative_gap_4pairs_fer0.5"] = rel_gap_4pairs;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig19/FakeAckVsNumPairs", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"relative_gap_4pairs_fer0.5", rel_gap_4pairs}});
 }

@@ -6,8 +6,6 @@
 // execute concurrently (G80211_JOBS workers); the table and the exported
 // metrics are aggregated in sweep order, so output is identical at any
 // thread count.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -16,9 +14,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   Campaign campaign("fig1_udp_cts_nav", {"normal_mbps", "greedy_mbps"});
   for (const Time inflation :
        {microseconds(0), microseconds(200), microseconds(400), microseconds(600),
@@ -50,16 +46,6 @@ void run(benchmark::State& state) {
   table.print_header();
   print_points(table, points);
   std::printf("\n");
-  state.counters["greedy_mbps_at_31ms"] = points.back().median[1];
-  state.counters["normal_mbps_at_31ms"] = points.back().median[0];
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig1/UdpCtsNav", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_mbps_at_31ms", points.back().median[1]},
+                   {"normal_mbps_at_31ms", points.back().median[0]}});
 }

@@ -1,8 +1,6 @@
 // Fig 21: CDF of |RSSI - median RSSI| over all links of the 16-node
 // office-floor measurement study (synthetic substitute calibrated to the
 // paper's headline: ~95% of samples within 1 dB of the link median).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -12,9 +10,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   std::printf("Fig 21: CDF of |RSSI - median RSSI| over all links (16 nodes)\n");
   RssiStudyConfig cfg;
   const RssiStudy study(cfg, Rng(2700));
@@ -27,15 +23,5 @@ void run(benchmark::State& state) {
   }
   const double within_1db = cdf_at(cdf, 1.0);
   std::printf("fraction within 1 dB: %.3f (paper: ~0.95)\n\n", within_1db);
-  state.counters["fraction_within_1db"] = within_1db;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig21/RssiDeviationCdf", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"fraction_within_1db", within_1db}});
 }

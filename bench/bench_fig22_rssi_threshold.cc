@@ -8,8 +8,6 @@
 // deterministically-seeded RssiStudy, so points are independent of
 // execution order (the study's attack sampling carries a mutable RNG that
 // would otherwise make the sweep order-dependent) and run concurrently.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -18,9 +16,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   Campaign campaign("fig22_rssi_threshold", {"false_pos", "false_neg"});
   for (const double t : {0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0}) {
     char label[32];
@@ -46,16 +42,6 @@ void run(benchmark::State& state) {
   }
   std::printf("at 1 dB: FP=%.3f FN=%.3f (paper: both low at 1 dB)\n\n", fp_1db,
               fn_1db);
-  state.counters["false_positive_1db"] = fp_1db;
-  state.counters["false_negative_1db"] = fn_1db;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig22/RssiThresholdSweep", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"false_positive_1db", fp_1db},
+                   {"false_negative_1db", fn_1db}});
 }

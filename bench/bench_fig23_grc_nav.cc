@@ -7,8 +7,6 @@
 // also hear S2's RTS and know the true exchange length, and approximately
 // (via the 1500-byte MTU bound) beyond that; both flows jump once the
 // senders stop interfering (~99 m).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -90,21 +88,13 @@ void sweep(const char* title, const char* figure, bool tcp, std::uint64_t seed,
   if (recovered != nullptr) *recovered = points[1].median[4];  // d = 25 m
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   double udp_recovered = 0.0;
   sweep("Fig 23(b): UDP goodput vs distance (no GR / GR / GR+GRC)",
         "fig23b_grc_nav_udp", false, 2900, &udp_recovered);
   sweep("Fig 23(c): TCP goodput vs distance (no GR / GR / GR+GRC)",
         "fig23c_grc_nav_tcp", true, 2950, nullptr);
-  state.counters["udp_victim_mbps_with_grc_25m"] = udp_recovered;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig23/GrcVsNavInflation", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"udp_victim_mbps_with_grc_25m", udp_recovered}});
 }

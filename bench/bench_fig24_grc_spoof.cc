@@ -2,8 +2,6 @@
 // RSSI-based detector attached at the victim's sender, flagged ACKs are
 // ignored and the MAC retransmits as it should: both flows track the
 // no-attack goodput curves.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -36,7 +34,9 @@ std::vector<double> run_case(double ber, bool attack, bool grc_on,
   return {fn.goodput_mbps(), fg.goodput_mbps()};
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   Campaign campaign("fig24_grc_spoof", {"noGR_R1", "noGR_R2", "GR_R1", "GR_R2",
                                         "GRC_R1", "GRC_R2"});
   for (const double ber : {0.0, 1e-4, 2e-4, 4e-4, 8e-4, 1.1e-3, 1.4e-3}) {
@@ -59,16 +59,6 @@ void run(benchmark::State& state) {
   print_points(table, points);
   std::printf("\n");
   const auto& at_2e4 = points[2].median;  // ber = 2e-4
-  state.counters["victim_recovery_ratio_2e-4"] =
-      at_2e4[0] > 0 ? at_2e4[4] / at_2e4[0] : 0.0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig24/GrcVsAckSpoofing", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  const double recovery = at_2e4[0] > 0 ? at_2e4[4] / at_2e4[0] : 0.0;
+  print_headlines({{"victim_recovery_ratio_2e-4", recovery}});
 }

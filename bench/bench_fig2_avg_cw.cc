@@ -3,8 +3,6 @@
 // CWmin; NS's average CW climbs while it still competes (its few frames
 // see an increasing collision fraction) and falls back to CWmin once it is
 // fully starved and cannot send at all.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -12,9 +10,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   Campaign campaign("fig2_avg_cw", {"ns_avg_cw", "gs_avg_cw"});
   const Time slot = WifiParams::b11().slot;
   for (const int v : {0, 5, 10, 15, 20, 24, 28, 32, 40, 100}) {
@@ -39,15 +35,5 @@ void run(benchmark::State& state) {
   double peak_ns_cw = 0.0;
   for (const auto& pt : points) peak_ns_cw = std::max(peak_ns_cw, pt.median[0]);
   std::printf("\n");
-  state.counters["peak_ns_avg_cw"] = peak_ns_cw;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig2/AvgContentionWindow", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"peak_ns_avg_cw", peak_ns_cw}});
 }

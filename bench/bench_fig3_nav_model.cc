@@ -3,8 +3,6 @@
 // (saturated UDP, 802.11b). The model is evaluated by plugging in the
 // empirical contention-window distributions collected from each sender's
 // Backoff, exactly as the paper does.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -14,9 +12,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   Campaign campaign("fig3_nav_model", {"model_ratio", "measured"});
   const Time slot = WifiParams::b11().slot;
   SimConfig base = base_config();
@@ -62,15 +58,5 @@ void run(benchmark::State& state) {
     worst_err = std::max(worst_err, err);
   }
   std::printf("\n");
-  state.counters["worst_abs_err"] = worst_err;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig3/NavInflationModel", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"worst_abs_err", worst_err}});
 }

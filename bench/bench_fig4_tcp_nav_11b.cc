@@ -5,8 +5,6 @@
 // Each sub-figure is one campaign; within it every inflation point and
 // seed runs concurrently on the G80211_JOBS pool with sweep-ordered
 // aggregation, so tables and exported metrics are thread-count invariant.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -50,7 +48,9 @@ void sweep(const char* title, const char* figure, NavFrameMask mask,
   }
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   double greedy_all_2ms = 0.0;
   sweep("Fig 4(a): TCP, inflated CTS NAV (802.11b)", "fig4a_tcp_nav_cts",
         NavFrameMask::cts_only(), Standard::B80211, 400, nullptr);
@@ -61,15 +61,5 @@ void run(benchmark::State& state) {
   sweep("Fig 4(d): TCP, inflated NAV on all frames (802.11b)",
         "fig4d_tcp_nav_all", NavFrameMask::all(), Standard::B80211, 430,
         &greedy_all_2ms);
-  state.counters["greedy_mbps_allframes_2ms"] = greedy_all_2ms;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig4/TcpNav80211b", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_mbps_allframes_2ms", greedy_all_2ms}});
 }

@@ -2,8 +2,6 @@
 // same NAV inflation the damage is larger than on 802.11b because
 // inter-frame spacings and transmission times are smaller, so the same
 // absolute reservation buys relatively more stolen airtime.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -47,7 +45,9 @@ double sweep(const char* title, const char* figure, NavFrameMask mask,
   return gap_at_2ms;
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   sweep("Fig 5(a): TCP, inflated CTS NAV (802.11a)", "fig5a_tcp_nav_cts",
         NavFrameMask::cts_only(), 500);
   sweep("Fig 5(b): TCP, inflated RTS+CTS NAV (802.11a)",
@@ -57,15 +57,5 @@ void run(benchmark::State& state) {
   const double gap =
       sweep("Fig 5(d): TCP, inflated NAV on all frames (802.11a)",
             "fig5d_tcp_nav_all", NavFrameMask::all(), 530);
-  state.counters["gap_mbps_allframes_2ms"] = gap;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig5/TcpNav80211a", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"gap_mbps_allframes_2ms", gap}});
 }

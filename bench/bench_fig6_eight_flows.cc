@@ -1,8 +1,6 @@
 // Fig 6: 8 TCP flows, one of which has a greedy receiver with an
 // increasing CTS NAV (802.11b). The greedy flow's gain comes at the
 // expense of the 7 normal flows; ~10 ms of inflation dominates the medium.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -10,9 +8,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   // Flow 4 (index 3) belongs to the greedy receiver.
   Campaign campaign("fig6_eight_flows",
                     {"normal1_mbps", "normal2_mbps", "normal3_mbps",
@@ -54,15 +50,5 @@ void run(benchmark::State& state) {
     if (pt.x == 10.0) greedy_at_10ms = med[3];
   }
   std::printf("\n");
-  state.counters["greedy_mbps_at_10ms"] = greedy_at_10ms;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig6/EightTcpFlows", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_mbps_at_10ms", greedy_at_10ms}});
 }

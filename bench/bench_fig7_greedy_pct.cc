@@ -1,8 +1,6 @@
 // Fig 7: two TCP flows where GR inflates its CTS NAV by 5, 10, or 31 ms on
 // only a fraction (the Greedy Percentage) of its CTS frames — cheating on
 // half the frames already buys a large share of the medium.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -10,9 +8,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   double gain_gp50_10ms = 0.0;
   for (const Time inflation : {milliseconds(5), milliseconds(10), milliseconds(31)}) {
     char figure[64];
@@ -48,15 +44,5 @@ void run(benchmark::State& state) {
       gain_gp50_10ms = at50[1] - at50[0];
     }
   }
-  state.counters["gain_mbps_gp50_10ms"] = gain_gp50_10ms;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig7/GreedyPercentage", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"gain_mbps_gp50_10ms", gain_gp50_10ms}});
 }

@@ -1,8 +1,6 @@
 // Fig 8: two TCP flows under 0, 1, or 2 greedy receivers for CTS NAV
 // inflations of 5, 10, 31 ms. With two cheaters, whoever grabs the medium
 // first keeps re-reserving it; the split becomes winner-takes-most.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -16,7 +14,9 @@ constexpr Time kInflations[] = {milliseconds(5), milliseconds(10),
                                 milliseconds(31)};
 constexpr int kNumGreedy[] = {0, 1, 2};
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   Campaign campaign("fig8_num_greedy", {"flow1_mbps", "flow2_mbps"});
   for (const Time inflation : kInflations) {
     for (const int n_greedy : kNumGreedy) {
@@ -59,15 +59,5 @@ void run(benchmark::State& state) {
     }
   }
   std::printf("\n");
-  state.counters["victim_mbps_1greedy_31ms"] = victim_with_one_greedy_31;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig8/NumGreedyReceivers", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"victim_mbps_1greedy_31ms", victim_with_one_greedy_31}});
 }

@@ -2,8 +2,6 @@
 // inflating its CTS NAV by 31 ms at GP=100%. The paper's observation: with
 // more than one greedy receiver only one of them survives — 31 ms is large
 // enough that whoever reserves first keeps the channel round after round.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 
@@ -12,9 +10,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   Campaign campaign("fig9_eight_flow_greedy",
                     {"flow1_mbps", "flow2_mbps", "flow3_mbps", "flow4_mbps",
                      "flow5_mbps", "flow6_mbps", "flow7_mbps", "flow8_mbps"});
@@ -51,15 +47,5 @@ void run(benchmark::State& state) {
     if (pt.x == 2.0) second_with_two_greedy = med[1];
   }
   std::printf("\n");
-  state.counters["second_mbps_with_2_greedy"] = second_with_two_greedy;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Fig9/EightFlowsManyGreedy", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"second_mbps_with_2_greedy", second_with_two_greedy}});
 }

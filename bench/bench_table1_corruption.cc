@@ -8,8 +8,6 @@
 // more often than the paper's bursty real-world channel; the conclusion —
 // that fake ACKs are feasible because addresses usually survive — holds
 // with margin.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -26,7 +24,9 @@ ErrorModel::CorruptionBreakdown study(double bit_ber, std::int64_t frames,
   return ErrorModel::corruption_study(rng, bit_ber, /*frame_bytes=*/1064, frames);
 }
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   std::printf(
       "Table I: corrupted packets preserving MAC addresses\n"
       "%10s %10s %11s %16s %18s\n",
@@ -45,16 +45,6 @@ void run(benchmark::State& state) {
       static_cast<double>(b.corrupted_correct_dest) / static_cast<double>(b.corrupted);
   std::printf("802.11b: %.1f%% of corrupted frames keep the destination "
               "(paper: 98.8%%)\n\n", 100.0 * dest_frac_b);
-  state.counters["b_dest_ok_pct"] = 100.0 * dest_frac_b;
-  state.counters["a_corrupted"] = static_cast<double>(a.corrupted);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Table1/HeaderCorruption", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"b_dest_ok_pct", 100.0 * dest_frac_b},
+                   {"a_corrupted", static_cast<double>(a.corrupted)}});
 }

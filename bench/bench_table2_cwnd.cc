@@ -3,8 +3,6 @@
 // and two-sender (NS->NR, GS->GR) cases. The paper's reading: inflation
 // skews the windows far more with separate senders, but the shared-sender
 // skew is still significant.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -12,9 +10,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   // Two points per inflation, on their own seeds: one sender serving both
   // receivers ("1s", the table's first two columns) and two independent
   // senders ("2s", the last two).
@@ -66,15 +62,5 @@ void run(benchmark::State& state) {
     if (points[i].x == 10.0) two_sender_gap_at_10 = two[1] - two[0];
   }
   std::printf("\n");
-  state.counters["two_sender_cwnd_gap_10ms"] = two_sender_gap_at_10;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Table2/AvgCongestionWindow", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"two_sender_cwnd_gap_10ms", two_sender_gap_at_10}});
 }

@@ -1,8 +1,6 @@
 // Table III: bit error rate and the corresponding frame error rate for
 // each frame type, from the calibrated analytic error model
 // (FER = 1-(1-BER)^L with L = 38/44/112/1136; see src/phy/error_model.h).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -11,9 +9,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   std::printf("Table III: BER and the corresponding FER\n");
   std::printf("%10s %12s %12s %12s %12s\n", "BER", "ACK/CTS", "RTS", "TCP ACK",
               "TCP Data");
@@ -23,15 +19,5 @@ void run(benchmark::State& state) {
   }
   std::printf("\n");
   const FerRow last = table3_row(8e-4);
-  state.counters["tcp_data_fer_at_8e-4"] = last.tcp_data;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Table3/BerToFer", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"tcp_data_fer_at_8e-4", last.tcp_data}});
 }

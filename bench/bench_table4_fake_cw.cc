@@ -2,8 +2,6 @@
 // under hidden-terminal losses with GP=100%, for 802.11b and 802.11a —
 // faking ACKs pins GS near CWmin while NS's window balloons; with two
 // greedy receivers both senders sit low (and collide constantly).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -16,7 +14,9 @@ namespace {
 constexpr Standard kStandards[] = {Standard::B80211, Standard::A80211};
 constexpr int kNumGreedy[] = {0, 1, 2};
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   Campaign campaign("table4_fake_cw", {"cw_s1", "cw_s2"});
   for (const Standard std_ : kStandards) {
     for (const int n_greedy : kNumGreedy) {
@@ -52,16 +52,6 @@ void run(benchmark::State& state) {
   }
   std::printf("\n");
   // 802.11b, one greedy receiver.
-  state.counters["cw_NS_1GR_11b"] = points[1].median[0];
-  state.counters["cw_GS_1GR_11b"] = points[1].median[1];
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Table4/FakeAckContentionWindows", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"cw_NS_1GR_11b", points[1].median[0]},
+                   {"cw_GS_1GR_11b", points[1].median[1]}});
 }

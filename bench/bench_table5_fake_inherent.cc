@@ -4,8 +4,6 @@
 // off does not prevent these losses, so faking ACKs recovers the airtime
 // exponential backoff was throwing away and mildly improves goodput; with
 // two greedy receivers both recover.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -21,7 +19,7 @@ namespace {
 // The faker in (A) should earn roughly what the loss-free receiver earns
 // in (B), and its victim roughly what the lossy flow earns in (B) —
 // faking ACKs "pretends to be a normal receiver without packet losses".
-void asymmetric_equivalence(benchmark::State& state) {
+void asymmetric_equivalence(Headlines& headlines) {
   constexpr double kBer = 5e-4;
   const auto run_case = [](bool both_lossy, bool r1_fakes) {
     return [both_lossy, r1_fakes](std::uint64_t s) {
@@ -67,14 +65,16 @@ void asymmetric_equivalence(benchmark::State& state) {
       "goodput: ~43%% of the frames it pretends to ACK are garbage it paid\n"
       "airtime for.\n\n",
       a[1], b[1], a[0], b[0]);
-  state.counters["faker_goodput"] = a[0];
-  state.counters["lossfree_equivalent"] = b[0];
+  headlines.push_back({"faker_goodput", a[0]});
+  headlines.push_back({"lossfree_equivalent", b[0]});
 }
 
 constexpr double kFers[] = {0.2, 0.5, 0.8};
 constexpr int kNumGreedy[] = {0, 1, 2};
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   Campaign campaign("table5_fake_inherent", {"R1_mbps", "R2_mbps"});
   for (const double fer : kFers) {
     const double ber =
@@ -117,16 +117,7 @@ void run(benchmark::State& state) {
   }
   std::printf("\n");
   // FER 0.5, one greedy receiver.
-  state.counters["greedy_mbps_fer0.5"] = points[4].median[1];
-  asymmetric_equivalence(state);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Table5/FakeAckInherentLoss", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  Headlines headlines{{"greedy_mbps_fer0.5", points[4].median[1]}};
+  asymmetric_equivalence(headlines);
+  print_headlines(headlines);
 }

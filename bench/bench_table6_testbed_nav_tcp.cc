@@ -4,8 +4,6 @@
 // scenario on the simulator's 802.11a PHY. Expected shape: a fair split
 // without the greedy receiver; near-total starvation of the normal
 // receiver with it.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -13,9 +11,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   PairsSpec honest;
   honest.tcp = true;
   honest.cfg = base_config(Standard::A80211);
@@ -42,16 +38,6 @@ void run(benchmark::State& state) {
   std::printf("%28s %10.3f %10.3f\n", "1 GR (NR / GR)", att[0], att[1]);
   std::printf("\n");
 
-  state.counters["normal_mbps_under_attack"] = att[0];
-  state.counters["greedy_mbps_under_attack"] = att[1];
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Table6/TestbedNavTcp", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"normal_mbps_under_attack", att[0]},
+                   {"greedy_mbps_under_attack", att[1]}});
 }

@@ -2,8 +2,6 @@
 // the maximum NAV (32767 us), for three configurations matching the
 // paper's rows: ACK inflation without RTS/CTS, CTS inflation with RTS/CTS,
 // and CTS+ACK inflation with RTS/CTS. 802.11a at 6 Mbps, as in the testbed.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -20,7 +18,9 @@ struct Row {
   NavFrameMask mask;
 };
 
-void run(benchmark::State& state) {
+}  // namespace
+
+int main() {
   const Row rows[] = {
       {"no RTS/CTS, inflated NAV on ACK", "ack_basic", false,
        NavFrameMask::ack_only()},
@@ -70,16 +70,6 @@ void run(benchmark::State& state) {
     }
   }
   std::printf("\n");
-  state.counters["greedy_mbps_cts_row"] = greedy_cts;
-  state.counters["normal_mbps_cts_row"] = normal_cts;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Table7/TestbedNavUdp", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"greedy_mbps_cts_row", greedy_cts},
+                   {"normal_mbps_cts_row", normal_cts}});
 }

@@ -4,8 +4,6 @@
 // while the greedy receiver's traffic retransmits as usual. One AP, two
 // TCP receivers, 802.11a without RTS/CTS, mild inherent loss (the paper's
 // office channel was not clean; without loss there is nothing to spoof).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -13,9 +11,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   const double ber =
       ErrorModel::ber_for_fer(0.15, ErrorModel::error_len(FrameType::kData, 1064));
 
@@ -48,16 +44,6 @@ void run(benchmark::State& state) {
   std::printf("%28s %10.3f %10.3f\n", "1 GR (NR / GR)", att[0], att[1]);
   std::printf("\n");
 
-  state.counters["normal_mbps_under_attack"] = att[0];
-  state.counters["greedy_mbps_under_attack"] = att[1];
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Table8/TestbedSpoofEmulation", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"normal_mbps_under_attack", att[0]},
+                   {"greedy_mbps_under_attack", att[1]}});
 }

@@ -3,8 +3,6 @@
 // ACK prevents every doubling), while transmissions toward the normal
 // receiver back off normally. One AP, two UDP receivers, 802.11a without
 // RTS/CTS, mild inherent loss so backoff actually engages.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.h"
@@ -12,9 +10,7 @@
 using namespace g80211;
 using namespace g80211::bench;
 
-namespace {
-
-void run(benchmark::State& state) {
+int main() {
   const double ber =
       ErrorModel::ber_for_fer(0.2, ErrorModel::error_len(FrameType::kData, 1064));
 
@@ -46,16 +42,6 @@ void run(benchmark::State& state) {
   std::printf("%28s %10.3f %10.3f\n", "1 GR (NR / GR)", att[0], att[1]);
   std::printf("\n");
 
-  state.counters["normal_mbps_under_attack"] = att[0];
-  state.counters["greedy_mbps_under_attack"] = att[1];
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_once("Table9/TestbedFakeAckEmulation", run);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  print_headlines({{"normal_mbps_under_attack", att[0]},
+                   {"greedy_mbps_under_attack", att[1]}});
 }

@@ -209,15 +209,10 @@ void print_points(const TableWriter& table,
   }
 }
 
-void register_once(const char* name,
-                   const std::function<void(benchmark::State&)>& fn) {
-  benchmark::RegisterBenchmark(name, [fn](benchmark::State& state) {
-    for (auto _ : state) {
-      fn(state);
-    }
-  })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
+void print_headlines(const Headlines& headlines) {
+  for (const Headline& h : headlines) {
+    std::printf("%s = %g\n", h.name.c_str(), h.value);
+  }
 }
 
 }  // namespace g80211::bench

@@ -5,12 +5,11 @@
 // table's columns, or the per-flow values a derived column averages. The
 // bench adds every sweep point with default_runs() seeds (median-of-5, as
 // in the paper), runs the campaign once, prints the paper-style table from
-// the points' medians, and exposes the headline numbers as
-// google-benchmark counters. The campaign exports every table to
-// $G80211_METRICS_DIR/<figure>.{jsonl,csv}.
+// the points' medians, and prints its headline numbers after the last
+// table (print_headlines). The campaign exports every table to
+// $G80211_METRICS_DIR/<figure>.{jsonl,csv}. A bench's stdout depends only
+// on G80211_QUICK and its seeds, never on the worker count or the clock.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <functional>
@@ -160,9 +159,17 @@ std::vector<std::string> goodput_names(int n_normal);
 void print_points(const TableWriter& table,
                   const std::vector<CampaignPoint>& points);
 
-// Register a benchmark that runs `fn` exactly once and reports its
-// wall-clock; `fn` may set counters on the state.
-void register_once(const char* name,
-                   const std::function<void(benchmark::State&)>& fn);
+// A figure's headline numbers, the few values that sum up its tables, in
+// the order they are printed.
+struct Headline {
+  std::string name;
+  double value = 0.0;
+};
+using Headlines = std::vector<Headline>;
+
+// Print the headline numbers after the figure's last table, one
+// `name = value` line each, the value to six significant digits (%g).
+// Main thread only, like TableWriter.
+void print_headlines(const Headlines& headlines);
 
 }  // namespace g80211::bench

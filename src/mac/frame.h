@@ -45,7 +45,6 @@ struct Frame {
     return packet ? packet->size_bytes : 0;
   }
 
-  bool is_control() const { return type != FrameType::kData; }
   std::string describe() const;
 };
 

@@ -160,14 +160,12 @@ class Mac : public PhyListener {
   // carries a nonzero NAV (see NavValidator::assume_fragmentation).
   // 0 disables fragmentation (the paper's configuration).
   void set_fragmentation_threshold(int bytes) { frag_threshold_ = bytes; }
-  int fragmentation_threshold() const { return frag_threshold_; }
 
   // Sender-side misbehavior (Kyasanur & Vaidya; the DOMINO family's
   // target): draw backoff from [0, cw * fraction] instead of [0, cw].
   // 1.0 = honest. Used as the baseline greedy-sender attack the DOMINO
   // detector in src/detect/backoff_monitor.h catches.
   void set_backoff_cheat(double fraction) { backoff_cheat_ = fraction; }
-  double backoff_cheat() const { return backoff_cheat_; }
 
   // Observation tap for channel busy/idle edges (true = became busy);
   // chain it by wrapping the current one, as with `sniffer`. Backoff

@@ -30,14 +30,6 @@ struct MacStats {
   std::int64_t rx_data_dup = 0;
   std::int64_t rx_corrupted = 0;
   std::int64_t nav_updates = 0;
-
-  // Fraction of DATA transmissions that were retries (the sender's
-  // MAC-layer loss estimate used by the fake-ACK detector).
-  double mac_loss_rate() const {
-    return data_sent == 0
-               ? 0.0
-               : static_cast<double>(data_retries) / static_cast<double>(data_sent);
-  }
 };
 
 }  // namespace g80211

@@ -96,7 +96,6 @@ class StreamMonitor {
   void finalize(Time end_time);
 
   std::int64_t frames() const { return frames_; }
-  Time last_event() const { return engine_.now(); }
   const ReplayEngine& engine() const { return engine_; }
 
   // Full verdict snapshot at a horizon (what replay_capture would return

@@ -243,7 +243,6 @@ class Channel {
   // Marks every link table stale, for a rebuild on each sender's next
   // transmit (attach and set_ranges; a move marks only the moved radio).
   void invalidate_topology() { ++topology_gen_; }
-  std::uint64_t topology_generation() const { return topology_gen_; }
   // Full table rebuilds, and the links that patch passes re-derived (one
   // per moved radio per table brought up to date), for tests and
   // benchmarks asserting cache behaviour.

@@ -10,21 +10,14 @@ double distance(const Position& a, const Position& b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-void Propagation::recompute() {
-  constexpr double kPi = 3.14159265358979323846;
-  crossover_m_ = 4.0 * kPi * antenna_height_m_ * antenna_height_m_ / wavelength_m_;
-  ++generation_;
-}
-
 double Propagation::rx_power_w(double d) const {
-  constexpr double kPi = 3.14159265358979323846;
   d = std::max(d, 0.1);  // avoid the singularity at zero distance
-  if (d <= crossover_m_) {
-    const double denom = 4.0 * kPi * d / wavelength_m_;
-    return tx_power_w_ * gain_tx_ * gain_rx_ / (denom * denom);
+  if (d <= kCrossoverM) {
+    const double denom = 4.0 * kPi * d / kWavelengthM;
+    return tx_power_w_ / (denom * denom);
   }
-  const double h2 = antenna_height_m_ * antenna_height_m_;
-  return tx_power_w_ * gain_tx_ * gain_rx_ * h2 * h2 / (d * d * d * d);
+  constexpr double kH2 = kAntennaHeightM * kAntennaHeightM;
+  return tx_power_w_ * kH2 * kH2 / (d * d * d * d);
 }
 
 }  // namespace g80211

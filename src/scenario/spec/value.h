@@ -53,18 +53,6 @@ struct Value {
   double as_number() const {
     return kind == Kind::kInt ? static_cast<double>(i) : f;
   }
-
-  static const char* kind_name(Kind k) {
-    switch (k) {
-      case Kind::kBool: return "bool";
-      case Kind::kInt: return "integer";
-      case Kind::kFloat: return "float";
-      case Kind::kString: return "string";
-      case Kind::kArray: return "array";
-      case Kind::kTable: return "table";
-    }
-    return "value";
-  }
 };
 
 }  // namespace g80211::spec

@@ -8,8 +8,13 @@ print no table) this test runs it twice, each run with its own metrics
 directory, and checks:
 
   * both runs exit 0;
-  * the tables (stdout before google-benchmark's `Benchmark  Time  CPU`
-    block) and the benchmark counters are identical between the runs;
+  * the whole stdout is identical between the runs;
+  * no bench runs inside a google-benchmark harness: no reporter header
+    (`Benchmark  Time  CPU`) on stdout and no `Running ...` or
+    `Run on (...)` context line on stderr. A reporter's timing row
+    differs on every run, so only the micro-benchmarks may have one;
+  * stdout ends with the bench's headline numbers, one `name = value`
+    line each;
   * the exports are identical except `wall_ms`, the one timing field;
   * every `[campaign] <figure>` line on stderr has its <figure>.jsonl and
     <figure>.csv, and the binary exports exactly the figures listed in
@@ -108,7 +113,9 @@ NO_EXPORTS = {
 SKIPPED = {"bench_ext_simperf", "bench_ext_monitor"}
 
 CAMPAIGN_LINE = re.compile(r"^\[campaign\] (\S+): ", re.MULTILINE)
-REPORTER_HEADER = re.compile(r"^Benchmark\s+Time\s+CPU")
+HEADLINE = re.compile(r"\S+ = \S+")
+REPORTER_HEADER = re.compile(r"^Benchmark\s+Time\s+CPU", re.MULTILINE)
+CONTEXT_LINE = re.compile(r"^(Running |Run on \()", re.MULTILINE)
 FALLBACK_METRIC = re.compile(r"m\d+")
 
 FAILURES = []
@@ -119,20 +126,6 @@ def check(name, cond, detail=""):
         print(f"FAIL  {name}: {detail}")
         FAILURES.append(name)
     return cond
-
-
-def split_stdout(text):
-    """(table lines, counter tokens) of one bench's stdout."""
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if REPORTER_HEADER.match(line):
-            # The header sits between two rules of dashes; the rows with
-            # the counters follow the second rule.
-            tables = lines[:max(i - 1, 0)]
-            counters = [tok for row in lines[i + 2:] for tok in row.split()
-                        if "=" in tok]
-            return tables, counters
-    return lines, []
 
 
 def without_wall_ms(path):
@@ -169,14 +162,22 @@ def check_bench(binary, jobs, scratch, timeout, seen_figures):
             return
         runs.append((j, proc, metrics))
 
+    for j, proc, _ in runs:
+        check(f"{name} prints no benchmark reporter (G80211_JOBS={j})",
+              not REPORTER_HEADER.search(proc.stdout))
+        check(f"{name} prints no benchmark context (G80211_JOBS={j})",
+              not CONTEXT_LINE.search(proc.stderr), proc.stderr[:500])
+
     (ja, a, ma), (jb, b, mb) = runs
-    tables_a, counters_a = split_stdout(a.stdout)
-    tables_b, counters_b = split_stdout(b.stdout)
-    check(f"{name} prints a table", any(line.strip() for line in tables_a))
-    check(f"{name} tables match at {ja} and {jb} workers", tables_a == tables_b,
-          first_difference(tables_a, tables_b))
-    check(f"{name} counters match at {ja} and {jb} workers",
-          counters_a == counters_b, f"{counters_a} != {counters_b}")
+    lines_a, lines_b = a.stdout.splitlines(), b.stdout.splitlines()
+    check(f"{name} prints a table",
+          any(line.strip() and not HEADLINE.fullmatch(line)
+              for line in lines_a))
+    check(f"{name} ends with its headline numbers",
+          bool(lines_a) and HEADLINE.fullmatch(lines_a[-1]) is not None,
+          lines_a[-1:])
+    check(f"{name} stdout matches at {ja} and {jb} workers",
+          a.stdout == b.stdout, first_difference(lines_a, lines_b))
 
     files_a = sorted(p.name for p in ma.glob("*")) if ma.exists() else []
     files_b = sorted(p.name for p in mb.glob("*")) if mb.exists() else []
